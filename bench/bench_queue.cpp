@@ -4,9 +4,8 @@
 // spent executing an invocation is much longer than the time spent
 // waiting for the queue."
 //
-// Part 1 (A/B): raw scheduler throughput across three impls — the
-// SingleMutexTaskQueues seed baseline, the retired ShardedTaskQueues
-// (PR 2), and the WorkStealingTaskQueues the alias points at — on two
+// Part 1 (A/B): raw scheduler throughput of the SingleMutexTaskQueues
+// baseline against the WorkStealingTaskQueues CriRun runs on, over two
 // workload shapes. Every operation is a push+pop pair with no body
 // work, so the scheduler IS the workload — the worst case the paper's
 // condition warns about.
@@ -56,7 +55,7 @@ enum class Shape { kHandoff, kSpawnChain };
 
 /// The work-stealing queue wants to know how many threads will touch
 /// it (one lane each; +1 covers the main thread seeding the handoff
-/// shape); the other impls take sites only.
+/// shape); the mutex queue takes sites only.
 template <typename Q>
 std::unique_ptr<Q> make_queue(std::size_t sites, std::size_t threads) {
   if constexpr (std::is_same_v<Q, runtime::WorkStealingTaskQueues>) {
@@ -84,7 +83,7 @@ std::size_t chains_for(Shape shape, std::size_t threads) {
 /// on its site. Returns wall-clock seconds.
 template <typename Q>
 double run_shape(Shape shape, std::size_t threads, std::size_t sites,
-                 std::size_t total_ops, std::size_t batch) {
+                 std::size_t total_ops) {
   auto qp = make_queue<Q>(sites, threads);
   Q& q = *qp;
   const std::size_t chains = chains_for(shape, threads);
@@ -116,20 +115,6 @@ double run_shape(Shape shape, std::size_t threads, std::size_t sites,
                  runtime::TaskArgs{sexpr::Value::fixnum(
                      static_cast<std::int64_t>(t))});
         }
-        if constexpr (requires(std::vector<runtime::TaskArgs>& v) {
-                        q.pop_some(v, batch, nullptr);
-                      }) {
-          if (batch > 1) {
-            std::vector<runtime::TaskArgs> buf;
-            buf.reserve(batch);
-            std::size_t site = 0;
-            while (q.pop_some(buf, batch, &site) != 0) {
-              for (std::size_t i = 0; i < buf.size(); ++i) handle(site);
-              buf.clear();
-            }
-            return;
-          }
-        }
         std::size_t site = 0;
         while (q.pop(&site)) handle(site);
       });
@@ -142,24 +127,21 @@ double run_shape(Shape shape, std::size_t threads, std::size_t sites,
 struct AbRow {
   const char* impl;
   const char* workload;
-  std::size_t threads, chains, sites, batch, ops;
+  std::size_t threads, chains, sites, ops;
   double secs, mops;
 };
 
 template <typename Q>
 AbRow measure(const char* impl, Shape shape, std::size_t threads,
-              std::size_t sites, std::size_t total_ops, std::size_t batch,
-              int reps) {
+              std::size_t sites, std::size_t total_ops, int reps) {
   double best = 1e9;
   for (int r = 0; r < reps; ++r)
-    best = std::min(best,
-                    run_shape<Q>(shape, threads, sites, total_ops, batch));
+    best = std::min(best, run_shape<Q>(shape, threads, sites, total_ops));
   return AbRow{impl,
                shape == Shape::kHandoff ? "handoff" : "spawn_chain",
                threads,
                chains_for(shape, threads),
                sites,
-               batch,
                total_ops,
                best,
                static_cast<double>(total_ops) / best / 1e6};
@@ -170,25 +152,9 @@ void emit_json(std::FILE* js, const AbRow& r) {
   std::fprintf(js,
                "{\"bench\":\"queue_ab\",\"impl\":\"%s\","
                "\"workload\":\"%s\",\"threads\":%zu,\"chains\":%zu,"
-               "\"sites\":%zu,\"batch\":%zu,\"ops\":%zu,\"secs\":%.6f,"
-               "\"mops\":%.3f}\n",
-               r.impl, r.workload, r.threads, r.chains, r.sites, r.batch,
-               r.ops, r.secs, r.mops);
-}
-
-/// ns per {fetch_add, fetch_sub} pair on one shared atomic word — the
-/// sharded scheduler's entire serialized section per push+pop pair
-/// (its ring cursors live on other cache lines and pipeline with it).
-double measure_rmw_pair_ns(std::size_t iters) {
-  std::atomic<std::uint64_t> w{0};
-  const double secs = time_s([&] {
-    for (std::size_t i = 0; i < iters; ++i) {
-      w.fetch_add(1, std::memory_order_seq_cst);
-      w.fetch_sub(1, std::memory_order_seq_cst);
-    }
-  });
-  g_spin_sink.fetch_add(w.load(), std::memory_order_relaxed);
-  return secs / static_cast<double>(iters) * 1e9;
+               "\"sites\":%zu,\"ops\":%zu,\"secs\":%.6f,\"mops\":%.3f}\n",
+               r.impl, r.workload, r.threads, r.chains, r.sites, r.ops,
+               r.secs, r.mops);
 }
 
 void run_ab(std::FILE* js) {
@@ -203,49 +169,33 @@ void run_ab(std::FILE* js) {
               "pairs/sec\n",
               total_ops, reps);
 
-  double mutex_pair_ns = 0;  // threads=1, sites=1, handoff cell
-  double shard_pair_ns = 0;
-  double ws_pair_ns = 0;
   double ws8_spawn = 0;  // acceptance cell: ws vs mutex, 8 thr, spawn
   double mutex8_spawn = 0;
   for (Shape shape : {Shape::kHandoff, Shape::kSpawnChain}) {
     const char* wname =
         shape == Shape::kHandoff ? "handoff" : "spawn_chain";
     std::printf("\nworkload: %s\n", wname);
-    std::printf("%7s %6s | %11s %11s %11s %8s | %11s\n", "threads",
-                "sites", "mutex Mops", "shard Mops", "ws Mops",
-                "ws/mutex", "ws b=8");
+    std::printf("%7s %6s | %11s %11s %8s\n", "threads", "sites",
+                "mutex Mops", "ws Mops", "ws/mutex");
     for (std::size_t sites : {std::size_t{1}, std::size_t{4}}) {
       for (std::size_t threads : {std::size_t{1}, std::size_t{2},
                                   std::size_t{4}, std::size_t{8}}) {
-        AbRow a = measure<runtime::SingleMutexTaskQueues>(
-            "mutex", shape, threads, sites, total_ops, 1, reps);
-        AbRow b = measure<runtime::ShardedTaskQueues>(
-            "sharded", shape, threads, sites, total_ops, 1, reps);
-        AbRow c = measure<runtime::WorkStealingTaskQueues>(
-            "ws", shape, threads, sites, total_ops, 1, reps);
-        AbRow d = measure<runtime::WorkStealingTaskQueues>(
-            "ws", shape, threads, sites, total_ops, 8, reps);
-        emit_json(js, a);
-        emit_json(js, b);
-        emit_json(js, c);
-        emit_json(js, d);
-        if (shape == Shape::kHandoff && threads == 1 && sites == 1) {
-          mutex_pair_ns = a.secs / static_cast<double>(a.ops) * 1e9;
-          shard_pair_ns = b.secs / static_cast<double>(b.ops) * 1e9;
-          ws_pair_ns = c.secs / static_cast<double>(c.ops) * 1e9;
-        }
+        const AbRow mx = measure<runtime::SingleMutexTaskQueues>(
+            "mutex", shape, threads, sites, total_ops, reps);
+        const AbRow ws = measure<runtime::WorkStealingTaskQueues>(
+            "ws", shape, threads, sites, total_ops, reps);
+        emit_json(js, mx);
+        emit_json(js, ws);
         if (shape == Shape::kSpawnChain && threads == 8 && sites == 1) {
-          mutex8_spawn = a.mops;
-          ws8_spawn = c.mops;
+          mutex8_spawn = mx.mops;
+          ws8_spawn = ws.mops;
         }
-        std::printf("%7zu %6zu | %11.2f %11.2f %11.2f %7.2fx | %11.2f\n",
-                    threads, sites, a.mops, b.mops, c.mops,
-                    c.mops / a.mops, d.mops);
+        std::printf("%7zu %6zu | %11.2f %11.2f %7.2fx\n", threads, sites,
+                    mx.mops, ws.mops, ws.mops / mx.mops);
       }
     }
   }
-  std::printf("\nacceptance (ROADMAP item 2): ws vs mutex at 8 threads "
+  std::printf("\nacceptance: ws vs mutex at 8 threads "
               "(4 chains), spawn_chain,\n1 site:  %.2f vs %.2f Mops = "
               "%.2fx (bar: >= 1.5x; tools/bench_check.py gates\nit in "
               "CI)\n",
@@ -255,37 +205,6 @@ void run_ab(std::FILE* js) {
               "contended — the convoy it forms on a real\nmultiprocessor "
               "does not show in these columns.\n\n",
               cores);
-
-  // §4.1 bottleneck projection. The paper's condition: servers scale
-  // until the serialized queue section saturates. For the mutex queue
-  // the whole push+pop pair runs under one lock (its critical section
-  // IS the measured single-thread pair cost); for the retired sharded
-  // queue the packed depth/hint word's two RMWs serialize every pair.
-  // The work-stealing queue keeps *no* cross-server serialized section
-  // on the owner path — its only lock-prefixed instruction is a CAS on
-  // the owner's own lane's consumer cursor — so its projected scaling
-  // is bounded by steals, not by a shared line.
-  const double shard_serial_ns =
-      measure_rmw_pair_ns(smoke ? 100'000 : 4'000'000);
-  const double projected = mutex_pair_ns / shard_serial_ns;
-  std::printf("saturation projection (S=8, body→0): mutex serialized "
-              "%.1f ns/pair; the\nretired sharded impl still serialized "
-              "its depth word's two RMWs, %.1f ns/pair\n(measured full "
-              "pairs: sharded %.1f ns, ws %.1f ns). The ws owner path\n"
-              "shares no line at all, so even the sharded floor's %.1fx "
-              "over the mutex\nqueue is a lower bound on its saturated "
-              "advantage.\n\n",
-              mutex_pair_ns, shard_serial_ns, shard_pair_ns, ws_pair_ns,
-              projected);
-  if (js != nullptr) {
-    std::fprintf(js,
-                 "{\"bench\":\"queue_model\",\"S\":8,"
-                 "\"mutex_serial_ns\":%.1f,\"shard_serial_ns\":%.1f,"
-                 "\"shard_pair_ns\":%.1f,\"ws_pair_ns\":%.1f,"
-                 "\"projected_speedup\":%.2f}\n",
-                 mutex_pair_ns, shard_serial_ns, shard_pair_ns,
-                 ws_pair_ns, projected);
-  }
 }
 
 // ---- Part 2: grain sweep (original E7) ------------------------------------

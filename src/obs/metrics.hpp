@@ -18,7 +18,7 @@
 //   cri.queue.notify_suppressed counter pushes with no sleeper (cv skipped)
 //   cri.queue.spill_pushes  counter   pushes that overflowed a site ring
 //   cri.queue.sleeps        counter   times a server actually blocked
-//   cri.queue.pop_calls     counter   scheduler transactions (≥1 task)
+//   cri.queue.steals        counter   tasks taken from another server's lane
 //   future.spawned          counter   futures created
 //   future.touches          counter   touch() calls
 //   future.touch_waits      counter   touches that blocked

@@ -97,14 +97,14 @@ void Runtime::gc_roots(std::vector<sexpr::Value>& out) {
 
 CriStats Runtime::run_cri(Value fn, std::size_t num_sites,
                           std::size_t servers, TaskArgs initial_args,
-                          std::string label, std::size_t batch) {
+                          std::string label) {
   return run_cri_in(interp_, fn, num_sites, servers,
-                    std::move(initial_args), std::move(label), batch);
+                    std::move(initial_args), std::move(label));
 }
 
 CriStats Runtime::run_cri_in(Interp& in, Value fn, std::size_t num_sites,
                              std::size_t servers, TaskArgs initial_args,
-                             std::string label, std::size_t batch) {
+                             std::string label) {
   if (label.empty()) {
     // Name the speedup-report row after the server function when it has
     // a printable name.
@@ -115,7 +115,6 @@ CriStats Runtime::run_cri_in(Interp& in, Value fn, std::size_t num_sites,
     }
   }
   CriRun run(in, fn, num_sites, servers, &recorder_, std::move(label));
-  run.set_batch_limit(batch);
   ResilienceConfig rc;
   rc.deadline_ms = deadline_ms_.load(std::memory_order_relaxed);
   rc.stall_ms = stall_ms_.load(std::memory_order_relaxed);

@@ -88,21 +88,19 @@ class Runtime : public gc::RootSource {
   const obs::Recorder& obs() const { return recorder_; }
 
   /// Run a transformed server-body function under a CRI pool. `label`
-  /// names the run in the speedup report (§4.1 T(S) comparison);
-  /// `batch` is the per-server dequeue batch limit (1 = classic).
+  /// names the run in the speedup report (§4.1 T(S) comparison).
   /// If the calling thread has a CancelState installed (a CLI batch
   /// token or a serving-layer request token), the run's own token is
   /// chained under it, so cancelling the request aborts the run.
   CriStats run_cri(sexpr::Value fn, std::size_t num_sites,
                    std::size_t servers, TaskArgs initial_args,
-                   std::string label = {}, std::size_t batch = 1);
+                   std::string label = {});
 
   /// Same, but executing in an explicit interpreter — the per-session
   /// entry point used by install_into()'s %cri-run.
   CriStats run_cri_in(lisp::Interp& in, sexpr::Value fn,
                       std::size_t num_sites, std::size_t servers,
-                      TaskArgs initial_args, std::string label = {},
-                      std::size_t batch = 1);
+                      TaskArgs initial_args, std::string label = {});
 
   const CriStats& last_cri_stats() const { return last_stats_; }
 

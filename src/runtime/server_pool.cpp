@@ -1,5 +1,6 @@
 #include "runtime/server_pool.hpp"
 
+#include <optional>
 #include <sstream>
 #include <vector>
 
@@ -141,10 +142,8 @@ void CriRun::serve(std::size_t server_index) {
   // the start of the next wait, so the steady state costs two clock
   // reads per task, not three.
   std::uint64_t t_wait = rec_ ? rec_->tracer.now_ns() : 0;
-  std::vector<TaskArgs> batch;
-  batch.reserve(batch_limit_);
   for (;;) {
-    // Quiescent point between batches: no Lisp values live on this
+    // Quiescent point between tasks: no Lisp values live on this
     // thread's stack here, so it may run (or help) a collection. The
     // MutatorScope then covers the pop itself — popped arguments leave
     // the queue's root set the instant they are dequeued, so the
@@ -152,18 +151,16 @@ void CriRun::serve(std::size_t server_index) {
     // sleep path releases it around blocking waits).
     gc_.maybe_collect();
     gc::MutatorScope gc_scope(gc_);
-    std::size_t site = 0;
-    batch.clear();
-    std::size_t got = 0;
+    std::optional<TaskArgs> task;
     try {
-      got = queues_.pop_some(batch, batch_limit_, &site);
+      task = queues_.pop();
     } catch (...) {
-      // A pop can throw: the work-stealing scheduler's queue.steal
-      // fault site injects there. Route it through the body-error
-      // path — record, switch to drain mode, keep looping. Nothing
-      // was popped, so pending_ is untouched and the termination
-      // accounting stays exact; the drain itself retries through
-      // further injected throws until the queues empty.
+      // A pop can throw: the queue.steal fault site injects at the top
+      // of every steal round. Route it through the body-error path —
+      // record, switch to drain mode, keep looping. Nothing was popped,
+      // so pending_ is untouched and the termination accounting stays
+      // exact; the drain itself retries through further injected
+      // throws until the queues empty.
       {
         std::lock_guard<std::mutex> g(err_mu_);
         if (!first_error_) first_error_ = std::current_exception();
@@ -180,78 +177,73 @@ void CriRun::serve(std::size_t server_index) {
                         server_index);
       t_wait = t0;
     }
-    if (got == 0) break;  // kill token
+    if (!task) break;  // kill token
 
-    for (std::size_t k = 0; k < got; ++k) {
-      // Deadline/watchdog abort: record the StallError as the run's
-      // first error and switch to drain mode — exactly the body-throw
-      // path, so re-runnability follows for free. Busy servers reach
-      // the same state through the eval loop's poll_cancellation().
-      if (token_ && !stop_.load(std::memory_order_acquire) &&
-          token_->should_abort()) {
+    // Deadline/watchdog abort: record the StallError as the run's first
+    // error and switch to drain mode — exactly the body-throw path, so
+    // re-runnability follows for free. Busy servers reach the same
+    // state through the eval loop's poll_cancellation().
+    if (token_ && !stop_.load(std::memory_order_acquire) &&
+        token_->should_abort()) {
+      {
+        std::lock_guard<std::mutex> g(err_mu_);
+        if (!first_error_) {
+          try {
+            token_->raise();
+          } catch (...) {
+            first_error_ = std::current_exception();
+          }
+        }
+      }
+      stop_.store(true, std::memory_order_release);
+      queues_.close();
+    }
+    // After %cri-finish or a body error, drain without executing — but
+    // every popped task still decrements pending_ exactly once, so the
+    // termination accounting stays consistent and the run can be
+    // retried on this same CriRun.
+    if (!stop_.load(std::memory_order_acquire)) {
+      const std::uint64_t inv =
+          invocations_.fetch_add(1, std::memory_order_relaxed);
+      g_last_enqueue_ns = 0;
+      bool failed = false;
+      try {
+        FaultInjector::instance().check(FaultInjector::Site::kTaskRun);
+        interp_.apply(fn_, *task);
+      } catch (...) {
         {
           std::lock_guard<std::mutex> g(err_mu_);
-          if (!first_error_) {
-            try {
-              token_->raise();
-            } catch (...) {
-              first_error_ = std::current_exception();
-            }
-          }
+          if (!first_error_) first_error_ = std::current_exception();
         }
         stop_.store(true, std::memory_order_release);
         queues_.close();
+        failed = true;
       }
-      // After %cri-finish or a body error, drain without executing —
-      // but every popped task still decrements pending_ exactly once,
-      // so the termination accounting stays consistent and the run can
-      // be retried on this same CriRun.
-      if (!stop_.load(std::memory_order_acquire)) {
-        const std::uint64_t inv =
-            invocations_.fetch_add(1, std::memory_order_relaxed);
-        g_last_enqueue_ns = 0;
-        bool failed = false;
-        try {
-          FaultInjector::instance().check(
-              FaultInjector::Site::kTaskRun);
-          interp_.apply(fn_, batch[k]);
-        } catch (...) {
-          {
-            std::lock_guard<std::mutex> g(err_mu_);
-            if (!first_error_) first_error_ = std::current_exception();
-          }
-          stop_.store(true, std::memory_order_release);
-          queues_.close();
-          failed = true;
-        }
-        // The watchdog's progress signal: bodies that *finish*, pass
-        // or fail. (Starts can't be the signal — a wedged body starts
-        // and never ends; enqueues can't either — an infinite
-        // re-enqueue loop "progresses" forever, and bounding that is
-        // the deadline's job.)
-        completions_.fetch_add(1, std::memory_order_relaxed);
-        if (rec_ && !failed) {
-          const std::uint64_t t1 = rec_->tracer.now_ns();
-          busy += t1 - t0;
-          ++tasks;
-          // Head runs until the last enqueue this invocation issued; a
-          // base case (no enqueue) is pure head.
-          const std::uint64_t head_end =
-              (g_last_enqueue_ns > t0 && g_last_enqueue_ns < t1)
-                  ? g_last_enqueue_ns
-                  : t1;
-          head_ns_.fetch_add(head_end - t0, std::memory_order_relaxed);
-          tail_ns_.fetch_add(t1 - head_end, std::memory_order_relaxed);
-          rec_->tracer.emit(obs::EventKind::kTaskRun, t0, t1 - t0,
-                            server_index, inv);
-          t0 = t1;
-          t_wait = t1;
-        }
+      // The watchdog's progress signal: bodies that *finish*, pass or
+      // fail. (Starts can't be the signal — a wedged body starts and
+      // never ends; enqueues can't either — an infinite re-enqueue loop
+      // "progresses" forever, and bounding that is the deadline's job.)
+      completions_.fetch_add(1, std::memory_order_relaxed);
+      if (rec_ && !failed) {
+        const std::uint64_t t1 = rec_->tracer.now_ns();
+        busy += t1 - t0;
+        ++tasks;
+        // Head runs until the last enqueue this invocation issued; a
+        // base case (no enqueue) is pure head.
+        const std::uint64_t head_end =
+            (g_last_enqueue_ns > t0 && g_last_enqueue_ns < t1)
+                ? g_last_enqueue_ns
+                : t1;
+        head_ns_.fetch_add(head_end - t0, std::memory_order_relaxed);
+        tail_ns_.fetch_add(t1 - head_end, std::memory_order_relaxed);
+        rec_->tracer.emit(obs::EventKind::kTaskRun, t0, t1 - t0,
+                          server_index, inv);
+        t_wait = t1;
       }
-      if (pending_.fetch_sub(1, std::memory_order_acq_rel) == 1) {
-        // This invocation finished the recursion: kill the servers.
-        queues_.close();
-      }
+    }
+    if (pending_.fetch_sub(1, std::memory_order_acq_rel) == 1) {
+      // This invocation finished the recursion: kill the servers.
+      queues_.close();
     }
   }
   if (rec_) {
@@ -405,7 +397,6 @@ CriStats CriRun::run(TaskArgs initial_args) {
         .add(stats.queue.notify_suppressed);
     m.counter("cri.queue.spill_pushes").add(stats.queue.spill_pushes);
     m.counter("cri.queue.sleeps").add(stats.queue.sleeps);
-    m.counter("cri.queue.pop_calls").add(stats.queue.pop_calls);
     m.counter("cri.queue.steals").add(stats.queue.steals);
 
     obs::MeasuredRun mr;

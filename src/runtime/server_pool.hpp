@@ -46,8 +46,8 @@ struct CriStats {
   /// nil when the recursion ran to completion.
   sexpr::Value result;
   bool finished_early = false;
-  /// Scheduler internals for the run (sharded-queue counters: notify
-  /// throttling, ring overflow, actual sleeps, batch amortization).
+  /// Scheduler internals for the run (work-stealing queue counters:
+  /// notify throttling, ring overflow, actual sleeps, steals).
   QueueStats queue;
 
   // ---- measured aggregates (filled when a Recorder is attached) ----
@@ -114,16 +114,6 @@ class CriRun : public gc::RootSource {
   /// (thrown) or early-finished run.
   CriStats run(TaskArgs initial_args);
 
-  /// Per-server dequeue batch limit (default 1 = classic behavior).
-  /// A server may take up to `n` tasks from one site in a single
-  /// scheduler transaction and execute them in order; §4.1's site
-  /// ordering is preserved because a batch never spans sites. Larger
-  /// batches trade queue pressure for work-distribution granularity.
-  void set_batch_limit(std::size_t n) {
-    batch_limit_ = n == 0 ? 1 : n;
-  }
-  std::size_t batch_limit() const { return batch_limit_; }
-
   /// Called (via the %cri-enqueue builtin) from server threads.
   void enqueue(std::size_t site, TaskArgs args);
 
@@ -167,7 +157,6 @@ class CriRun : public gc::RootSource {
   sexpr::Value fn_;
   OrderedTaskQueues queues_;
   std::size_t servers_;
-  std::size_t batch_limit_ = 1;
   std::atomic<std::int64_t> pending_{0};
   std::atomic<std::uint64_t> invocations_{0};
   std::atomic<std::uint64_t> completions_{0};

@@ -10,48 +10,37 @@
 // Termination uses the paper's kill-token idea: close() wakes every
 // server with an empty pop, and they exit.
 //
-// Three implementations share that contract:
+// Two implementations share that contract:
 //
-//  * SingleMutexTaskQueues — the original centralized queue: one mutex,
-//    one condition variable, a deque per site. Kept forever as the A/B
-//    baseline for bench_queue and as the single-threaded ordering
-//    oracle in tests. Its push recomputes the total depth with an
-//    O(sites) scan under the global lock and notifies on every push.
+//  * WorkStealingTaskQueues — the scheduler CriRun runs on. One *lane*
+//    per server, each lane holding the full per-site structure (ring +
+//    spill). A thread that touches the queue claims a lane; the lane
+//    owner pushes with a single-producer ring append (no CAS) and pops
+//    from its own lane first, so a task's head→spawn chain stays on the
+//    server that spawned it. Only when the owner's lane is dry does it
+//    steal — single tasks, oldest-first, two-choice victim selection —
+//    and only after several dry rounds does it sleep. There is no
+//    global depth word at all: emptiness is read off the ring cursors
+//    (publication *is* the count), so the owner's push+pop pair
+//    serializes on nothing shared — one ring-cursor CAS on its own
+//    lane's consumer side is the only lock-prefixed instruction in the
+//    pair.
 //
-//  * ShardedTaskQueues — the first low-contention attempt (PR 2),
-//    retired from the alias but kept as a second A/B point. Per call
-//    site: a lock-free MPMC ring backed by a mutex-guarded spill deque.
-//    One packed atomic word carries the O(1) depth and a cached
-//    lowest-nonempty-site hint. It *lost* to the mutex baseline at
-//    every measured point (BENCH_scheduler.json history): every push
-//    and pop pays CAS loops on the shared packed word plus ring-cursor
-//    CASes, ~5–6 contended RMWs per push+pop pair against the mutex
-//    queue's single lock handoff.
+//  * SingleMutexTaskQueues — one mutex, one condition variable, a deque
+//    per site. The runtime does not use it: it is the single-threaded
+//    ordering oracle in tests and the A/B baseline in bench_queue. Put
+//    behind CriRun it lost end-to-end throughput on CRI workloads
+//    (EXPERIMENTS.md E7), which is why the work-stealing queue stays.
 //
-//  * WorkStealingTaskQueues — the scheduler the alias points at. One
-//    *lane* per server, each lane holding the full per-site structure
-//    (ring + spill). A thread that touches the queue claims a lane; the
-//    lane owner pushes with a single-producer ring append (no CAS) and
-//    pops from its own lane first, so a task's head→spawn chain stays
-//    on the server that spawned it. Only when the owner's lane is dry
-//    does it steal — single tasks, oldest-first, two-choice victim
-//    selection — and only after several dry rounds does it sleep.
-//    There is no global depth word at all: emptiness is read off the
-//    ring cursors (publication *is* the count), so the owner's
-//    push+pop pair serializes on nothing shared — one ring-cursor CAS
-//    on its own lane's consumer side is the only lock-prefixed
-//    instruction in the pair.
-//
-// Ordering semantics (sharded and work-stealing): per-site FIFO holds
-// for causally ordered pushes (a server's own successive enqueues —
-// the §4.1 invocation-order requirement), and pop prefers the lowest
-// nonempty site (within the popper's own lane first, for the
-// work-stealing impl). Under concurrent mutation the lowest-site
-// preference is best-effort within a race window (two in-flight
-// operations may linearize either way), which is indistinguishable
-// from scheduling nondeterminism; with a single thread, or at any
-// quiescent point with one consumer, the order is exact and equal to
-// SingleMutexTaskQueues.
+// Work-stealing ordering semantics: per-site FIFO holds for causally
+// ordered pushes (a server's own successive enqueues — the §4.1
+// invocation-order requirement), and pop prefers the lowest nonempty
+// site of the popper's own lane, then steals. Under concurrent mutation
+// the lowest-site preference is best-effort within a race window (two
+// in-flight operations may linearize either way), which is
+// indistinguishable from scheduling nondeterminism; with a single
+// thread, or at any quiescent point with one consumer, the order is
+// exact and equal to SingleMutexTaskQueues.
 #pragma once
 
 #include <algorithm>
@@ -68,7 +57,7 @@
 
 #include "gc/gc.hpp"
 #include "runtime/fault_injector.hpp"
-#include "runtime/mpmc_ring.hpp"
+#include "runtime/spmc_ring.hpp"
 #include "sexpr/value.hpp"
 
 namespace curare::runtime {
@@ -80,7 +69,6 @@ using TaskArgs = std::vector<sexpr::Value>;
 struct QueueStats {
   std::uint64_t pushes = 0;       ///< tasks enqueued
   std::uint64_t pops = 0;         ///< tasks dequeued
-  std::uint64_t pop_calls = 0;    ///< pop()/pop_some() calls that got ≥1
   std::uint64_t notify_sent = 0;  ///< pushes that signalled a sleeper
   std::uint64_t notify_suppressed = 0;  ///< pushes with no sleeper (no cv)
   std::uint64_t spill_pushes = 0;  ///< pushes that overflowed a ring
@@ -89,7 +77,7 @@ struct QueueStats {
 };
 
 // ---------------------------------------------------------------------------
-// SingleMutexTaskQueues: the seed implementation (A/B baseline).
+// SingleMutexTaskQueues: ordering oracle and A/B baseline.
 // ---------------------------------------------------------------------------
 
 class SingleMutexTaskQueues {
@@ -203,365 +191,22 @@ class SingleMutexTaskQueues {
 };
 
 // ---------------------------------------------------------------------------
-// ShardedTaskQueues: the low-contention scheduler.
-// ---------------------------------------------------------------------------
-
-class ShardedTaskQueues {
- public:
-  explicit ShardedTaskQueues(std::size_t num_sites,
-                             std::size_t ring_capacity = kDefaultRing) {
-    const std::size_t n = num_sites == 0 ? 1 : num_sites;
-    sites_.reserve(n);
-    for (std::size_t i = 0; i < n; ++i)
-      sites_.push_back(std::make_unique<Site>(ring_capacity));
-  }
-
-  ShardedTaskQueues(const ShardedTaskQueues&) = delete;
-  ShardedTaskQueues& operator=(const ShardedTaskQueues&) = delete;
-
-  /// Enqueue at a call site. Returns the total queued depth after the
-  /// push (O(1): one atomic word, no scan — the seed queue recomputed
-  /// this with an O(sites) walk under the global lock on every push).
-  std::size_t push(std::size_t site, TaskArgs args) {
-    if (FaultInjector::instance().check(
-            FaultInjector::Site::kQueuePush)) {
-      // Injected spurious wakeup for any sleeping server.
-      std::lock_guard<std::mutex> g(wait_mu_);
-      wait_cv_.notify_all();
-    }
-    if (site >= sites_.size())
-      throw sexpr::LispError("cri: call-site index out of range");
-    Site& s = *sites_[site];
-    // Fast path: lock-free ring append. Legal only while the site has
-    // no spilled items — ring items must stay older than spill items so
-    // the per-site FIFO survives an overflow episode.
-    if (s.spill_count.load(std::memory_order_acquire) != 0 ||
-        !s.ring.try_push(std::move(args))) {
-      std::lock_guard<std::mutex> g(s.mu);
-      if (!(s.spill.empty() && s.ring.try_push(std::move(args)))) {
-        s.spill.push_back(std::move(args));
-        s.spill_count.store(s.spill.size(), std::memory_order_release);
-        spill_pushes_.fetch_add(1, std::memory_order_relaxed);
-      }
-    }
-    // The only hot-path stats RMW; the other push-side counters are
-    // derived in stats() (suppressed notifies = pushes − sent).
-    pushes_.fetch_add(1, std::memory_order_relaxed);
-
-    // One CAS both bumps the O(1) depth and lowers the scan hint. The
-    // seq_cst RMW also forms the store side of the sleeper handshake.
-    std::uint64_t w = state_.load(std::memory_order_relaxed);
-    std::uint64_t nw;
-    do {
-      nw = pack(std::min(hint_of(w), site), depth_of(w) + 1);
-    } while (!state_.compare_exchange_weak(w, nw, std::memory_order_seq_cst,
-                                           std::memory_order_relaxed));
-    const std::size_t total =
-        depth_positive(nw) ? static_cast<std::size_t>(depth_of(nw)) : 1;
-
-    std::size_t m = max_len_.load(std::memory_order_relaxed);
-    while (total > m && !max_len_.compare_exchange_weak(
-                            m, total, std::memory_order_relaxed)) {
-    }
-
-    // Throttled wakeup: only pay the condition variable (and its futex
-    // syscall) when a server is actually asleep.
-    if (sleepers_.load(std::memory_order_seq_cst) > 0) {
-      notify_sent_.fetch_add(1, std::memory_order_relaxed);
-      std::lock_guard<std::mutex> g(wait_mu_);
-      wait_cv_.notify_one();
-    }
-    return total;
-  }
-
-  /// Block for the next task (lowest-index site first); nullopt when
-  /// the queues are closed and empty — the kill token.
-  std::optional<TaskArgs> pop(std::size_t* site_out = nullptr) {
-    std::optional<TaskArgs> out;
-    pop_loop(1, site_out,
-             [&out](TaskArgs&& t) { out.emplace(std::move(t)); });
-    return out;
-  }
-
-  /// Batched pop: up to `max` tasks, all from the same (lowest nonempty)
-  /// site, appended to `out` in FIFO order. Returns the count; 0 is the
-  /// kill token. One site-selection + one depth CAS amortized over the
-  /// whole batch.
-  std::size_t pop_some(std::vector<TaskArgs>& out, std::size_t max,
-                       std::size_t* site_out = nullptr) {
-    return pop_loop(max == 0 ? 1 : max, site_out,
-                    [&out](TaskArgs&& t) { out.push_back(std::move(t)); });
-  }
-
-  void close() {
-    closed_.store(true, std::memory_order_seq_cst);
-    std::lock_guard<std::mutex> g(wait_mu_);
-    wait_cv_.notify_all();
-  }
-
-  /// Reset to the open, empty state, dropping any leftover tasks and
-  /// zeroing the per-run stats. Callers must be quiescent (no
-  /// concurrent push/pop) — CriRun::run calls this before starting its
-  /// servers so an aborted run can be retried on the same object.
-  void reopen() {
-    for (auto& sp : sites_) {
-      std::lock_guard<std::mutex> g(sp->mu);
-      sp->spill.clear();
-      sp->spill_count.store(0, std::memory_order_relaxed);
-      TaskArgs t;
-      while (sp->ring.try_pop(t)) {
-      }
-    }
-    state_.store(0, std::memory_order_seq_cst);
-    max_len_.store(0, std::memory_order_relaxed);
-    pushes_.store(0, std::memory_order_relaxed);
-    batch_extras_.store(0, std::memory_order_relaxed);
-    notify_sent_.store(0, std::memory_order_relaxed);
-    spill_pushes_.store(0, std::memory_order_relaxed);
-    sleeps_.store(0, std::memory_order_relaxed);
-    closed_.store(false, std::memory_order_seq_cst);
-  }
-
-  bool closed() const { return closed_.load(std::memory_order_seq_cst); }
-
-  /// Total queued tasks right now (O(1); exact when quiescent).
-  std::size_t depth() const {
-    const std::uint64_t w = state_.load(std::memory_order_seq_cst);
-    return depth_positive(w) ? static_cast<std::size_t>(depth_of(w)) : 0;
-  }
-
-  /// High-water mark of total queued tasks (§4.1: with a single call
-  /// site the queue never grows beyond its initial length).
-  std::size_t max_length() const {
-    return max_len_.load(std::memory_order_relaxed);
-  }
-
-  std::size_t sites() const { return sites_.size(); }
-
-  /// Exact at any quiescent point (e.g. after the servers joined); the
-  /// derived fields can lag by in-flight operations mid-run. Keeping
-  /// the derivable counters out of the hot path halves its RMW count.
-  QueueStats stats() const {
-    QueueStats st;
-    st.pushes = pushes_.load(std::memory_order_relaxed);
-    st.pops = st.pushes - std::min<std::uint64_t>(st.pushes, depth());
-    st.pop_calls =
-        st.pops - batch_extras_.load(std::memory_order_relaxed);
-    st.notify_sent = notify_sent_.load(std::memory_order_relaxed);
-    st.notify_suppressed = st.pushes - st.notify_sent;
-    st.spill_pushes = spill_pushes_.load(std::memory_order_relaxed);
-    st.sleeps = sleeps_.load(std::memory_order_relaxed);
-    return st;
-  }
-
-  /// Let blocked pops release their GC unsafe region while sleeping.
-  void attach_gc(gc::GcHeap* gc) { gc_ = gc; }
-
-  /// Visit every pending task's argument vector (ring then spill per
-  /// site, oldest first). Collector-only, world stopped: concurrent
-  /// pushers/poppers are parked, so the rings are quiescent.
-  template <typename Fn>
-  void for_each_task(Fn&& fn) const {
-    for (const auto& sp : sites_) {
-      sp->ring.for_each(fn);
-      std::lock_guard<std::mutex> g(sp->mu);
-      for (const TaskArgs& t : sp->spill) fn(t);
-    }
-  }
-
- private:
-  static constexpr std::size_t kDefaultRing = 512;
-
-  // One packed word: high 16 bits = cached lowest-nonempty-site hint,
-  // low 48 bits = total depth (mod 2^48 — a pop racing ahead of its
-  // push's depth CAS makes the field wrap transiently; depth_positive
-  // filters that window out). Folding both into the single RMW every
-  // push/pop already pays makes the hint raise safe: a pop may raise
-  // the hint to the site it served only if the word — and therefore
-  // the world — did not change since before its emptiness scan.
-  static constexpr std::uint64_t kDepthBits = 48;
-  static constexpr std::uint64_t kDepthMask = (1ull << kDepthBits) - 1;
-
-  static std::uint64_t pack(std::size_t hint, std::uint64_t depth) {
-    return (static_cast<std::uint64_t>(hint) << kDepthBits) |
-           (depth & kDepthMask);
-  }
-  static std::uint64_t depth_of(std::uint64_t w) { return w & kDepthMask; }
-  static std::size_t hint_of(std::uint64_t w) {
-    return static_cast<std::size_t>(w >> kDepthBits);
-  }
-  static bool depth_positive(std::uint64_t w) {
-    const std::uint64_t d = w & kDepthMask;
-    return d != 0 && d < (1ull << (kDepthBits - 1));
-  }
-
-  struct Site {
-    explicit Site(std::size_t ring_capacity) : ring(ring_capacity) {}
-    MpmcRing<TaskArgs> ring;
-    std::atomic<std::size_t> spill_count{0};
-    std::mutex mu;  ///< guards spill (and ring refills from it)
-    std::deque<TaskArgs> spill;
-  };
-
-  /// Take up to `max` tasks from one site, oldest first: drain the ring
-  /// (older), then the spill, then refill the ring from the spill so
-  /// later pops take the lock-free path again.
-  template <typename Sink>
-  std::size_t take_from_site(Site& s, std::size_t max, Sink&& sink) {
-    std::size_t n = 0;
-    TaskArgs t;
-    while (n < max && s.ring.try_pop(t)) {
-      sink(std::move(t));
-      ++n;
-    }
-    if (n < max && s.spill_count.load(std::memory_order_acquire) != 0) {
-      std::lock_guard<std::mutex> g(s.mu);
-      while (n < max && s.ring.try_pop(t)) {
-        sink(std::move(t));
-        ++n;
-      }
-      while (n < max && !s.spill.empty()) {
-        sink(std::move(s.spill.front()));
-        s.spill.pop_front();
-        ++n;
-      }
-      while (!s.spill.empty() &&
-             s.ring.try_push(std::move(s.spill.front()))) {
-        s.spill.pop_front();
-      }
-      s.spill_count.store(s.spill.size(), std::memory_order_release);
-    }
-    return n;
-  }
-
-  template <typename Sink>
-  std::size_t pop_loop(std::size_t max, std::size_t* site_out,
-                       Sink&& sink) {
-    const std::size_t nsites = sites_.size();
-    for (;;) {
-      const std::uint64_t w0 = state_.load(std::memory_order_seq_cst);
-      if (depth_positive(w0)) {
-        const std::size_t start =
-            std::min<std::size_t>(hint_of(w0), nsites - 1);
-        for (std::size_t k = 0; k < nsites; ++k) {
-          // Preferred region first ([hint..n)); wrap to [0..hint) so a
-          // stale hint can delay a low site but never strand it.
-          const std::size_t i = (start + k) % nsites;
-          const std::size_t taken = take_from_site(*sites_[i], max, sink);
-          if (taken == 0) continue;
-          // No stats RMW on the unbatched path: pops are derived from
-          // pushes − depth, pop_calls from pops − batch extras.
-          if (taken > 1)
-            batch_extras_.fetch_add(taken - 1, std::memory_order_relaxed);
-          if (site_out) *site_out = i;
-          // Decrement the depth, and maybe raise the hint. Two guards
-          // close the staleness window a raise can open:
-          //  (a) the whole-word CAS: a raise lands only if no *counted*
-          //      push/pop raced the word since before our scan; and
-          //  (b) the raise goes to i only when this scan physically
-          //      observed every site below i empty — start == 0, or the
-          //      scan wrapped past 0 (i < start). A scan that started
-          //      mid-array and served within its preferred region
-          //      never looked at [0, start), where an as-yet-uncounted
-          //      spill push (payload inserted, depth CAS still in
-          //      flight) can already sit; (a) cannot see that push, so
-          //      raising over it would delay it until the pusher's own
-          //      CAS re-lowers the hint. Keeping the old hint instead
-          //      costs nothing.
-          // What remains is a push landing *between* this scan's visit
-          // to its site and the CAS below; the pusher's depth CAS
-          // re-lowers the hint right after, and the wrap-around scan
-          // above means a stale hint can only delay a task, never
-          // strand it (no further push required).
-          const std::size_t raised = (start == 0 || i < start) ? i : start;
-          std::uint64_t expect = w0;
-          if (!state_.compare_exchange_strong(
-                  expect, pack(raised, depth_of(w0) - taken),
-                  std::memory_order_seq_cst, std::memory_order_relaxed)) {
-            std::uint64_t w = expect;
-            while (!state_.compare_exchange_weak(
-                w, pack(hint_of(w), depth_of(w) - taken),
-                std::memory_order_seq_cst, std::memory_order_relaxed)) {
-            }
-          }
-          return taken;
-        }
-        // Depth said nonempty but the scan missed: a push has bumped
-        // the counter while its payload is still being published (or a
-        // racing pop drained it). Brief, pusher-bounded window.
-        std::this_thread::yield();
-        continue;
-      }
-      if (closed_.load(std::memory_order_seq_cst)) return 0;
-      // Sleep protocol: register, then re-check depth/closed. A push
-      // bumps depth (seq_cst) before reading the sleeper count, so
-      // either it sees us registered and notifies under wait_mu_, or we
-      // see its depth and skip the wait — no lost wakeup either way.
-      std::unique_lock<std::mutex> lk(wait_mu_);
-      sleepers_.fetch_add(1, std::memory_order_seq_cst);
-      if (!depth_positive(state_.load(std::memory_order_seq_cst)) &&
-          !closed_.load(std::memory_order_seq_cst)) {
-        sleeps_.fetch_add(1, std::memory_order_relaxed);
-        // Park hook: a sleeping server is at a quiescent point (the
-        // values it will consume on wake are still queue-rooted), so
-        // it releases its GC unsafe region for the duration.
-        // Bounded slice: push()/close() still wake us immediately; the
-        // timeout only bounds how long a cancelled server stays parked
-        // before its serve loop re-checks the token.
-        const std::size_t gcd = gc_ ? gc_->blocking_release() : 0;
-        wait_cv_.wait_for(lk, std::chrono::milliseconds(100));
-        if (gcd != 0) {
-          // Re-enter outside wait_mu_: reacquire may block on a
-          // stop-the-world, and nobody should hold queue locks then.
-          lk.unlock();
-          gc_->blocking_reacquire(gcd);
-          lk.lock();
-        }
-      }
-      sleepers_.fetch_sub(1, std::memory_order_seq_cst);
-    }
-  }
-
-  std::vector<std::unique_ptr<Site>> sites_;
-  alignas(64) std::atomic<std::uint64_t> state_{0};  ///< hint | depth
-  alignas(64) std::atomic<std::size_t> max_len_{0};
-  std::atomic<bool> closed_{false};
-
-  // Sleeper handshake (cold path only).
-  std::mutex wait_mu_;
-  std::condition_variable wait_cv_;
-  std::atomic<int> sleepers_{0};
-
-  // Stats (relaxed; snapshot via stats()). Only pushes_ is touched on
-  // the fast path; the rest live on slow/cold paths or are derived.
-  std::atomic<std::uint64_t> pushes_{0}, batch_extras_{0},
-      notify_sent_{0}, spill_pushes_{0}, sleeps_{0};
-
-  gc::GcHeap* gc_ = nullptr;
-};
-
-// ---------------------------------------------------------------------------
 // WorkStealingTaskQueues: per-server lanes with work stealing.
 // ---------------------------------------------------------------------------
 //
-// Why the per-site sharding lost (BENCH_scheduler.json history, PR 2→7):
-// every ShardedTaskQueues push+pop pair funnels through CAS loops on
-// one shared packed depth/hint word plus MPMC ring-cursor CASes —
-// ~5–6 contended RMWs per pair versus the mutex queue's single lock
-// handoff, and no locality: a server's spawned task lands in a global
-// per-site ring any server drains. This impl inverts the split: shard
-// by *server*, not by site.
-//
-// One lane per expected worker, each lane carrying the full per-site
-// array of {ring, spill}. A thread claims a lane the first time it
-// touches the queue; the claim grants exclusive *producer* rights, so
-// the owner pushes with single-producer ring appends (no CAS) and pops
-// its own lane first — a head→spawn chain stays on the server that
-// spawned it. Consumption stays MPMC: a dry owner steals single tasks,
-// oldest first, from the lowest nonempty site of a victim lane
-// (randomized two-choice selection by estimated load, then a
-// deterministic sweep so provably-present work is never missed), and
-// only after several dry rounds does it sleep.
+// Shard by *server*, not by site: one lane per expected worker, each
+// lane carrying the full per-site array of {ring, spill}. (A global
+// per-site ring that any server drains has no locality, and its shared
+// cursors cost several contended RMWs per push+pop pair.) A thread
+// claims a lane the first time it touches the queue; the claim grants
+// exclusive *producer* rights, so the owner pushes with single-producer
+// ring appends (no CAS) and pops its own lane first — a head→spawn
+// chain stays on the server that spawned it. Consumption stays
+// multi-consumer: a dry owner steals single tasks, oldest first, from
+// the lowest nonempty site of a victim lane (randomized two-choice
+// selection by estimated load, then a deterministic sweep so
+// provably-present work is never missed), and only after several dry
+// rounds does it sleep.
 //
 // Ownership/steal protocol and memory orders:
 //  * Payload publication: Vyukov cell-sequence release/acquire in the
@@ -701,19 +346,130 @@ class WorkStealingTaskQueues {
   /// steal); nullopt when the queues are closed and empty — the kill
   /// token.
   std::optional<TaskArgs> pop(std::size_t* site_out = nullptr) {
-    std::optional<TaskArgs> out;
-    pop_loop(1, site_out,
-             [&out](TaskArgs&& t) { out.emplace(std::move(t)); });
-    return out;
-  }
-
-  /// Batched pop: up to `max` tasks, all from the same site of the
-  /// popper's own lane, in FIFO order (steals are always single tasks).
-  /// Returns the count; 0 is the kill token.
-  std::size_t pop_some(std::vector<TaskArgs>& out, std::size_t max,
-                       std::size_t* site_out = nullptr) {
-    return pop_loop(max == 0 ? 1 : max, site_out,
-                    [&out](TaskArgs&& t) { out.push_back(std::move(t)); });
+    const TlsEntry me = self();
+    const std::size_t home = me.lane;
+    const std::size_t nlanes = lanes_.size();
+    Lane& own = *lanes_[home];
+    if (me.owner && !own.owner_consumes.load(std::memory_order_relaxed))
+      own.owner_consumes.store(true, std::memory_order_relaxed);
+    std::size_t dry_rounds = 0;
+    bool desperate = false;
+    // Exponential sleep slice: the first park is short so a desperate
+    // steal rescues a task stranded on a stalled owner's lane within
+    // ~1 ms (a single chain with a long tail migrates almost
+    // immediately), then doubles toward the 100 ms cap while this
+    // sleeper keeps waking to nothing — steal-back churn on a hot
+    // owner decays instead of recurring every slice.
+    auto slice = std::chrono::milliseconds(1);
+    constexpr auto kMaxSlice = std::chrono::milliseconds(100);
+    for (;;) {
+      // Own lane first, lowest site first.
+      std::optional<TaskArgs> t = take_from_lane(own, site_out);
+      if (t) {
+        // Owner takes are the single-writer counter; shared-lane
+        // takes by a non-owner count as stolen (the RMW is off the
+        // fast path by construction — a non-owner home popper only
+        // exists when threads outnumber lanes).
+        if (me.owner) {
+          own.popped_own.store(
+              own.popped_own.load(std::memory_order_relaxed) + 1,
+              std::memory_order_relaxed);
+        } else {
+          own.popped_stolen.fetch_add(1, std::memory_order_relaxed);
+        }
+        return t;
+      }
+      if (nlanes > 1) {
+        // Steal round. The fault site fires here — before any victim
+        // is probed — so chaos runs can delay or abort exactly the
+        // cross-lane path; it never fires on the owner fast path (a
+        // single-lane queue never steals).
+        if (FaultInjector::instance().check(
+                FaultInjector::Site::kQueueSteal)) {
+          std::lock_guard<std::mutex> g(wait_mu_);
+          wait_cv_.notify_all();  // injected spurious wakeup
+        }
+        // Two-choice probe, then a deterministic sweep so work that
+        // provably exists is never missed (drain-after-close and the
+        // kill-token check both rely on scan completeness). Both
+        // passes honor the steal-affinity rule.
+        std::size_t victim = pick_victim(home);
+        if (steal_ok(*lanes_[victim], desperate))
+          t = take_from_lane(*lanes_[victim], site_out);
+        for (std::size_t k = 1; !t && k < nlanes; ++k) {
+          victim = (home + k) % nlanes;
+          if (victim != home && steal_ok(*lanes_[victim], desperate))
+            t = take_from_lane(*lanes_[victim], site_out);
+        }
+        if (t) {
+          lanes_[victim]->popped_stolen.fetch_add(
+              1, std::memory_order_relaxed);
+          steals_.fetch_add(1, std::memory_order_relaxed);
+          return t;
+        }
+      }
+      desperate = false;
+      // A full round (own lane + every victim) came up dry. The round
+      // itself is the emptiness observation — there is no depth word
+      // to consult; a task exists exactly when its ring cell or spill
+      // slot says so.
+      if (closed_.load(std::memory_order_seq_cst)) {
+        // Kill-token verification: anything pushed before close() is
+        // published before the closed_ store we just acquired, so one
+        // more sweep after observing the flag either finds it or
+        // proves the queue empty. (Pushes racing close() may be
+        // dropped — reopen() semantics — but nothing published
+        // happens-before close is ever abandoned.)
+        if (!sweep_nonempty()) return std::nullopt;
+        continue;
+      }
+      if (++dry_rounds < kDryRoundsBeforeSleep) {
+        // Sleep throttle: several dry scan+steal rounds before paying
+        // the futex — a busy neighbor usually refills within a round.
+        std::this_thread::yield();
+        continue;
+      }
+      dry_rounds = 0;
+      // Sleep protocol: register, then re-check. A pusher that may
+      // need a thief (surplus task, foreign spill, or a producer-only
+      // lane owner) publishes the payload, fences seq_cst, then reads
+      // sleepers_; our registration is a seq_cst RMW, so either the
+      // pusher sees it and notifies under wait_mu_, or this re-check
+      // sees the payload and we skip the wait — no lost wakeup on
+      // that path. The re-check is takeable_now, not a bare sweep:
+      // it mirrors exactly what a non-desperate round may take, so a
+      // consuming owner's depth-1 task (whose push skipped the
+      // handshake by design) does not keep thieves spinning awake.
+      // Its liveness backstop is the owner's own progress plus the
+      // bounded slice below — after which we run one desperate round.
+      std::unique_lock<std::mutex> lk(wait_mu_);
+      sleepers_.fetch_add(1, std::memory_order_seq_cst);
+      if (!takeable_now(home)) {
+        sleeps_.fetch_add(1, std::memory_order_relaxed);
+        // Park hook: a sleeping server is at a quiescent point (the
+        // values it will consume on wake are still queue-rooted), so
+        // it releases its GC unsafe region for the duration. Bounded
+        // slice: push()/close() still wake us immediately; the
+        // timeout both bounds how long a cancelled server stays
+        // parked before its serve loop re-checks the token and is
+        // the wake-of-last-resort for throttled owner pushes.
+        const std::size_t gcd = gc_ ? gc_->blocking_release() : 0;
+        wait_cv_.wait_for(lk, slice);
+        if (slice < kMaxSlice) slice *= 2;
+        if (gcd != 0) {
+          // Re-enter outside wait_mu_: reacquire may block on a
+          // stop-the-world, and nobody should hold queue locks then.
+          lk.unlock();
+          gc_->blocking_reacquire(gcd);
+          lk.lock();
+        }
+        // We paid the futex; the next round ignores the affinity
+        // rule so a task parked on a stalled owner's lane is picked
+        // up within one sleep slice.
+        desperate = true;
+      }
+      sleepers_.fetch_sub(1, std::memory_order_seq_cst);
+    }
   }
 
   void close() {
@@ -743,7 +499,6 @@ class WorkStealingTaskQueues {
         }
       }
     }
-    batch_extras_.store(0, std::memory_order_relaxed);
     notify_sent_.store(0, std::memory_order_relaxed);
     spill_pushes_.store(0, std::memory_order_relaxed);
     sleeps_.store(0, std::memory_order_relaxed);
@@ -780,7 +535,8 @@ class WorkStealingTaskQueues {
   std::size_t sites() const { return nsites_; }
 
   /// Exact at any quiescent point; derived fields can lag by in-flight
-  /// operations mid-run (same discipline as ShardedTaskQueues).
+  /// operations mid-run. Keeping the derivable counters (pops, skipped
+  /// notifies) off the hot path keeps its RMW count down.
   QueueStats stats() const {
     QueueStats st;
     for (const auto& lp : lanes_) {
@@ -789,9 +545,6 @@ class WorkStealingTaskQueues {
       st.pops += lp->popped_own.load(std::memory_order_relaxed) +
                  lp->popped_stolen.load(std::memory_order_relaxed);
     }
-    st.pop_calls =
-        st.pops - std::min<std::uint64_t>(
-                      st.pops, batch_extras_.load(std::memory_order_relaxed));
     st.notify_sent = notify_sent_.load(std::memory_order_relaxed);
     st.notify_suppressed =
         st.pushes - std::min<std::uint64_t>(st.pushes, st.notify_sent);
@@ -822,7 +575,7 @@ class WorkStealingTaskQueues {
 
   struct LaneSite {
     explicit LaneSite(std::size_t ring_capacity) : ring(ring_capacity) {}
-    MpmcRing<TaskArgs> ring;
+    SpmcRing<TaskArgs> ring;
     std::atomic<std::size_t> spill_count{0};
     std::mutex mu;  ///< guards spill
     std::deque<TaskArgs> spill;
@@ -915,47 +668,33 @@ class WorkStealingTaskQueues {
     return e;
   }
 
-  /// Take up to `max` tasks from one site, oldest first: the ring
-  /// (older — owner pushes gate to the spill while it is nonempty),
-  /// then the spill. Unlike the sharded impl there is no ring refill
-  /// from the spill: the ring's producer side belongs to the lane
-  /// owner alone.
-  template <typename Sink>
-  std::size_t take_from_site(LaneSite& s, std::size_t max, Sink&& sink) {
-    std::size_t n = 0;
-    TaskArgs t;
-    while (n < max && s.ring.try_pop(t)) {
-      sink(std::move(t));
-      ++n;
-    }
-    if (n < max && s.spill_count.load(std::memory_order_acquire) != 0) {
-      std::lock_guard<std::mutex> g(s.mu);
-      while (n < max && s.ring.try_pop(t)) {
-        sink(std::move(t));
-        ++n;
-      }
-      while (n < max && !s.spill.empty()) {
-        sink(std::move(s.spill.front()));
-        s.spill.pop_front();
-        ++n;
-      }
-      s.spill_count.store(s.spill.size(), std::memory_order_release);
-    }
-    return n;
+  /// Take the oldest task of one site: the ring (older — owner pushes
+  /// gate to the spill while it is nonempty), then the spill. Nothing
+  /// refills the ring from the spill: its producer side belongs to the
+  /// lane owner alone.
+  static bool take_from_site(LaneSite& s, TaskArgs& out) {
+    if (s.ring.try_pop(out)) return true;
+    if (s.spill_count.load(std::memory_order_acquire) == 0) return false;
+    std::lock_guard<std::mutex> g(s.mu);
+    if (s.ring.try_pop(out)) return true;
+    if (s.spill.empty()) return false;
+    out = std::move(s.spill.front());
+    s.spill.pop_front();
+    s.spill_count.store(s.spill.size(), std::memory_order_release);
+    return true;
   }
 
-  /// Lowest nonempty site of one lane; a batch never spans sites.
-  template <typename Sink>
-  std::size_t take_from_lane(Lane& lane, std::size_t max,
-                             std::size_t* site_out, Sink&& sink) {
+  /// The oldest task of one lane's lowest nonempty site.
+  static std::optional<TaskArgs> take_from_lane(Lane& lane,
+                                                std::size_t* site_out) {
+    TaskArgs t;
     for (std::size_t i = 0; i < lane.sites.size(); ++i) {
-      const std::size_t n = take_from_site(*lane.sites[i], max, sink);
-      if (n != 0) {
+      if (take_from_site(*lane.sites[i], t)) {
         if (site_out) *site_out = i;
-        return n;
+        return t;
       }
     }
-    return 0;
+    return std::nullopt;
   }
 
   /// Racy per-lane load estimate for victim selection (four relaxed
@@ -1043,137 +782,6 @@ class WorkStealingTaskQueues {
     return lane_load(*lanes_[a]) >= lane_load(*lanes_[b]) ? a : b;
   }
 
-  template <typename Sink>
-  std::size_t pop_loop(std::size_t max, std::size_t* site_out,
-                       Sink&& sink) {
-    const TlsEntry me = self();
-    const std::size_t home = me.lane;
-    const std::size_t nlanes = lanes_.size();
-    Lane& own = *lanes_[home];
-    if (me.owner && !own.owner_consumes.load(std::memory_order_relaxed))
-      own.owner_consumes.store(true, std::memory_order_relaxed);
-    std::size_t dry_rounds = 0;
-    bool desperate = false;
-    // Exponential sleep slice: the first park is short so a desperate
-    // steal rescues a task stranded on a stalled owner's lane within
-    // ~1 ms (a single chain with a long tail migrates almost
-    // immediately), then doubles toward the 100 ms cap while this
-    // sleeper keeps waking to nothing — steal-back churn on a hot
-    // owner decays instead of recurring every slice.
-    auto slice = std::chrono::milliseconds(1);
-    constexpr auto kMaxSlice = std::chrono::milliseconds(100);
-    for (;;) {
-      // Own lane first, lowest site first.
-      std::size_t n = take_from_lane(own, max, site_out, sink);
-      if (n != 0) {
-        // Owner takes are the single-writer counter; shared-lane
-        // takes by a non-owner count as stolen (the RMW is off the
-        // fast path by construction — a non-owner home popper only
-        // exists when threads outnumber lanes).
-        if (me.owner) {
-          own.popped_own.store(
-              own.popped_own.load(std::memory_order_relaxed) + n,
-              std::memory_order_relaxed);
-        } else {
-          own.popped_stolen.fetch_add(n, std::memory_order_relaxed);
-        }
-        if (n > 1)
-          batch_extras_.fetch_add(n - 1, std::memory_order_relaxed);
-        return n;
-      }
-      if (nlanes > 1) {
-        // Steal round. The fault site fires here — before any victim
-        // is probed — so chaos runs can delay or abort exactly the
-        // cross-lane path; it never fires on the owner fast path (a
-        // single-lane queue never steals).
-        if (FaultInjector::instance().check(
-                FaultInjector::Site::kQueueSteal)) {
-          std::lock_guard<std::mutex> g(wait_mu_);
-          wait_cv_.notify_all();  // injected spurious wakeup
-        }
-        // Two-choice probe, then a deterministic sweep so work that
-        // provably exists is never missed (drain-after-close and the
-        // kill-token check both rely on scan completeness). Both
-        // passes honor the steal-affinity rule.
-        std::size_t victim = pick_victim(home);
-        if (steal_ok(*lanes_[victim], desperate))
-          n = take_from_lane(*lanes_[victim], 1, site_out, sink);
-        for (std::size_t k = 1; n == 0 && k < nlanes; ++k) {
-          victim = (home + k) % nlanes;
-          if (victim != home && steal_ok(*lanes_[victim], desperate))
-            n = take_from_lane(*lanes_[victim], 1, site_out, sink);
-        }
-        if (n != 0) {
-          lanes_[victim]->popped_stolen.fetch_add(
-              n, std::memory_order_relaxed);
-          steals_.fetch_add(n, std::memory_order_relaxed);
-          return n;
-        }
-      }
-      desperate = false;
-      // A full round (own lane + every victim) came up dry. The round
-      // itself is the emptiness observation — there is no depth word
-      // to consult; a task exists exactly when its ring cell or spill
-      // slot says so.
-      if (closed_.load(std::memory_order_seq_cst)) {
-        // Kill-token verification: anything pushed before close() is
-        // published before the closed_ store we just acquired, so one
-        // more sweep after observing the flag either finds it or
-        // proves the queue empty. (Pushes racing close() may be
-        // dropped — reopen() semantics — but nothing published
-        // happens-before close is ever abandoned.)
-        if (!sweep_nonempty()) return 0;
-        continue;
-      }
-      if (++dry_rounds < kDryRoundsBeforeSleep) {
-        // Sleep throttle: several dry scan+steal rounds before paying
-        // the futex — a busy neighbor usually refills within a round.
-        std::this_thread::yield();
-        continue;
-      }
-      dry_rounds = 0;
-      // Sleep protocol: register, then re-check. A pusher that may
-      // need a thief (surplus task, foreign spill, or a producer-only
-      // lane owner) publishes the payload, fences seq_cst, then reads
-      // sleepers_; our registration is a seq_cst RMW, so either the
-      // pusher sees it and notifies under wait_mu_, or this re-check
-      // sees the payload and we skip the wait — no lost wakeup on
-      // that path. The re-check is takeable_now, not a bare sweep:
-      // it mirrors exactly what a non-desperate round may take, so a
-      // consuming owner's depth-1 task (whose push skipped the
-      // handshake by design) does not keep thieves spinning awake.
-      // Its liveness backstop is the owner's own progress plus the
-      // bounded slice below — after which we run one desperate round.
-      std::unique_lock<std::mutex> lk(wait_mu_);
-      sleepers_.fetch_add(1, std::memory_order_seq_cst);
-      if (!takeable_now(home)) {
-        sleeps_.fetch_add(1, std::memory_order_relaxed);
-        // Park hook: a sleeping server is at a quiescent point (the
-        // values it will consume on wake are still queue-rooted), so
-        // it releases its GC unsafe region for the duration. Bounded
-        // slice: push()/close() still wake us immediately; the
-        // timeout both bounds how long a cancelled server stays
-        // parked before its serve loop re-checks the token and is
-        // the wake-of-last-resort for throttled owner pushes.
-        const std::size_t gcd = gc_ ? gc_->blocking_release() : 0;
-        wait_cv_.wait_for(lk, slice);
-        if (slice < kMaxSlice) slice *= 2;
-        if (gcd != 0) {
-          // Re-enter outside wait_mu_: reacquire may block on a
-          // stop-the-world, and nobody should hold queue locks then.
-          lk.unlock();
-          gc_->blocking_reacquire(gcd);
-          lk.lock();
-        }
-        // We paid the futex; the next round ignores the affinity
-        // rule so a task parked on a stalled owner's lane is picked
-        // up within one sleep slice.
-        desperate = true;
-      }
-      sleepers_.fetch_sub(1, std::memory_order_seq_cst);
-    }
-  }
-
   std::size_t nsites_;
   std::vector<std::unique_ptr<Lane>> lanes_;
   const std::uint64_t id_;
@@ -1191,8 +799,8 @@ class WorkStealingTaskQueues {
 
   // Stats (relaxed; snapshot via stats()). None are touched on the
   // owner fast path — the hot counters live per lane.
-  std::atomic<std::uint64_t> batch_extras_{0}, notify_sent_{0},
-      spill_pushes_{0}, sleeps_{0}, steals_{0};
+  std::atomic<std::uint64_t> notify_sent_{0}, spill_pushes_{0}, sleeps_{0},
+      steals_{0};
 
   gc::GcHeap* gc_ = nullptr;
 };

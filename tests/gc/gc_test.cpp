@@ -237,16 +237,6 @@ struct QueueFactory<runtime::SingleMutexTaskQueues> {
 };
 
 template <>
-struct QueueFactory<runtime::ShardedTaskQueues> {
-  static std::unique_ptr<runtime::ShardedTaskQueues> make(std::size_t nsites) {
-    // Capacity-4 rings so a handful of same-site pushes reach the
-    // spill vector, the position a ring-only root walk would miss.
-    return std::make_unique<runtime::ShardedTaskQueues>(nsites,
-                                                        /*ring_capacity=*/4);
-  }
-};
-
-template <>
 struct QueueFactory<runtime::WorkStealingTaskQueues> {
   static std::unique_ptr<runtime::WorkStealingTaskQueues> make(
       std::size_t nsites) {
@@ -276,7 +266,6 @@ class QueueGcRootsTest : public ::testing::Test {};
 
 using QueueImpls =
     ::testing::Types<runtime::SingleMutexTaskQueues,
-                     runtime::ShardedTaskQueues,
                      runtime::WorkStealingTaskQueues>;
 TYPED_TEST_SUITE(QueueGcRootsTest, QueueImpls);
 

@@ -65,9 +65,11 @@ TEST_F(ServerPoolTest, MultiSiteTreeRecursionCountsAllNodes) {
       "    (%cri-enqueue 1 (cdr x))))");
   Value fn = in.global("walk-cri");
   Value tree = sexpr::read_one(ctx, "((1 2) (3 (4 5)) 6)");
-  rt.run_cri(fn, 2, 4, {tree});
+  CriStats stats = rt.run_cri(fn, 2, 4, {tree});
   // Cons count of the tree: ((1 2)(3 (4 5)) 6) has 9 conses.
   EXPECT_EQ(run_src("nodes").as_fixnum(), 9);
+  EXPECT_EQ(stats.queue.pops, stats.invocations)
+      << "every task dequeued exactly once across both sites";
 }
 
 TEST_F(ServerPoolTest, ServerCountOneIsSequential) {
@@ -193,26 +195,6 @@ TEST_F(ServerPoolTest, EarlyFinishDiscardsRemainingQueuedWork) {
   EXPECT_EQ(sexpr::write_str(stats.result), "deep");
   EXPECT_LT(stats.invocations, 1u << 12)
       << "servers must discard, not drain-execute, after finish";
-}
-
-TEST_F(ServerPoolTest, BatchedDequeueCountsStayExact) {
-  // Batch limit > 1: servers take several same-site tasks per scheduler
-  // transaction. Counts and termination must be unchanged.
-  run_src(
-      "(setq bnodes 0)"
-      "(defun bwalk-cri (x)"
-      "  (when (consp x)"
-      "    (%atomic-incf-var 'bnodes 1)"
-      "    (%cri-enqueue 0 (car x))"
-      "    (%cri-enqueue 1 (cdr x))))");
-  Value fn = in.global("bwalk-cri");
-  Value tree = sexpr::read_one(
-      ctx, "((1 2 3 4) (5 (6 7) 8) (9 10) ((11 12) 13) 14)");
-  CriStats stats = rt.run_cri(fn, 2, 4, {tree}, "bwalk", /*batch=*/4);
-  EXPECT_EQ(run_src("bnodes").as_fixnum(), 20) << "cons count of the tree";
-  EXPECT_EQ(stats.queue.pops, stats.invocations);
-  EXPECT_LE(stats.queue.pop_calls, stats.queue.pops)
-      << "batching can only amortize, never double-serve";
 }
 
 TEST_F(ServerPoolTest, TwoSiteSingleServerDrainsSiteZeroFirst) {

@@ -1,19 +1,16 @@
-// Scheduler queue tests (paper §4.1): the site-ordering invariant,
-// depth accounting, close-while-pushing races, ring-overflow FIFO,
-// batched pops, notify throttling, and single-threaded parity with the
-// seed single-mutex queue — for both the retired sharded impl (kept as
-// a baseline) and the work-stealing deques CriRun actually uses. The
-// work-stealing suite adds steal-path exactness, the mailbox-lane and
-// desperate-round protocols, and a scan-hint staleness regression for
-// the sharded impl. This file is part of runtime_test, which the CI
-// TSan job runs — the concurrent cases here are the race detectors'
+// Scheduler queue tests (paper §4.1) for the work-stealing deques
+// CriRun uses: the site-ordering invariant, depth accounting,
+// close-while-pushing races, ring-overflow FIFO, notify throttling,
+// steal-path exactness, the mailbox-lane and desperate-round
+// protocols, and single-threaded parity with the single-mutex queue
+// (the ordering oracle). This file is part of runtime_test, which the
+// CI TSan job runs — the concurrent cases here are the race detectors'
 // workload.
 #include "runtime/task_queue.hpp"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <array>
 #include <atomic>
 #include <chrono>
 #include <future>
@@ -21,7 +18,7 @@
 #include <thread>
 #include <vector>
 
-#include "runtime/mpmc_ring.hpp"
+#include "runtime/spmc_ring.hpp"
 
 namespace curare::runtime {
 namespace {
@@ -32,14 +29,14 @@ TaskArgs task(std::int64_t v) { return {Value::fixnum(v)}; }
 
 std::int64_t val(const TaskArgs& t) { return t[0].as_fixnum(); }
 
-// ---- MpmcRing unit ------------------------------------------------------
+// ---- SpmcRing unit ------------------------------------------------------
 
-TEST(MpmcRing, FillDrainFifo) {
-  MpmcRing<TaskArgs> r(8);
+TEST(SpmcRing, FillDrainFifo) {
+  SpmcRing<TaskArgs> r(8);
   EXPECT_EQ(r.capacity(), 8u);
-  for (int i = 0; i < 8; ++i) EXPECT_TRUE(r.try_push(task(i)));
+  for (int i = 0; i < 8; ++i) EXPECT_TRUE(r.try_push_sp(task(i)));
   TaskArgs rejected = task(99);
-  EXPECT_FALSE(r.try_push(std::move(rejected)));
+  EXPECT_FALSE(r.try_push_sp(std::move(rejected)));
   EXPECT_EQ(val(rejected), 99) << "a failed push must not consume the task";
   TaskArgs t;
   for (int i = 0; i < 8; ++i) {
@@ -49,28 +46,28 @@ TEST(MpmcRing, FillDrainFifo) {
   EXPECT_FALSE(r.try_pop(t));
 }
 
-TEST(MpmcRing, CapacityRoundsUpToPowerOfTwo) {
-  EXPECT_EQ(MpmcRing<int>(1).capacity(), 2u);
-  EXPECT_EQ(MpmcRing<int>(5).capacity(), 8u);
-  EXPECT_EQ(MpmcRing<int>(64).capacity(), 64u);
+TEST(SpmcRing, CapacityRoundsUpToPowerOfTwo) {
+  EXPECT_EQ(SpmcRing<int>(1).capacity(), 2u);
+  EXPECT_EQ(SpmcRing<int>(5).capacity(), 8u);
+  EXPECT_EQ(SpmcRing<int>(64).capacity(), 64u);
 }
 
-TEST(MpmcRing, ConcurrentSumExact) {
-  // Small capacity so producers hit full and consumers hit empty often.
-  MpmcRing<TaskArgs> r(64);
-  constexpr int kProducers = 4, kConsumers = 4, kPer = 20000;
-  constexpr long kTotal = static_cast<long>(kProducers) * kPer;
+TEST(SpmcRing, ConcurrentSumExact) {
+  // A lane's traffic: its owner is the only producer, while the owner
+  // and thieves consume. Small capacity so the producer hits full and
+  // consumers hit empty often.
+  SpmcRing<TaskArgs> r(64);
+  constexpr int kConsumers = 4;
+  constexpr long kTotal = 80000;
   std::atomic<long> sum{0};
   std::atomic<long> taken{0};
   std::vector<std::thread> ts;
-  for (int p = 0; p < kProducers; ++p) {
-    ts.emplace_back([&r, p] {
-      for (int i = 0; i < kPer; ++i) {
-        TaskArgs t = task(static_cast<long>(p) * kPer + i);
-        while (!r.try_push(std::move(t))) std::this_thread::yield();
-      }
-    });
-  }
+  ts.emplace_back([&r] {
+    for (long i = 0; i < kTotal; ++i) {
+      TaskArgs t = task(i);
+      while (!r.try_push_sp(std::move(t))) std::this_thread::yield();
+    }
+  });
   for (int c = 0; c < kConsumers; ++c) {
     ts.emplace_back([&] {
       TaskArgs t;
@@ -88,307 +85,6 @@ TEST(MpmcRing, ConcurrentSumExact) {
   EXPECT_EQ(taken.load(), kTotal);
   EXPECT_EQ(sum.load(), kTotal * (kTotal - 1) / 2)
       << "every pushed task popped exactly once";
-}
-
-// ---- site-ordering invariant (§4.1) -------------------------------------
-
-// Single consumer, interleaved pushes: the sharded queue must produce
-// exactly the order the seed single-mutex queue produced. Tiny rings
-// force the spill path into the comparison too.
-TEST(ShardedQueues, SingleConsumerOrderMatchesSingleMutexQueue) {
-  ShardedTaskQueues nq(3, /*ring_capacity=*/4);
-  SingleMutexTaskQueues lq(3);
-  std::mt19937 rng(42);
-  long next = 0, queued = 0;
-  for (int step = 0; step < 4000; ++step) {
-    if (queued == 0 || rng() % 3 != 0) {
-      const std::size_t site = rng() % 3;
-      nq.push(site, task(next));
-      lq.push(site, task(next));
-      ++next;
-      ++queued;
-    } else {
-      std::size_t ns = 7, ls = 7;
-      auto a = nq.pop(&ns);
-      auto b = lq.pop(&ls);
-      ASSERT_TRUE(a.has_value() && b.has_value());
-      ASSERT_EQ(val(*a), val(*b)) << "at step " << step;
-      ASSERT_EQ(ns, ls);
-      --queued;
-    }
-  }
-  nq.close();
-  lq.close();
-  for (;;) {
-    auto a = nq.pop();
-    auto b = lq.pop();
-    ASSERT_EQ(a.has_value(), b.has_value());
-    if (!a) break;
-    ASSERT_EQ(val(*a), val(*b));
-  }
-}
-
-TEST(ShardedQueues, NewLowSiteWorkPreemptsRemainingHighSite) {
-  // After the consumer has moved on to site 1, fresh site-0 work must
-  // be served before the rest of site 1 (the scan hint re-lowers).
-  ShardedTaskQueues q(2);
-  q.push(1, task(10));
-  q.push(1, task(11));
-  q.push(0, task(0));
-  std::size_t site = 9;
-  EXPECT_EQ(val(*q.pop(&site)), 0);
-  EXPECT_EQ(site, 0u);
-  EXPECT_EQ(val(*q.pop(&site)), 10);
-  EXPECT_EQ(site, 1u);
-  q.push(0, task(1));  // arrives while hint sits at site 1
-  EXPECT_EQ(val(*q.pop(&site)), 1) << "site 0 drains before site 1 resumes";
-  EXPECT_EQ(site, 0u);
-  EXPECT_EQ(val(*q.pop(&site)), 11);
-  EXPECT_EQ(site, 1u);
-}
-
-// ---- O(1) depth counter -------------------------------------------------
-
-TEST(ShardedQueues, PushReturnsDepthSample) {
-  ShardedTaskQueues q(2);
-  EXPECT_EQ(q.push(0, task(1)), 1u);
-  EXPECT_EQ(q.push(1, task(2)), 2u);
-  EXPECT_EQ(q.push(0, task(3)), 3u);
-  EXPECT_EQ(q.depth(), 3u);
-  (void)q.pop();
-  EXPECT_EQ(q.depth(), 2u);
-  EXPECT_EQ(q.push(0, task(4)), 3u);
-  EXPECT_EQ(q.max_length(), 3u);
-}
-
-TEST(ShardedQueues, DepthCounterExactUnderConcurrency) {
-  ShardedTaskQueues q(4, /*ring_capacity=*/16);
-  constexpr int kPushers = 4, kPer = 5000;
-  constexpr long kTotal = static_cast<long>(kPushers) * kPer;
-  std::atomic<long> popped{0};
-  std::vector<std::thread> ts;
-  for (int p = 0; p < kPushers; ++p) {
-    ts.emplace_back([&q, p] {
-      for (int i = 0; i < kPer; ++i)
-        q.push(static_cast<std::size_t>(i % 4), task(p));
-    });
-  }
-  std::vector<std::thread> poppers;
-  for (int c = 0; c < 2; ++c) {
-    poppers.emplace_back([&] {
-      while (q.pop()) popped.fetch_add(1, std::memory_order_relaxed);
-    });
-  }
-  for (auto& th : ts) th.join();
-  while (popped.load() < kTotal) std::this_thread::yield();
-  q.close();
-  for (auto& th : poppers) th.join();
-  EXPECT_EQ(popped.load(), kTotal);
-  EXPECT_EQ(q.depth(), 0u);
-  const QueueStats st = q.stats();
-  EXPECT_EQ(st.pushes, static_cast<std::uint64_t>(kTotal));
-  EXPECT_EQ(st.pops, static_cast<std::uint64_t>(kTotal));
-  EXPECT_GE(q.max_length(), 1u);
-  EXPECT_LE(q.max_length(), static_cast<std::size_t>(kTotal));
-}
-
-// ---- close / termination ------------------------------------------------
-
-TEST(ShardedQueues, CloseWakesWithEmpty) {
-  ShardedTaskQueues q(1);
-  q.close();
-  EXPECT_FALSE(q.pop().has_value());
-  EXPECT_TRUE(q.closed());
-}
-
-TEST(ShardedQueues, DrainsRemainingAfterClose) {
-  ShardedTaskQueues q(1);
-  q.push(0, task(1));
-  q.close();
-  EXPECT_TRUE(q.pop().has_value());
-  EXPECT_FALSE(q.pop().has_value());
-}
-
-TEST(ShardedQueues, CloseWhilePushingTerminates) {
-  // The race the kill-token protocol must survive: producers mid-push
-  // while close() fires and consumers drain. Run several rounds; the
-  // assertions are liveness (every thread joins) and counter sanity —
-  // TSan checks the rest.
-  for (int round = 0; round < 10; ++round) {
-    ShardedTaskQueues q(2, /*ring_capacity=*/8);
-    std::atomic<bool> stop{false};
-    std::atomic<long> pushed{0}, popped{0};
-    std::vector<std::thread> ts;
-    for (int p = 0; p < 2; ++p) {
-      ts.emplace_back([&, p] {
-        for (long i = 0; !stop.load(std::memory_order_relaxed); ++i) {
-          q.push(static_cast<std::size_t>((i + p) % 2), task(i));
-          pushed.fetch_add(1, std::memory_order_relaxed);
-        }
-      });
-    }
-    for (int c = 0; c < 2; ++c) {
-      ts.emplace_back([&] {
-        while (q.pop()) popped.fetch_add(1, std::memory_order_relaxed);
-      });
-    }
-    std::this_thread::sleep_for(std::chrono::milliseconds(2));
-    q.close();
-    stop.store(true, std::memory_order_relaxed);
-    for (auto& th : ts) th.join();
-    EXPECT_LE(popped.load(), pushed.load());
-  }
-}
-
-TEST(ShardedQueues, ReopenServesAgainWithFreshStats) {
-  ShardedTaskQueues q(2);
-  q.push(0, task(1));
-  q.push(1, task(2));
-  q.close();
-  EXPECT_TRUE(q.pop().has_value());
-  q.reopen();  // drops the un-popped leftover
-  EXPECT_FALSE(q.closed());
-  EXPECT_EQ(q.depth(), 0u);
-  EXPECT_EQ(q.stats().pushes, 0u);
-  EXPECT_EQ(q.max_length(), 0u);
-  EXPECT_EQ(q.push(0, task(7)), 1u);
-  EXPECT_EQ(val(*q.pop()), 7);
-  q.close();
-  EXPECT_FALSE(q.pop().has_value());
-}
-
-TEST(ShardedQueues, BadSiteThrows) {
-  ShardedTaskQueues q(2);
-  EXPECT_THROW(q.push(5, {}), sexpr::LispError);
-}
-
-// ---- ring overflow / spill ----------------------------------------------
-
-TEST(ShardedQueues, SpillOverflowPreservesFifo) {
-  ShardedTaskQueues q(1, /*ring_capacity=*/4);
-  const int kN = 100;
-  for (int i = 0; i < kN; ++i) q.push(0, task(i));
-  EXPECT_GT(q.stats().spill_pushes, 0u) << "overflow must hit the spill";
-  EXPECT_EQ(q.depth(), static_cast<std::size_t>(kN));
-  for (int i = 0; i < kN; ++i) {
-    auto t = q.pop();
-    ASSERT_TRUE(t.has_value());
-    EXPECT_EQ(val(*t), i) << "FIFO across ring→spill→refill boundaries";
-  }
-  q.close();
-  EXPECT_FALSE(q.pop().has_value());
-}
-
-// ---- batched pops -------------------------------------------------------
-
-TEST(ShardedQueues, BatchPopStaysWithinOneSiteInOrder) {
-  ShardedTaskQueues q(2);
-  for (int i = 0; i < 5; ++i) q.push(0, task(i));
-  for (int i = 10; i < 13; ++i) q.push(1, task(i));
-
-  std::vector<TaskArgs> out;
-  std::size_t site = 9;
-  EXPECT_EQ(q.pop_some(out, 4, &site), 4u);
-  EXPECT_EQ(site, 0u);
-  ASSERT_EQ(out.size(), 4u);
-  for (int i = 0; i < 4; ++i) EXPECT_EQ(val(out[i]), i);
-
-  out.clear();
-  EXPECT_EQ(q.pop_some(out, 4, &site), 1u)
-      << "a batch never spans sites: the site-0 remainder comes alone";
-  EXPECT_EQ(site, 0u);
-  EXPECT_EQ(val(out[0]), 4);
-
-  out.clear();
-  EXPECT_EQ(q.pop_some(out, 4, &site), 3u);
-  EXPECT_EQ(site, 1u);
-  for (int i = 0; i < 3; ++i) EXPECT_EQ(val(out[i]), 10 + i);
-
-  q.close();
-  out.clear();
-  EXPECT_EQ(q.pop_some(out, 4, &site), 0u) << "kill token";
-}
-
-// ---- notify throttling --------------------------------------------------
-
-// ---- scan-hint staleness (regression) -----------------------------------
-
-// The packed hint/depth word used to be re-raised from a stale local
-// copy: a consumer finishing a site-1 pop could overwrite a concurrent
-// site-0 push's lowered hint, leaving site-0 work shadowed until the
-// next site-1 pop. Soak the packed word with a concurrent producer,
-// then drain deterministically: at quiescence every pop must come from
-// the lowest nonempty site, and each site must replay in FIFO order.
-TEST(ShardedQueues, ScanHintSoakServesLowestSiteAtQuiescence) {
-  for (int round = 0; round < 20; ++round) {
-    ShardedTaskQueues q(3, /*ring_capacity=*/8);
-    constexpr int kPer = 300;
-    std::thread producer([&q] {
-      std::mt19937 rng(1234);
-      for (int i = 0; i < kPer; ++i)
-        q.push(rng() % 3, task(i));
-    });
-    // Concurrent pops keep the hint moving across sites mid-push.
-    std::array<long, 3> next_from_site{-1, -1, -1};
-    int taken = 0;
-    for (int i = 0; i < kPer / 2; ++i) {
-      std::size_t site = 9;
-      auto t = q.pop(&site);
-      ASSERT_TRUE(t.has_value());
-      ASSERT_LT(site, 3u);
-      EXPECT_GT(val(*t), next_from_site[site]) << "per-site FIFO broke";
-      next_from_site[site] = val(*t);
-      ++taken;
-    }
-    producer.join();
-    // Quiescent drain: reconstruct per-site pending counts, then check
-    // the lowest-nonempty-site rule on every remaining pop.
-    std::array<long, 3> pending{0, 0, 0};
-    {
-      std::mt19937 rng(1234);
-      std::array<std::vector<long>, 3> pushed;
-      for (int i = 0; i < kPer; ++i) pushed[rng() % 3].push_back(i);
-      for (int s = 0; s < 3; ++s) {
-        long already = 0;
-        for (long v : pushed[s])
-          if (v <= next_from_site[s]) ++already;
-        pending[s] = static_cast<long>(pushed[s].size()) - already;
-      }
-    }
-    while (taken < kPer) {
-      std::size_t site = 9;
-      auto t = q.pop(&site);
-      ASSERT_TRUE(t.has_value());
-      ASSERT_LT(site, 3u);
-      for (std::size_t lower = 0; lower < site; ++lower)
-        EXPECT_EQ(pending[lower], 0)
-            << "site " << site << " served while site " << lower
-            << " still had " << pending[lower] << " task(s) (stale hint)";
-      EXPECT_GT(val(*t), next_from_site[site]);
-      next_from_site[site] = val(*t);
-      --pending[site];
-      ++taken;
-    }
-    q.close();
-    EXPECT_FALSE(q.pop().has_value());
-  }
-}
-
-TEST(ShardedQueues, NotifySkippedWithoutSleeperSentWithOne) {
-  ShardedTaskQueues q(1);
-  q.push(0, task(1));  // nobody asleep: cv untouched
-  EXPECT_EQ(q.stats().notify_suppressed, 1u);
-  EXPECT_EQ(q.stats().notify_sent, 0u);
-  (void)q.pop();
-
-  std::thread popper([&q] { (void)q.pop(); });
-  // Wait for the popper to actually block.
-  while (q.stats().sleeps < 1) std::this_thread::yield();
-  q.push(0, task(2));  // must pay the cv now
-  popper.join();
-  EXPECT_EQ(q.stats().notify_sent, 1u);
-  EXPECT_EQ(q.stats().notify_suppressed, 1u);
-  q.close();
 }
 
 // ---- work-stealing deques (the CriRun scheduler) ------------------------
@@ -427,6 +123,25 @@ TEST(WorkStealingQueues, SingleConsumerOrderMatchesSingleMutexQueue) {
     if (!a) break;
     ASSERT_EQ(val(*a), val(*b));
   }
+}
+
+TEST(WorkStealingQueues, NewLowSiteWorkPreemptsRemainingHighSite) {
+  // After the consumer has moved on to site 1, fresh site-0 work must
+  // be served before the rest of site 1.
+  WorkStealingTaskQueues q(2);
+  q.push(1, task(10));
+  q.push(1, task(11));
+  q.push(0, task(0));
+  std::size_t site = 9;
+  EXPECT_EQ(val(*q.pop(&site)), 0);
+  EXPECT_EQ(site, 0u);
+  EXPECT_EQ(val(*q.pop(&site)), 10);
+  EXPECT_EQ(site, 1u);
+  q.push(0, task(1));  // arrives while site 1 is being drained
+  EXPECT_EQ(val(*q.pop(&site)), 1) << "site 0 drains before site 1 resumes";
+  EXPECT_EQ(site, 0u);
+  EXPECT_EQ(val(*q.pop(&site)), 11);
+  EXPECT_EQ(site, 1u);
 }
 
 TEST(WorkStealingQueues, PushReturnsLaneDepthSample) {
@@ -614,32 +329,27 @@ TEST(WorkStealingQueues, SpillOverflowPreservesFifo) {
   EXPECT_FALSE(q.pop().has_value());
 }
 
-TEST(WorkStealingQueues, BatchPopStaysWithinOneSiteInOrder) {
-  WorkStealingTaskQueues q(2);
-  for (int i = 0; i < 5; ++i) q.push(0, task(i));
-  for (int i = 10; i < 13; ++i) q.push(1, task(i));
+// A producer-only owner's push runs the sleeper handshake: with no
+// server asleep it skips the condition variable, with one asleep it
+// pays for exactly one notify.
+TEST(WorkStealingQueues, NotifySkippedWithoutSleeperSentWithOne) {
+  WorkStealingTaskQueues q(1, /*workers=*/2);
+  q.push(0, task(1));  // nobody asleep: cv untouched
+  EXPECT_EQ(q.stats().notify_suppressed, 1u);
+  EXPECT_EQ(q.stats().notify_sent, 0u);
 
-  std::vector<TaskArgs> out;
-  std::size_t site = 9;
-  EXPECT_EQ(q.pop_some(out, 4, &site), 4u);
-  EXPECT_EQ(site, 0u);
-  ASSERT_EQ(out.size(), 4u);
-  for (int i = 0; i < 4; ++i) EXPECT_EQ(val(out[i]), i);
-
-  out.clear();
-  EXPECT_EQ(q.pop_some(out, 4, &site), 1u)
-      << "a batch never spans sites: the site-0 remainder comes alone";
-  EXPECT_EQ(site, 0u);
-  EXPECT_EQ(val(out[0]), 4);
-
-  out.clear();
-  EXPECT_EQ(q.pop_some(out, 4, &site), 3u);
-  EXPECT_EQ(site, 1u);
-  for (int i = 0; i < 3; ++i) EXPECT_EQ(val(out[i]), 10 + i);
-
+  std::thread popper([&q] {
+    (void)q.pop();  // steals task 1 from main's mailbox lane
+    (void)q.pop();  // then parks until task 2 arrives
+  });
+  // Sleep slices double from 1 ms; the seventh park lasts 64 ms, so the
+  // push below lands while the popper is still registered as a sleeper.
+  while (q.stats().sleeps < 7) std::this_thread::yield();
+  q.push(0, task(2));  // must pay the cv now
+  popper.join();
+  EXPECT_EQ(q.stats().notify_sent, 1u);
+  EXPECT_EQ(q.stats().notify_suppressed, 1u);
   q.close();
-  out.clear();
-  EXPECT_EQ(q.pop_some(out, 4, &site), 0u) << "kill token";
 }
 
 // Mixed producers/consumers across more threads than lanes: exercises

@@ -28,8 +28,8 @@ kept here so they are enforced forever, not just the week they landed):
 
   * queue_ab: at every matched (workload, threads, chains, sites)
     sweep point, ws mops must not fall below mutex mops;
-  * queue_ab: the acceptance cell (spawn_chain, 8 threads, 1 site,
-    batch 1) must show ws >= 1.5x mutex;
+  * queue_ab: the acceptance cell (spawn_chain, 8 threads, 1 site)
+    must show ws >= 1.5x mutex;
   * server_scaling: utilization must stay above collapse level and
     wall time must stay flat across the sweep (a spinning-server
     regression shows up as 10x wall inflation past S=16);
@@ -88,11 +88,6 @@ VOLATILE = frozenset(
         "sleeps",
         "model_T",
         "sim_T",
-        "mutex_serial_ns",
-        "shard_serial_ns",
-        "shard_pair_ns",
-        "ws_pair_ns",
-        "projected_speedup",
         # bench_heap: smoke mode shrinks the allocation counts and the
         # pause sweep, and every pause statistic is run-volatile.
         "conses",
@@ -139,7 +134,7 @@ def check_gates(recs, label, slack):
     # queue_ab: per-point ws-vs-mutex floor + the acceptance cell.
     cells = {}
     for r in recs:
-        if r.get("bench") != "queue_ab" or r.get("batch") != 1:
+        if r.get("bench") != "queue_ab":
             continue
         point = (r.get("workload"), r.get("threads"), r.get("chains"),
                  r.get("sites"))
@@ -166,7 +161,7 @@ def check_gates(recs, label, slack):
     if cells and not acceptance_seen:
         problems.append(
             f"{label}: queue_ab records present but the acceptance cell "
-            "(spawn_chain, threads=8, sites=1, batch=1) is missing"
+            "(spawn_chain, threads=8, sites=1) is missing"
         )
     # eval_ab: per-point vm-vs-tree floor, result identity, and the
     # arith_loop acceptance cell.

@@ -1,9 +1,10 @@
 // E23: single-thread eval throughput, tree-walker vs. bytecode VM
 // (DESIGN.md §13).
 //
-// Four workloads, each a defun called back-to-back through the
-// engine-dispatched Curare::eval_program path — exactly what the CLI
-// and the serving daemon execute:
+// Four workloads, each a defun called back-to-back. The vm column runs
+// Curare::eval_program — exactly what the CLI and the serving daemon
+// execute; the tree column runs a bare lisp::Interp with no Vm over
+// it, as the differential oracle's tree leg does:
 //
 //   fib        naive double recursion (call-heavy, non-tail)
 //   sum_loop   tail-recursive accumulation (TCE on both engines)
@@ -36,6 +37,7 @@
 #include <string>
 
 #include "bench_util.hpp"
+#include "lisp/interp.hpp"
 #include "sexpr/ctx.hpp"
 #include "sexpr/printer.hpp"
 
@@ -60,28 +62,44 @@ struct Point {
   std::string result;
 };
 
-constexpr const char* kEngineNames[] = {"tree", "vm"};
-constexpr EngineKind kEngines[] = {EngineKind::kTree, EngineKind::kVm};
-
-Point run_engine(EngineKind ek, const Workload& w) {
-  sexpr::Ctx ctx;
-  Curare cur(ctx);
-  cur.set_engine(ek);
-  cur.interp().set_echo(false);
-  cur.load_program(w.define);
+/// Time `w`'s call form under `eval_program` (program text → last
+/// value), its defun already loaded.
+template <typename Eval>
+Point measure(Eval&& eval_program, const Workload& w) {
   const std::string call =
       std::string(w.call_head) + std::to_string(w.n) + w.call_tail;
   Point p;
   // Warm-up call: under the VM this is where lazy compilation lands,
   // so the measured loop times steady-state execution on both engines.
-  p.result = sexpr::write_str(cur.eval_program(call));
+  p.result = sexpr::write_str(eval_program(call));
   p.wall_s = time_s([&] {
-    for (int i = 0; i < w.iters; ++i) cur.eval_program(call);
+    for (int i = 0; i < w.iters; ++i) eval_program(call);
   });
   p.evals_per_s =
       p.wall_s > 0 ? static_cast<double>(w.iters) / p.wall_s : 0;
   return p;
 }
+
+Point run_tree(const Workload& w) {
+  sexpr::Ctx ctx;
+  lisp::Interp in(ctx);
+  in.set_echo(false);
+  in.eval_program(w.define);
+  return measure(
+      [&](const std::string& src) { return in.eval_program(src); }, w);
+}
+
+Point run_vm(const Workload& w) {
+  sexpr::Ctx ctx;
+  Curare cur(ctx);
+  cur.interp().set_echo(false);
+  cur.load_program(w.define);
+  return measure(
+      [&](const std::string& src) { return cur.eval_program(src); }, w);
+}
+
+constexpr const char* kEngineNames[] = {"tree", "vm"};
+Point (*const kEngines[])(const Workload&) = {run_tree, run_vm};
 
 }  // namespace
 
@@ -123,7 +141,7 @@ int main() {
     for (std::size_t wi = 0; wi < kNW; ++wi) {
       for (std::size_t ei = 0; ei < 2; ++ei) {
         const Workload& w = workloads[wi];
-        const Point p = run_engine(kEngines[ei], w);
+        const Point p = kEngines[ei](w);
         if (p.result != w.expect) {
           std::fprintf(stderr,
                        "bench_eval: %s on %s returned %s, want %s\n",

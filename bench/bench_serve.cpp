@@ -21,20 +21,25 @@
 // of governance under attack, visible in the same throughput units.
 //
 // CURARE_BENCH_SMOKE=1 shrinks the sweep for CI. CURARE_CHAOS=
-// seed:rate[:kinds[:sites]] arms the deterministic fault injector for
-// the whole run (the TSan CI job targets queue.push and task.run), in
-// which case non-ok responses are counted, not fatal: the invariants
-// under chaos are "no hang" and "every request gets a response".
+// seed:rate[:kinds[:sites]] (FaultInjector::parse_spec) arms the
+// deterministic fault injector for the whole run (the TSan CI job
+// targets queue.push and task.run), in which case non-ok responses are
+// counted, not fatal: the invariants under chaos are "no hang" and
+// "every request gets a response".
 #include <algorithm>
 #include <atomic>
 #include <cstdio>
 #include <cstdlib>
+#include <memory>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "bench_util.hpp"
+#include "curare/curare.hpp"
+#include "lisp/interp.hpp"
 #include "runtime/fault_injector.hpp"
+#include "runtime/runtime.hpp"
 #include "serve/client.hpp"
 #include "serve/server.hpp"
 #include "sexpr/ctx.hpp"
@@ -43,71 +48,6 @@ using namespace curare;
 using namespace curare::bench;
 
 namespace {
-
-/// seed:rate[:kinds[:sites]] — gc_soak's grammar plus the site list.
-bool configure_chaos(const std::string& spec) {
-  using runtime::FaultInjector;
-  std::vector<std::string> parts;
-  std::size_t pos = 0;
-  while (pos <= spec.size()) {
-    const auto colon = spec.find(':', pos);
-    parts.push_back(spec.substr(
-        pos, colon == std::string::npos ? std::string::npos
-                                        : colon - pos));
-    if (colon == std::string::npos) break;
-    pos = colon + 1;
-  }
-  if (parts.size() < 2) return false;
-  std::uint64_t seed = 0;
-  double rate = 0;
-  try {
-    seed = std::stoull(parts[0], nullptr, 0);
-    rate = std::stod(parts[1]);
-  } catch (...) {
-    return false;
-  }
-  if (!(rate > 0.0 && rate <= 1.0)) return false;
-  unsigned kinds = FaultInjector::kAllKinds;
-  if (parts.size() >= 3 && !parts[2].empty() && parts[2] != "all") {
-    kinds = 0;
-    std::size_t kp = 0;
-    const std::string& kt = parts[2];
-    while (kp <= kt.size()) {
-      const auto comma = kt.find(',', kp);
-      const std::string k = kt.substr(
-          kp, comma == std::string::npos ? std::string::npos
-                                         : comma - kp);
-      if (k == "delay") kinds |= FaultInjector::kDelay;
-      else if (k == "throw") kinds |= FaultInjector::kThrow;
-      else if (k == "wake") kinds |= FaultInjector::kWake;
-      else if (k == "all") kinds |= FaultInjector::kAllKinds;
-      else return false;
-      if (comma == std::string::npos) break;
-      kp = comma + 1;
-    }
-    if (kinds == 0) return false;
-  }
-  unsigned sites = FaultInjector::kAllSites;
-  if (parts.size() >= 4 && !parts[3].empty() && parts[3] != "all") {
-    sites = 0;
-    std::size_t sp = 0;
-    const std::string& st = parts[3];
-    while (sp <= st.size()) {
-      const auto comma = st.find(',', sp);
-      const std::string s = st.substr(
-          sp, comma == std::string::npos ? std::string::npos
-                                         : comma - sp);
-      unsigned bit = 0;
-      if (!FaultInjector::site_bit(s, bit)) return false;
-      sites |= bit;
-      if (comma == std::string::npos) break;
-      sp = comma + 1;
-    }
-    if (sites == 0) return false;
-  }
-  FaultInjector::instance().configure(seed, rate, kinds, sites);
-  return true;
-}
 
 struct SweepResult {
   int clients = 0;
@@ -313,20 +253,49 @@ std::string make_heavy_prelude(int defuns, int data_n, int warm_n) {
 
 struct ColdstartResult {
   int sessions = 0;
-  double mean_setup_ms = 0;  ///< serve.session_setup_ns server-side
+  double mean_setup_ms = 0;
 };
+
+/// The baseline the image replaces: build `sessions` serving-mode
+/// drivers over one shared runtime, as a Session does, and have each
+/// evaluate the prelude itself. Timed per driver: construction plus
+/// load_program.
+ColdstartResult run_prelude_coldstart(int sessions,
+                                      const std::string& prelude) {
+  sexpr::Ctx ctx;
+  lisp::Interp host(ctx);
+  runtime::Runtime rt(host);
+  double total_s = 0;
+  for (int s = 0; s < sessions; ++s) {
+    std::unique_ptr<Curare> session;
+    try {
+      total_s += time_s([&] {
+        session = std::make_unique<Curare>(ctx, rt);
+        session->load_program(prelude);
+        session->interp().take_output();
+      });
+      session->eval_program("(prelude-f0 3 0)");  // the prelude is live
+    } catch (const std::exception& e) {
+      std::fprintf(stderr, "bench_serve: coldstart session failed (%s)\n",
+                   e.what());
+      std::exit(1);
+    }
+  }
+  ColdstartResult r;
+  r.sessions = sessions;
+  r.mean_setup_ms = total_s * 1e3 / sessions;
+  return r;
+}
 
 /// Open `sessions` connections against a daemon carrying the heavy
 /// prelude and probe each once; the server-side session-setup
-/// histogram then holds exactly the cost this sweep compares:
-/// per-session prelude re-evaluation (use_image=false) vs. cloning
-/// the captured image (use_image=true).
-ColdstartResult run_coldstart(bool use_image, int sessions,
-                              const std::string& prelude) {
+/// histogram (serve.session_setup_ns) then holds each session's image
+/// clone plus driver construction.
+ColdstartResult run_image_coldstart(int sessions,
+                                    const std::string& prelude) {
   sexpr::Ctx ctx;
   serve::ServeOptions opts;
   opts.prelude_src = prelude;
-  opts.use_image = use_image;
   serve::ServeDaemon daemon(ctx, opts);
   std::string err;
   if (!daemon.start(&err)) {
@@ -452,14 +421,20 @@ CacheSweepResult run_cache_sweep(int sessions, int defuns) {
 
 int main() {
   const char* chaos_spec = std::getenv("CURARE_CHAOS");
-  if (chaos_spec != nullptr && !configure_chaos(chaos_spec)) {
-    std::fprintf(stderr,
-                 "bench_serve: bad CURARE_CHAOS spec '%s' "
-                 "(want seed:rate[:kinds[:sites]])\n",
-                 chaos_spec);
-    return 1;
-  }
   const bool chaos = chaos_spec != nullptr;
+  if (chaos) {
+    using runtime::FaultInjector;
+    const auto spec = FaultInjector::parse_spec(chaos_spec);
+    if (!spec) {
+      std::fprintf(stderr,
+                   "bench_serve: bad CURARE_CHAOS spec '%s' "
+                   "(want seed:rate[:kinds[:sites]])\n",
+                   chaos_spec);
+      return 1;
+    }
+    FaultInjector::instance().configure(spec->seed, spec->rate,
+                                        spec->kinds, spec->sites);
+  }
   const bool smoke = smoke_mode();
 
   const std::vector<int> sweep =
@@ -527,8 +502,8 @@ int main() {
                    r.p50_ms, r.p99_ms, r.clipped, r.rejected);
     }
   }
-  // Cold start A/B (DESIGN.md §15): the same heavy prelude served two
-  // ways — re-evaluated per session vs. cloned from a captured image.
+  // Cold start A/B (DESIGN.md §15): the same heavy prelude evaluated by
+  // each session's own driver vs. cloned from the daemon's image.
   // The acceptance bar is image >= 5x faster session setup.
   const int cs_sessions = smoke ? 8 : 24;
   const int cs_defuns = smoke ? 24 : 80;
@@ -540,10 +515,8 @@ int main() {
               "set, %d sessions) ==\n",
               cs_defuns, cs_data, cs_sessions);
   std::printf("%10s %10s %14s\n", "mode", "sessions", "setup_ms");
-  const ColdstartResult cold =
-      run_coldstart(/*use_image=*/false, cs_sessions, prelude);
-  const ColdstartResult warm =
-      run_coldstart(/*use_image=*/true, cs_sessions, prelude);
+  const ColdstartResult cold = run_prelude_coldstart(cs_sessions, prelude);
+  const ColdstartResult warm = run_image_coldstart(cs_sessions, prelude);
   std::printf("%10s %10d %14.3f\n", "prelude", cold.sessions,
               cold.mean_setup_ms);
   std::printf("%10s %10d %14.3f   (%.1fx faster)\n", "image",

@@ -18,88 +18,20 @@
 //
 // Build: cmake --build build && ./build/examples/gc_soak
 //
-// Chaos mode: CURARE_CHAOS=seed:rate[:kinds[:sites]] (kinds ⊆
-// delay,throw,wake, comma-separated, default all; sites named as in
-// FaultInjector::site_name, default all) arms the deterministic fault
-// injector for the whole soak. Iterations aborted by an injected throw skip the
+// Chaos mode: CURARE_CHAOS=seed:rate[:kinds[:sites]] (the grammar of
+// FaultInjector::parse_spec) arms the deterministic fault injector for
+// the whole soak; a malformed spec fails the run rather than soaking
+// without faults. Iterations aborted by an injected throw skip the
 // exact-total check — the invariants that remain are "no hang" and the
 // steady-state live bound, i.e. aborted runs must not leak.
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
-#include <string>
 #include <vector>
 
 #include "curare/curare.hpp"
 #include "gc/gc.hpp"
 #include "runtime/fault_injector.hpp"
 #include "sexpr/heap.hpp"
-
-namespace {
-
-// Parses seed:rate[:kinds[:sites]]; returns false (injector untouched)
-// on a malformed spec so CI fails loudly rather than soaking without
-// faults. Site names resolve through FaultInjector::site_bit, so the
-// soak can be aimed at one subsystem (e.g. :queue.steal alone).
-bool configure_chaos(const char* spec) {
-  using curare::runtime::FaultInjector;
-  std::string s(spec);
-  const std::size_t c1 = s.find(':');
-  if (c1 == std::string::npos) return false;
-  const std::size_t c2 = s.find(':', c1 + 1);
-  const std::size_t c3 =
-      c2 == std::string::npos ? std::string::npos : s.find(':', c2 + 1);
-  try {
-    const std::uint64_t seed = std::stoull(s.substr(0, c1), nullptr, 0);
-    const double rate =
-        std::stod(s.substr(c1 + 1, c2 == std::string::npos
-                                       ? std::string::npos
-                                       : c2 - c1 - 1));
-    unsigned kinds = 0;
-    if (c2 == std::string::npos) {
-      kinds = FaultInjector::kAllKinds;
-    } else {
-      std::string rest = s.substr(
-          c2 + 1,
-          c3 == std::string::npos ? std::string::npos : c3 - c2 - 1);
-      for (std::size_t pos = 0; pos <= rest.size();) {
-        std::size_t comma = rest.find(',', pos);
-        if (comma == std::string::npos) comma = rest.size();
-        const std::string word = rest.substr(pos, comma - pos);
-        if (word == "delay") kinds |= FaultInjector::kDelay;
-        else if (word == "throw") kinds |= FaultInjector::kThrow;
-        else if (word == "wake") kinds |= FaultInjector::kWake;
-        else if (word == "all") kinds |= FaultInjector::kAllKinds;
-        else return false;
-        pos = comma + 1;
-      }
-    }
-    unsigned sites = FaultInjector::kAllSites;
-    if (c3 != std::string::npos) {
-      const std::string rest = s.substr(c3 + 1);
-      if (!rest.empty() && rest != "all") {
-        sites = 0;
-        for (std::size_t pos = 0; pos <= rest.size();) {
-          std::size_t comma = rest.find(',', pos);
-          if (comma == std::string::npos) comma = rest.size();
-          unsigned bit = 0;
-          if (!FaultInjector::site_bit(rest.substr(pos, comma - pos), bit))
-            return false;
-          sites |= bit;
-          pos = comma + 1;
-        }
-        if (sites == 0) return false;
-      }
-    }
-    if (rate <= 0.0 || rate > 1.0 || kinds == 0) return false;
-    FaultInjector::instance().configure(seed, rate, kinds, sites);
-    return true;
-  } catch (...) {
-    return false;
-  }
-}
-
-}  // namespace
 
 int main() {
   curare::sexpr::Ctx ctx;
@@ -117,13 +49,19 @@ int main() {
     return 1;
   }
 
+  using curare::runtime::FaultInjector;
   const char* chaos_spec = std::getenv("CURARE_CHAOS");
-  if (chaos_spec != nullptr && !configure_chaos(chaos_spec)) {
-    std::printf("gc_soak: bad CURARE_CHAOS spec '%s' "
-                "(want seed:rate[:kinds[:sites]])\n", chaos_spec);
-    return 1;
-  }
   const bool chaos = chaos_spec != nullptr;
+  if (chaos) {
+    const auto spec = FaultInjector::parse_spec(chaos_spec);
+    if (!spec) {
+      std::printf("gc_soak: bad CURARE_CHAOS spec '%s' "
+                  "(want seed:rate[:kinds[:sites]])\n", chaos_spec);
+      return 1;
+    }
+    FaultInjector::instance().configure(spec->seed, spec->rate,
+                                        spec->kinds, spec->sites);
+  }
 
   constexpr int kIters = 120;
   constexpr int kListLen = 200;

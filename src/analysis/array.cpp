@@ -99,7 +99,7 @@ std::optional<AffineIndex> parse_affine(sexpr::Ctx& ctx, Value expr) {
 
 std::optional<int> array_collision_distance(
     const ArrayRef& earlier, const ArrayRef& later,
-    std::optional<std::int64_t> step, int max_distance) {
+    std::optional<std::int64_t> step) {
   if (earlier.array != later.array) return std::nullopt;
   // Unknown subscripts or unknown induction step: worst case.
   if (!earlier.affine || !later.affine || !step.has_value()) return 1;
@@ -129,7 +129,6 @@ std::optional<int> array_collision_distance(
   if (numer % denom != 0) return std::nullopt;  // never an integer d
   const std::int64_t d = numer / denom;
   if (d < 1) return std::nullopt;  // collision is in the past
-  (void)max_distance;  // the affine solve is exact; no search bound
   return static_cast<int>(d);
 }
 

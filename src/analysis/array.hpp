@@ -68,6 +68,6 @@ struct ArrayRef {
 /// exact integral d ≥ 1 when they do (1 for worst-case fallbacks).
 std::optional<int> array_collision_distance(
     const ArrayRef& earlier, const ArrayRef& later,
-    std::optional<std::int64_t> step, int max_distance);
+    std::optional<std::int64_t> step);
 
 }  // namespace curare::analysis

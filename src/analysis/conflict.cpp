@@ -44,6 +44,10 @@ std::optional<int> ConflictReport::min_distance() const {
 
 namespace {
 
+/// Search bound for the per-distance structure-conflict test; a pair
+/// that conflicts only beyond it is reported at kUnbounded.
+constexpr int kMaxDistance = 16;
+
 DepKind classify(bool earlier_writes, bool later_writes) {
   if (earlier_writes && later_writes) return DepKind::Output;
   return earlier_writes ? DepKind::Flow : DepKind::Anti;
@@ -93,8 +97,7 @@ bool same_reorderable_update(const decl::Declarations& decls,
 
 ConflictReport detect_conflicts(sexpr::Ctx& ctx,
                                 const decl::Declarations& decls,
-                                const FunctionInfo& info,
-                                const ConflictOptions& opts) {
+                                const FunctionInfo& info) {
   (void)ctx;
   ConflictReport report;
   if (!info.is_recursive()) {
@@ -140,14 +143,11 @@ ConflictReport detect_conflicts(sexpr::Ctx& ctx,
       RegexPtr step = step_for(a.root);
       if (step == nullptr) continue;  // parameter never recurs
 
-      if (opts.drop_reorderable && same_reorderable_update(decls, a, b))
-        continue;
-
       // One τ⁺ query rules out most pairs before the per-distance
       // search runs (the search builds an NFA per distance).
       if (!conflicts_at_some_distance(a, b, step)) continue;
       std::optional<int> dist = Conflict::kUnbounded;
-      for (int d = 1; d <= opts.max_distance; ++d) {
+      for (int d = 1; d <= kMaxDistance; ++d) {
         if (conflicts_at(a, b, step, static_cast<std::size_t>(d))) {
           dist = d;
           break;
@@ -180,7 +180,7 @@ ConflictReport detect_conflicts(sexpr::Ctx& ctx,
       std::optional<std::int64_t> step =
           ivar ? info.induction_step(ctx, ivar) : std::nullopt;
       // Collision of a's element (at n) against b's (at n + δ·d).
-      auto d = array_collision_distance(a, b, step, opts.max_distance);
+      auto d = array_collision_distance(a, b, step);
       if (!d) continue;
       Conflict c;
       c.array = a.array;
@@ -213,8 +213,6 @@ ConflictReport detect_conflicts(sexpr::Ctx& ctx,
           same_update && (decls.is_reorderable_op(a.update_op) ||
                           (a.update_op->name == "push" &&
                            decls.is_unordered_insert(a.var)));
-      if (opts.drop_reorderable && reorderable) continue;
-
       Conflict c;
       c.var = a.var;
       c.var_earlier = a;

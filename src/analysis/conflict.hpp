@@ -51,7 +51,7 @@ struct Conflict {
   DepKind kind = DepKind::Flow;
   /// Minimum conflicting distance d ≥ 1; kUnbounded when the conflict
   /// exists only at some distance beyond the search bound (τ contains a
-  /// star and no finite witness ≤ max_distance was found).
+  /// star and no finite witness ≤ 16 was found).
   int distance = 1;
   static constexpr int kUnbounded = -1;
 
@@ -62,14 +62,6 @@ struct Conflict {
   Symbol* reorderable_op = nullptr;
 
   std::string describe() const;
-};
-
-struct ConflictOptions {
-  int max_distance = 16;
-  /// Drop conflicts whose two sides are the same commutative+associative
-  /// +atomic update (the reorder transformation's licence). Off by
-  /// default: detection reports everything; transforms decide.
-  bool drop_reorderable = false;
 };
 
 struct ConflictReport {
@@ -86,9 +78,11 @@ struct ConflictReport {
   std::optional<int> min_distance() const;
 };
 
+/// Every conflict, reorderable ones included: detection reports and
+/// the transforms decide (a reordered update no longer conflicts once
+/// rewritten into a synchronized primitive).
 ConflictReport detect_conflicts(sexpr::Ctx& ctx,
                                 const decl::Declarations& decls,
-                                const FunctionInfo& info,
-                                const ConflictOptions& opts = {});
+                                const FunctionInfo& info);
 
 }  // namespace curare::analysis

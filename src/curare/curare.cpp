@@ -87,7 +87,7 @@ Curare::Curare(sexpr::Ctx& ctx, std::size_t workers)
       runtime_(owned_runtime_.get()),
       decls_(ctx) {
   runtime_->install();
-  vm_->install_apply_hook();  // engine_ defaults to kVm
+  vm_->install_apply_hook();
   ctx_.heap.gc().add_root_source(this);
 }
 
@@ -100,27 +100,12 @@ Curare::Curare(sexpr::Ctx& ctx, runtime::Runtime& shared_runtime)
   // Same primitives, but bound to the shared lock manager / future
   // pool / recorder; %cri-run executes in *this* interpreter.
   runtime_->install_into(interp_);
-  vm_->install_apply_hook();  // engine_ defaults to kVm
+  vm_->install_apply_hook();
   ctx_.heap.gc().add_root_source(this);
 }
 
-void Curare::set_engine(EngineKind kind) {
-  if (kind == engine_) return;
-  engine_ = kind;
-  if (kind == EngineKind::kVm)
-    vm_->install_apply_hook();
-  else
-    vm_->uninstall_apply_hook();
-}
-
-Value Curare::eval_top(Value form) {
-  return engine_ == EngineKind::kVm ? vm_->eval_top(form)
-                                    : interp_.eval_top(form);
-}
-
 Value Curare::eval_program(std::string_view src) {
-  return engine_ == EngineKind::kVm ? vm_->eval_program(src)
-                                    : interp_.eval_program(src);
+  return vm_->eval_program(src);
 }
 
 Curare::~Curare() { ctx_.heap.gc().remove_root_source(this); }
@@ -169,7 +154,7 @@ Value Curare::load_program(std::string_view src) {
       if (head == "curare-declare") continue;  // advice, not code
       if (head == "defun") defuns_[as_symbol(cadr(form))] = form;
     }
-    last = eval_top(form);
+    last = vm_->eval_top(form);
     // defstruct feeds the analyzer too: its field classes ARE the §6
     // structure declaration.
     if (form.is(Kind::Cons) && car(form).is(Kind::Symbol) &&
@@ -190,7 +175,7 @@ Value Curare::load_program(std::string_view src) {
 }
 
 void Curare::adopt_program_forms(const std::vector<Value>& forms) {
-  // Mirrors load_program's bookkeeping minus every eval_top: the forms
+  // Mirrors load_program's bookkeeping minus every eval: the forms
   // were evaluated once in the template session and the clone installed
   // the resulting bindings wholesale.
   gc::MutatorScope gc_scope(ctx_.heap.gc());
@@ -242,8 +227,7 @@ AnalysisReport Curare::analyze(std::string_view fn_name) {
   return report;
 }
 
-TransformPlan Curare::transform(std::string_view fn_name,
-                                const TransformOptions& opts) {
+TransformPlan Curare::transform(std::string_view fn_name) {
   // Generated defuns pass through several C++ locals before they are
   // installed and rooted via plans_; keep the world running-but-uncollected
   // until then. (run_parallel is NOT wrapped — servers must be able to
@@ -279,53 +263,44 @@ TransformPlan Curare::transform(std::string_view fn_name,
   bool result_used = false;
   for (const auto& c : info.rec_calls) result_used |= c.result_used;
   if (result_used) {
-    if (opts.enable_rec2iter) {
-      auto r2i = transform::apply_rec2iter(ctx_, decls_, info);
-      if (r2i.ok) {
-        plan.used_rec2iter = true;
-        for (const auto& n : r2i.notes) plan.feedback.push_back(n);
-        // The iterative replacement is not recursive at all: install it
-        // and finish — it runs at memory bandwidth in a loop. (The CRI
-        // pipeline continues only for DPS.)
-        interp_.eval_top(r2i.defun);
-        defuns_[name] = r2i.defun;
-        plan.forms.push_back(r2i.defun);
-        plan.ok = true;
-        plan.entry = name;
-        plan.feedback.push_back(
-            "function became iterative; no server pool needed");
-        plans_[name] = plan;
-        return plan;
-      }
-      plan.feedback.push_back("rec2iter: " + r2i.failure);
+    auto r2i = transform::apply_rec2iter(ctx_, decls_, info);
+    if (r2i.ok) {
+      plan.used_rec2iter = true;
+      for (const auto& n : r2i.notes) plan.feedback.push_back(n);
+      // The iterative replacement is not recursive at all: install it
+      // and finish — it runs at memory bandwidth in a loop. (The CRI
+      // pipeline continues only for DPS.)
+      interp_.eval_top(r2i.defun);
+      defuns_[name] = r2i.defun;
+      plan.forms.push_back(r2i.defun);
+      plan.ok = true;
+      plan.entry = name;
+      plan.feedback.push_back(
+          "function became iterative; no server pool needed");
+      plans_[name] = plan;
+      return plan;
     }
-    if (opts.enable_dps) {
-      auto dps = transform::apply_dps(ctx_, info);
-      if (dps.ok) {
-        plan.used_dps = true;
-        dps_safe = dps.dps_safe;
-        for (const auto& n : dps.notes) plan.feedback.push_back(n);
-        plan.forms.push_back(dps.dps_defun);
-        plan.forms.push_back(dps.wrapper_defun);
-        current = dps.dps_defun;
-        info = analysis::extract_function(ctx_, decls_, current, &summaries_);
-        dps_dest = info.params.empty() ? nullptr : info.params[0];
-      } else {
-        plan.feedback.push_back("dps: " + dps.failure);
-      }
-    }
-    if (!plan.used_dps) {
+    plan.feedback.push_back("rec2iter: " + r2i.failure);
+    auto dps = transform::apply_dps(ctx_, info);
+    if (!dps.ok) {
+      plan.feedback.push_back("dps: " + dps.failure);
       plan.failure =
           "recursive calls use their results and neither enabling "
           "transformation (§5) applies";
       return plan;
     }
+    plan.used_dps = true;
+    dps_safe = dps.dps_safe;
+    for (const auto& n : dps.notes) plan.feedback.push_back(n);
+    plan.forms.push_back(dps.dps_defun);
+    plan.forms.push_back(dps.wrapper_defun);
+    current = dps.dps_defun;
+    info = analysis::extract_function(ctx_, decls_, current, &summaries_);
+    dps_dest = info.params.empty() ? nullptr : info.params[0];
   }
 
-  analysis::ConflictOptions copts;
-  copts.max_distance = opts.max_conflict_distance;
   analysis::ConflictReport conflicts =
-      analysis::detect_conflicts(ctx_, decls_, info, copts);
+      analysis::detect_conflicts(ctx_, decls_, info);
 
   if (conflicts.cross_param_aliasing && !dps_safe) {
     plan.failure =
@@ -340,15 +315,14 @@ TransformPlan Curare::transform(std::string_view fn_name,
   bool any_reorderable = false;
   for (const auto& c : conflicts.conflicts)
     any_reorderable |= c.reorderable_op != nullptr;
-  if (any_reorderable && opts.strategy != Strategy::LockOnly &&
-      opts.strategy != Strategy::None) {
+  if (any_reorderable) {
     auto ro = transform::apply_reorder(ctx_, decls_, info);
     if (ro.rewritten > 0) {
       plan.reordered = ro.rewritten;
       for (const auto& n : ro.notes) plan.feedback.push_back(n);
       current = ro.defun;
       info = analysis::extract_function(ctx_, decls_, current, &summaries_);
-      conflicts = analysis::detect_conflicts(ctx_, decls_, info, copts);
+      conflicts = analysis::detect_conflicts(ctx_, decls_, info);
     }
   }
 
@@ -372,30 +346,20 @@ TransformPlan Curare::transform(std::string_view fn_name,
   }
 
   // ---- §3.2.2 delay ---------------------------------------------------------
-  if (!conflicts.conflicts.empty() &&
-      (opts.strategy == Strategy::Auto ||
-       opts.strategy == Strategy::DelayThenLock)) {
+  if (!conflicts.conflicts.empty()) {
     auto dl = transform::apply_delay(ctx_, decls_, info, conflicts);
     if (dl.moved > 0) {
       plan.delayed = dl.moved;
       for (const auto& n : dl.notes) plan.feedback.push_back(n);
       current = dl.defun;
       info = analysis::extract_function(ctx_, decls_, current, &summaries_);
-      conflicts = analysis::detect_conflicts(ctx_, decls_, info, copts);
+      conflicts = analysis::detect_conflicts(ctx_, decls_, info);
     }
   }
 
   // ---- §3.2.1 locks: plan now, insert into the server body below --------
   transform::LockPlan lock_plan;
   if (!conflicts.conflicts.empty()) {
-    if (opts.strategy == Strategy::ReorderOnly ||
-        opts.strategy == Strategy::None) {
-      plan.failure = "conflicts remain and the chosen strategy forbids "
-                     "locking";
-      for (const auto& c : conflicts.conflicts)
-        plan.feedback.push_back("unresolved: " + c.describe());
-      return plan;
-    }
     lock_plan = transform::plan_locks(ctx_, info, conflicts);
     for (const auto& n : lock_plan.notes) plan.feedback.push_back(n);
     plan.locks_inserted = static_cast<int>(lock_plan.locks.size());
@@ -406,7 +370,7 @@ TransformPlan Curare::transform(std::string_view fn_name,
 
   // ---- §3.1/§4 CRI codegen -------------------------------------------------------
   transform::CriOptions cri_opts;
-  cri_opts.capture_result = opts.capture_result && !plan.used_dps;
+  cri_opts.capture_result = !plan.used_dps;
   auto cri = transform::make_cri(ctx_, info, cri_opts);
   if (!cri.ok) {
     plan.failure = cri.failure;

@@ -57,22 +57,6 @@ struct AnalysisReport {
   std::string to_string() const;
 };
 
-/// Which evaluator executes Lisp under this driver. kVm (the default)
-/// compiles closure bodies to bytecode lazily and falls back to the
-/// tree-walker per form; kTree runs everything on the tree-walker and
-/// serves as the differential oracle.
-enum class EngineKind { kTree, kVm };
-
-enum class Strategy { Auto, LockOnly, DelayThenLock, ReorderOnly, None };
-
-struct TransformOptions {
-  Strategy strategy = Strategy::Auto;
-  bool enable_rec2iter = true;
-  bool enable_dps = true;
-  bool capture_result = true;
-  int max_conflict_distance = 16;
-};
-
 struct TransformPlan {
   bool ok = false;
   std::string failure;                ///< §6 feedback when !ok
@@ -127,17 +111,11 @@ class Curare : public gc::RootSource {
   /// interpreter before this is called (clone_into does that first).
   void adopt_program_forms(const std::vector<Value>& forms);
 
-  /// Read and evaluate every form in `src` on the selected engine;
-  /// returns the last value. Unlike load_program this does NOT feed
-  /// the analyzer — it is the REPL/-e evaluation path.
+  /// Read and evaluate every form in `src` through the VM (forms it
+  /// refuses run on the tree-walker); returns the last value. Unlike
+  /// load_program this does NOT feed the analyzer — it is the REPL/-e
+  /// evaluation path.
   Value eval_program(std::string_view src);
-
-  /// Select the evaluator. Switching to kTree uninstalls the VM apply
-  /// hook so even closure application runs on the tree-walker (the
-  /// differential oracle needs the whole path); switching back
-  /// reinstalls it. Cached code objects survive either way.
-  void set_engine(EngineKind kind);
-  EngineKind engine() const { return engine_; }
 
   const decl::Declarations& declarations() const { return decls_; }
   decl::Declarations& declarations() { return decls_; }
@@ -148,11 +126,12 @@ class Curare : public gc::RootSource {
   /// Analyze a loaded function (paper §2–3).
   AnalysisReport analyze(std::string_view fn_name);
 
-  /// Restructure a loaded function; on success the transformed defuns
-  /// are installed in the interpreter (the sequential version keeps its
-  /// name — the parallel entry point is plan.entry).
-  TransformPlan transform(std::string_view fn_name,
-                          const TransformOptions& opts = {});
+  /// Restructure a loaded function, choosing the correctness devices
+  /// cheapest first (§3.2: reorder, then delay, then lock); on success
+  /// the transformed defuns are installed in the interpreter (the
+  /// sequential version keeps its name — the parallel entry point is
+  /// plan.entry).
+  TransformPlan transform(std::string_view fn_name);
 
   /// Run the sequential (original) definition.
   Value run_sequential(std::string_view fn_name,
@@ -181,17 +160,12 @@ class Curare : public gc::RootSource {
  private:
   analysis::FunctionInfo extract_named(std::string_view fn_name);
 
-  /// Engine-dispatched top-level eval (load_program / eval_program).
-  Value eval_top(Value form);
-
   sexpr::Ctx& ctx_;
   lisp::Interp interp_;
-  /// The bytecode engine over interp_. Always constructed (compilation
-  /// is lazy, so an unused Vm costs nothing); engine_ decides whether
-  /// its apply hook is installed and which eval path top-level forms
-  /// take.
+  /// The bytecode engine over interp_: its apply hook is installed at
+  /// construction and every top-level form evaluates through it
+  /// (compilation is lazy; refused forms fall back to interp_).
   std::unique_ptr<vm::Vm> vm_;
-  EngineKind engine_ = EngineKind::kVm;
   /// Owned in the classic single-process shape; null when borrowing a
   /// process-wide runtime (serving layer).
   std::unique_ptr<runtime::Runtime> owned_runtime_;

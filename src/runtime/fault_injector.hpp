@@ -33,8 +33,10 @@
 #pragma once
 
 #include <atomic>
+#include <charconv>
 #include <chrono>
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <thread>
@@ -94,6 +96,59 @@ class FaultInjector {
       }
     }
     return false;
+  }
+
+  /// The arguments of configure(), as parsed from a chaos spec.
+  struct Spec {
+    std::uint64_t seed = 0;
+    double rate = 0;
+    unsigned kinds = kAllKinds;
+    unsigned sites = kAllSites;
+  };
+
+  /// The one chaos grammar every front end accepts (curare --chaos,
+  /// curare_serve --chaos, the CURARE_CHAOS variable of bench_serve
+  /// and gc_soak):
+  ///
+  ///   SEED:RATE[:KINDS[:SITES]]
+  ///
+  ///   SEED   unsigned 64-bit integer, decimal or 0x-prefixed hex
+  ///   RATE   per-visit fault probability in (0,1]
+  ///   KINDS  comma list of delay, throw, wake, all; empty = all
+  ///   SITES  comma list of site names (site_name), all; empty = all
+  ///
+  /// e.g. "1234:0.02", "0x4d2:0.02:delay,throw", "7:0.1::queue.steal".
+  /// nullopt for anything else — a missing or fifth field, junk after
+  /// a number, an empty or unknown list item — so a typo fails loudly
+  /// instead of running without the faults it asked for.
+  static std::optional<Spec> parse_spec(std::string_view text) {
+    std::string_view fields[4];
+    std::size_t n = 0;
+    for (;;) {
+      if (n == 4) return std::nullopt;
+      const auto colon = text.find(':');
+      fields[n++] = text.substr(0, colon);
+      if (colon == std::string_view::npos) break;
+      text.remove_prefix(colon + 1);
+    }
+    if (n < 2) return std::nullopt;
+    Spec spec;
+    std::string_view seed = fields[0];
+    int base = 10;
+    if (seed.starts_with("0x") || seed.starts_with("0X")) {
+      seed.remove_prefix(2);
+      base = 16;
+    }
+    if (!parse_whole(seed, spec.seed, base) ||
+        !parse_whole(fields[1], spec.rate) ||
+        !(spec.rate > 0.0 && spec.rate <= 1.0)) {
+      return std::nullopt;
+    }
+    if (n > 2 && !parse_list(fields[2], kind_bit, kAllKinds, spec.kinds))
+      return std::nullopt;
+    if (n > 3 && !parse_list(fields[3], site_bit, kAllSites, spec.sites))
+      return std::nullopt;
+    return spec;
   }
 
   /// Process-wide singleton: GcHeap and the queues have no path to a
@@ -203,6 +258,50 @@ class FaultInjector {
     x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9ull;
     x = (x ^ (x >> 27)) * 0x94D049BB133111EBull;
     return x ^ (x >> 31);
+  }
+
+  static bool kind_bit(std::string_view name, unsigned& bit) {
+    if (name == "delay") {
+      bit = kDelay;
+    } else if (name == "throw") {
+      bit = kThrow;
+    } else if (name == "wake") {
+      bit = kWake;
+    } else {
+      return false;
+    }
+    return true;
+  }
+
+  /// from_chars over the whole of `text`: no sign, space or trailing
+  /// junk, and no out-of-range value.
+  template <typename T, typename... Base>
+  static bool parse_whole(std::string_view text, T& out, Base... base) {
+    const char* end = text.data() + text.size();
+    const auto [ptr, ec] = std::from_chars(text.data(), end, out, base...);
+    return ec == std::errc() && ptr == end;
+  }
+
+  /// A comma list of names resolved to bits; empty or "all" keeps
+  /// `out` at its default.
+  static bool parse_list(std::string_view text,
+                         bool (*resolve)(std::string_view, unsigned&),
+                         unsigned all, unsigned& out) {
+    if (text.empty()) return true;
+    out = 0;
+    for (;;) {
+      const auto comma = text.find(',');
+      const std::string_view item = text.substr(0, comma);
+      unsigned bit = 0;
+      if (item == "all") {
+        bit = all;
+      } else if (!resolve(item, bit)) {
+        return false;
+      }
+      out |= bit;
+      if (comma == std::string_view::npos) return true;
+      text.remove_prefix(comma + 1);
+    }
   }
 
   std::string kinds_string() const {

@@ -30,8 +30,11 @@
 // link dependency.
 #pragma once
 
+#include <charconv>
 #include <cstdint>
+#include <limits>
 #include <string>
+#include <string_view>
 
 #include "obs/request.hpp"
 #include "sexpr/value.hpp"
@@ -142,6 +145,33 @@ inline void charge_fuel(std::uint64_t steps) {
         "fuel exhausted: " + std::to_string(used) + " of " +
             std::to_string(rc->fuel_limit) + " eval step(s) used");
   }
+}
+
+/// Parse a byte count as the governance flags of every front end take
+/// it: decimal digits with an optional k/m/g suffix (binary multiples,
+/// "64m" → 67108864). False on anything else, including a count that
+/// does not fit in 64 bits — wrapping could turn a huge quota into 0,
+/// which means "unlimited".
+inline bool parse_bytes(std::string_view text, std::uint64_t& out) {
+  std::uint64_t mult = 1;
+  if (!text.empty()) {
+    switch (text.back()) {
+      case 'k': case 'K': mult = 1ull << 10; break;
+      case 'm': case 'M': mult = 1ull << 20; break;
+      case 'g': case 'G': mult = 1ull << 30; break;
+      default: break;
+    }
+    if (mult != 1) text.remove_suffix(1);
+  }
+  std::uint64_t n = 0;
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, n);
+  if (ec != std::errc() || ptr != end ||
+      n > std::numeric_limits<std::uint64_t>::max() / mult) {
+    return false;
+  }
+  out = n * mult;
+  return true;
 }
 
 }  // namespace curare::runtime

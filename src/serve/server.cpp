@@ -53,12 +53,11 @@ bool ServeDaemon::prepare_image(std::string* err) {
     if (!opts_.image_load.empty()) {
       image_ = std::make_unique<image::SessionImage>(
           image::SessionImage::load_file(opts_.image_load));
-    } else if (!opts_.prelude_src.empty() && opts_.use_image) {
+    } else if (!opts_.prelude_src.empty()) {
       // Build the template session once, capture it, and let it die —
       // the blob holds no pointers into the template's heap objects,
       // which is exactly the relocatability the clone path relies on.
       Curare templ(ctx_, runtime_);
-      templ.set_engine(opts_.engine);
       templ.load_program(opts_.prelude_src);
       templ.interp().take_output();  // prelude prints stay out of replies
       image_ = std::make_unique<image::SessionImage>(
@@ -180,13 +179,12 @@ void ServeDaemon::serve_connection(Conn* conn, std::uint64_t session_id) {
   try {
     // The Session's Interp registers with the GC and its destructor
     // drains the shared future pool, so scope it tighter than the
-    // connection bookkeeping below. Construction is the cold-start
-    // cost — image clone or prelude evaluation — charged to the
-    // session-setup histogram the warm-start work is judged by.
+    // connection bookkeeping below. Construction is the session's
+    // start-up cost — the image clone — charged to the session-setup
+    // histogram the warm-start work is judged by.
     const auto t_setup0 = std::chrono::steady_clock::now();
-    Session session(session_id, ctx_, runtime_, opts_.engine,
-                    image_.get(), restructure_cache_.get(),
-                    image_ ? nullptr : &opts_.prelude_src);
+    Session session(session_id, ctx_, runtime_, image_.get(),
+                    restructure_cache_.get());
     session_setup_ns_h_.observe(static_cast<std::uint64_t>(
         std::chrono::duration_cast<std::chrono::nanoseconds>(
             std::chrono::steady_clock::now() - t_setup0)

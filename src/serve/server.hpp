@@ -58,10 +58,6 @@ struct ServeOptions {
   /// cancelling their tokens.
   std::int64_t drain_grace_ms = 2000;
   std::size_t workers = 0;  ///< future-pool size (0 = hw concurrency)
-  /// Evaluator for every session this daemon spawns. kVm is the
-  /// production default; kTree is the differential oracle (and the
-  /// serve-smoke cross-check).
-  EngineKind engine = EngineKind::kVm;
 
   // Resource governance (DESIGN.md §14); 0 disables each bound.
   /// Per-request GC-allocation quota in bytes; crossing it answers
@@ -81,8 +77,9 @@ struct ServeOptions {
   std::int64_t retry_after_ms = 100;
 
   // Warm start (DESIGN.md §15).
-  /// Program text evaluated into every session before its first
-  /// request (the tool reads --prelude <file> into this).
+  /// Program text evaluated once into a template session whose
+  /// captured image every new session clones (the tool reads
+  /// --prelude <file> into this).
   std::string prelude_src;
   /// Load the session image from this blob instead of evaluating the
   /// prelude; start() fails on a corrupt/version-skewed file.
@@ -91,10 +88,6 @@ struct ServeOptions {
   /// After building (or loading) an image, persist it here so a daemon
   /// restart skips prelude evaluation entirely.
   std::string image_save;
-  /// When false, sessions re-evaluate prelude_src each time instead of
-  /// cloning from a captured image — the cold-start baseline the bench
-  /// A/Bs against. Ignored when image_load is set.
-  bool use_image = true;
   /// Restructure-cache entry bound; 0 disables the cache.
   std::size_t restructure_cache_cap = 1024;
 };
@@ -126,8 +119,8 @@ class ServeDaemon {
     return conn_ids_.load(std::memory_order_relaxed);
   }
 
-  /// The warm-start image sessions clone from (null when cold-starting
-  /// via prelude evaluation or when no prelude was given).
+  /// The warm-start image sessions clone from (null when neither a
+  /// prelude nor an image file was given).
   const image::SessionImage* session_image() const { return image_.get(); }
   image::RestructureCache* restructure_cache() {
     return restructure_cache_.get();
@@ -184,9 +177,9 @@ class ServeDaemon {
   /// pause time overlapping the request (pauses stop every session's
   /// world, whoever triggered the collection).
   obs::Histogram& gc_pause_h_;
-  /// Session construction wall time — image clone or prelude
-  /// evaluation plus interpreter setup. This is the cold-start number
-  /// the warm-start work advertises (DESIGN.md §15).
+  /// Session construction wall time — image clone plus interpreter
+  /// setup. This is the start-up number the warm-start work
+  /// advertises (DESIGN.md §15).
   obs::Histogram& session_setup_ns_h_;
 
   std::unique_ptr<image::SessionImage> image_;

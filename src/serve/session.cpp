@@ -41,22 +41,14 @@ const char* exhausted_counter_name(runtime::ResourceExhausted::Kind k) {
 }  // namespace
 
 Session::Session(std::uint64_t id, sexpr::Ctx& ctx,
-                 runtime::Runtime& shared_runtime, EngineKind engine,
+                 runtime::Runtime& shared_runtime,
                  const image::SessionImage* image,
-                 image::RestructureCache* cache,
-                 const std::string* prelude_src)
+                 image::RestructureCache* cache)
     : id_(id), driver_(ctx, shared_runtime), cache_(cache) {
-  driver_.set_engine(engine);
   if (image != nullptr) {
     const image::CloneStats stats = image->clone_into(driver_);
     shared_runtime.obs().metrics.histogram("image.clone_ns")
         .observe(stats.ns);
-  } else if (prelude_src != nullptr && !prelude_src->empty()) {
-    // Cold start: evaluate the prelude into this session. The image
-    // path above replaces exactly this work with a bulk clone.
-    gc::MutatorScope ms(ctx.heap.gc());
-    driver_.load_program(*prelude_src);
-    driver_.interp().take_output();  // prelude output isn't a reply
   }
 }
 
@@ -253,7 +245,7 @@ Response Session::do_restructure(const Request& req) {
 Response Session::do_stats() {
   std::string report = obs::full_report(driver_.runtime().obs());
   // Warm-start health: restructure-cache effectiveness and what a
-  // session costs to open (image clone vs. prelude evaluation).
+  // session costs to open (the image clone, when there is an image).
   obs::Metrics& m = driver_.runtime().obs().metrics;
   report += "\n== warm start ==\n";
   if (cache_ != nullptr) {
@@ -275,7 +267,7 @@ Response Session::do_stats() {
                   static_cast<std::uint64_t>(clone_h.mean() / 1000.0)) +
               " us\n";
   } else {
-    report += "image clone: none (cold-start sessions)\n";
+    report += "image clone: none (no prelude)\n";
   }
   obs::Histogram& setup_h = m.histogram("serve.session_setup_ns");
   if (setup_h.count() > 0) {

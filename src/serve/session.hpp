@@ -31,16 +31,13 @@ namespace curare::serve {
 class Session {
  public:
   /// Warm start: when `image` is non-null the session clones its world
-  /// from it (bulk allocation + fixup) instead of evaluating; else when
-  /// `prelude_src` is non-empty it is evaluated here — the cold-start
-  /// baseline. `cache` (may be null) is the process-wide restructure
-  /// cache consulted by the restructure op.
+  /// from it (bulk allocation + fixup) instead of evaluating anything.
+  /// `cache` (may be null) is the process-wide restructure cache
+  /// consulted by the restructure op.
   Session(std::uint64_t id, sexpr::Ctx& ctx,
           runtime::Runtime& shared_runtime,
-          EngineKind engine = EngineKind::kVm,
           const image::SessionImage* image = nullptr,
-          image::RestructureCache* cache = nullptr,
-          const std::string* prelude_src = nullptr);
+          image::RestructureCache* cache = nullptr);
   ~Session();
   Session(const Session&) = delete;
   Session& operator=(const Session&) = delete;

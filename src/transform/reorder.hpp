@@ -5,8 +5,9 @@
 // atomic, commutative, and associative operations, such as addition."
 //
 // Declared-reorderable updates are rewritten into synchronized
-// primitives, after which the ordering constraint disappears (the
-// conflict detector drops them with drop_reorderable):
+// primitives, after which the ordering constraint disappears (run
+// again over the rewritten defun, the conflict detector no longer
+// sees the %atomic-* / %locked-update-* forms as conflicting):
 //
 //   (setq v (+ v e…))            → (%atomic-incf-var 'v (+ e…))
 //   (setq v (op v e…))           → (%locked-update-var 'v (λ (%old) (op %old e…)))

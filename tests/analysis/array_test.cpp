@@ -106,65 +106,60 @@ TEST_F(CollisionTest, WriteAheadByK) {
   for (int k : {1, 2, 5, 12}) {
     auto d = array_collision_distance(
         ref(("(+ n " + std::to_string(k) + ")").c_str(), true),
-        ref("n", false), 1, 64);
+        ref("n", false), 1);
     ASSERT_TRUE(d.has_value()) << k;
     EXPECT_EQ(*d, k);
   }
 }
 
 TEST_F(CollisionTest, WriteBehindNeverCollidesForward) {
-  auto d = array_collision_distance(ref("(- n 1)", true), ref("n", false),
-                                    1, 64);
+  auto d = array_collision_distance(ref("(- n 1)", true), ref("n", false), 1);
   EXPECT_FALSE(d.has_value())
       << "the earlier invocation writes below every later subscript";
 }
 
 TEST_F(CollisionTest, SameIndexDisjointAcrossInvocations) {
-  auto d = array_collision_distance(ref("n", true), ref("n", false), 1,
-                                    64);
+  auto d = array_collision_distance(ref("n", true), ref("n", false), 1);
   EXPECT_FALSE(d.has_value()) << "v[n] vs v[n+d] never meet for d ≥ 1";
 }
 
 TEST_F(CollisionTest, NegativeStepReversesDirection) {
   // Counting down (δ = −1): writing v[n−2] collides with a later
   // read of v[n] at distance 2.
-  auto d = array_collision_distance(ref("(- n 2)", true), ref("n", false),
-                                    -1, 64);
+  auto d =
+      array_collision_distance(ref("(- n 2)", true), ref("n", false), -1);
   ASSERT_TRUE(d.has_value());
   EXPECT_EQ(*d, 2);
 }
 
 TEST_F(CollisionTest, Stride2OnlyEvenOffsetsCollide) {
   // δ = 2: write v[n+4] meets read v[n] at d = 2; v[n+3] never.
-  EXPECT_EQ(array_collision_distance(ref("(+ n 4)", true), ref("n", false),
-                                     2, 64)
+  EXPECT_EQ(array_collision_distance(ref("(+ n 4)", true), ref("n", false), 2)
                 .value_or(-1),
             2);
-  EXPECT_FALSE(array_collision_distance(ref("(+ n 3)", true),
-                                        ref("n", false), 2, 64)
-                   .has_value());
+  EXPECT_FALSE(
+      array_collision_distance(ref("(+ n 3)", true), ref("n", false), 2)
+          .has_value());
 }
 
 TEST_F(CollisionTest, ConstantIndexAlwaysCollides) {
-  EXPECT_EQ(array_collision_distance(ref("5", true), ref("5", false), 1,
-                                     64)
+  EXPECT_EQ(array_collision_distance(ref("5", true), ref("5", false), 1)
                 .value_or(-1),
             1);
-  EXPECT_FALSE(array_collision_distance(ref("5", true), ref("6", false),
-                                        1, 64)
+  EXPECT_FALSE(array_collision_distance(ref("5", true), ref("6", false), 1)
                    .has_value());
 }
 
 TEST_F(CollisionTest, UnknownStepWorstCase) {
-  EXPECT_EQ(array_collision_distance(ref("n", true), ref("n", false),
-                                     std::nullopt, 64)
-                .value_or(-1),
+  EXPECT_EQ(
+      array_collision_distance(ref("n", true), ref("n", false), std::nullopt)
+          .value_or(-1),
             1);
 }
 
 TEST_F(CollisionTest, NonAffineWorstCase) {
   EXPECT_EQ(array_collision_distance(ref("(* n n)", true),
-                                     ref("n", false), 1, 64)
+                                     ref("n", false), 1)
                 .value_or(-1),
             1);
 }
@@ -173,7 +168,7 @@ TEST_F(CollisionTest, DifferentArraysNeverConflict) {
   ArrayRef a = ref("n", true);
   ArrayRef b = ref("n", false);
   b.array = ctx.symbols.intern("w");
-  EXPECT_FALSE(array_collision_distance(a, b, 1, 64).has_value());
+  EXPECT_FALSE(array_collision_distance(a, b, 1).has_value());
 }
 
 // ---- extraction + conflicts ------------------------------------------------

@@ -16,11 +16,10 @@ class ConflictTest : public ::testing::Test {
   sexpr::Ctx ctx;
   decl::Declarations decls{ctx};
 
-  ConflictReport analyze(std::string_view src,
-                         const ConflictOptions& opts = {}) {
+  ConflictReport analyze(std::string_view src) {
     FunctionInfo info =
         extract_function(ctx, decls, sexpr::read_one(ctx, src));
-    return detect_conflicts(ctx, decls, info, opts);
+    return detect_conflicts(ctx, decls, info);
   }
 };
 
@@ -183,28 +182,16 @@ TEST_F(ConflictTest, VariableConflictFig8Shape) {
   EXPECT_TRUE(var_conflict);
 }
 
-TEST_F(ConflictTest, DropReorderableRemovesFig8WriteWriteConflict) {
-  ConflictOptions opts;
-  opts.drop_reorderable = true;
-  ConflictReport r = analyze(
-      "(defun f (l) (when l (setq a (+ a 1)) (f (cdr l))))", opts);
-  for (const Conflict& c : r.conflicts) {
-    EXPECT_FALSE(c.is_variable_conflict() && c.var_earlier.is_write &&
-                 c.var_later.is_write)
-        << "write/write on a reorderable update must be dropped";
-  }
-}
-
 TEST_F(ConflictTest, NonCommutativeUpdateIsNotReorderable) {
-  ConflictOptions opts;
-  opts.drop_reorderable = true;
   ConflictReport r = analyze(
-      "(defun f (l) (when l (setq a (- a 1)) (f (cdr l))))", opts);
+      "(defun f (l) (when l (setq a (- a 1)) (f (cdr l))))");
   bool ww = false;
   for (const Conflict& c : r.conflicts) {
     if (c.is_variable_conflict() && c.var_earlier.is_write &&
         c.var_later.is_write) {
       ww = true;
+      EXPECT_EQ(c.reorderable_op, nullptr)
+          << "- is not declared commutative; no reorder licence";
     }
   }
   EXPECT_TRUE(ww) << "- is not declared commutative; conflict must stay";
@@ -259,9 +246,7 @@ TEST_P(ConflictDistanceSweep, MinDistanceEqualsWriteDepth) {
                     " (car l)) (f (cdr l))))";
   FunctionInfo info =
       extract_function(ctx, decls, sexpr::read_one(ctx, src));
-  ConflictOptions opts;
-  opts.max_distance = 32;
-  ConflictReport r = detect_conflicts(ctx, decls, info, opts);
+  ConflictReport r = detect_conflicts(ctx, decls, info);
   ASSERT_TRUE(r.min_distance().has_value());
   EXPECT_EQ(*r.min_distance(), k);
 }

@@ -237,11 +237,12 @@ TEST_F(CurareTest, ResultUsedWithoutEnablingTransformsFails) {
   cur.load_program(
       "(defun depth (x)"
       "  (if (atom x) 0 (max (depth (car x)) (depth (cdr x)))))");
-  TransformOptions opts;
-  opts.enable_rec2iter = false;
-  opts.enable_dps = false;
-  TransformPlan plan = cur.transform("depth", opts);
+  TransformPlan plan = cur.transform("depth");
   EXPECT_FALSE(plan.ok);
+  EXPECT_NE(plan.failure.find("neither enabling transformation (§5) "
+                              "applies"),
+            std::string::npos)
+      << plan.failure;
 }
 
 TEST_F(CurareTest, PlanToStringMentionsStrategy) {

@@ -379,13 +379,18 @@ TEST(GcStressTest, ConcurrentAllocationAndCollection) {
 
   std::atomic<bool> stop{false};
   std::atomic<int> bad{0};
+  // Collections the stress thread has finished. Workers keep allocating
+  // past kIters until there is at least one, so every run overlaps
+  // allocation with a concurrent collection however the threads are
+  // scheduled.
+  std::atomic<int> collected{0};
   std::vector<std::thread> workers;
   workers.reserve(kThreads);
   for (int t = 0; t < kThreads; ++t) {
-    workers.emplace_back([&ctx, &gc, &bad] {
+    workers.emplace_back([&ctx, &gc, &bad, &collected] {
       RootScope kept(gc);
       std::vector<Value> mine;
-      for (int i = 0; i < kIters; ++i) {
+      for (int i = 0; i < kIters || collected.load() == 0; ++i) {
         MutatorScope ms(gc);
         Value chain = Value::nil();
         for (int k = 0; k < kChain; ++k)
@@ -406,9 +411,10 @@ TEST(GcStressTest, ConcurrentAllocationAndCollection) {
     });
   }
 
-  std::thread collector([&gc, &stop] {
+  std::thread collector([&gc, &stop, &collected] {
     while (!stop.load()) {
       gc.collect("stress");
+      collected.fetch_add(1);
       std::this_thread::yield();
     }
   });

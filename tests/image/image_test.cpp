@@ -156,7 +156,6 @@ TEST(Image, CyclesBuiltWithSetfSurvive) {
 TEST(Image, ClonedClosuresForgetCompiledCode) {
   ImageFixture f;
   auto templ = f.session();
-  templ->set_engine(curare::EngineKind::kVm);
   // Calling sq under the VM compiles its closure (code_state leaves
   // kCodeUnknown); the image must not carry that cache across.
   f.run(*templ, "(defun sq (x) (* x x)) (sq 5)");
@@ -419,27 +418,27 @@ TEST(Serve, ImageWarmStartMatchesPreludeColdStart) {
       "(defun fib (n) (if (< n 2) n (+ (fib (- n 1)) (fib (- n 2)))))"
       "(setq origin (make-point 'px 3 'py 4))";
 
+  const std::string probe = "(list (fib 10) (px origin))";
+
+  // Cold start: a fresh driver that evaluated the prelude itself.
+  ImageFixture cold;
+  auto fresh = cold.session();
+  cold.run(*fresh, prelude);
+  const std::string expected = cold.run(*fresh, probe);
+  EXPECT_EQ(expected, "(55 3)");
+
   serve::ServeOptions warm;
   warm.prelude_src = prelude;
   DaemonFixture w(warm);
   ASSERT_NE(w.daemon.session_image(), nullptr);
-
-  serve::ServeOptions cold;
-  cold.prelude_src = prelude;
-  cold.use_image = false;
-  DaemonFixture c(cold);
-  EXPECT_EQ(c.daemon.session_image(), nullptr);
-
-  for (DaemonFixture* f : {&w, &c}) {
-    auto conn = f->connect();
-    serve::Request ev;
-    ev.op = "eval";
-    ev.program = "(list (fib 10) (px origin))";
-    auto r = conn.request(ev);
-    ASSERT_TRUE(r.has_value());
-    ASSERT_EQ(r->status, "ok") << r->error;
-    EXPECT_EQ(r->result, "(55 3)");
-  }
+  auto conn = w.connect();
+  serve::Request ev;
+  ev.op = "eval";
+  ev.program = probe;
+  auto r = conn.request(ev);
+  ASSERT_TRUE(r.has_value());
+  ASSERT_EQ(r->status, "ok") << r->error;
+  EXPECT_EQ(r->result, expected);
 }
 
 TEST(Serve, BadImageFileFailsStartup) {

@@ -389,6 +389,61 @@ TEST_F(ResilienceTest, InjectorStatsAndReportTrackSites) {
   EXPECT_FALSE(fi.check(FaultInjector::Site::kQueuePush));
 }
 
+// The one chaos grammar every front end parses (FaultInjector::
+// parse_spec): each row is a spec and the configuration it yields, or
+// a rejection.
+TEST(FaultInjectorSpec, ParseSpecTable) {
+  using FI = FaultInjector;
+  unsigned steal = 0;
+  unsigned push = 0;
+  ASSERT_TRUE(FI::site_bit("queue.steal", steal));
+  ASSERT_TRUE(FI::site_bit("queue.push", push));
+  struct Row {
+    const char* spec;
+    bool ok;
+    std::uint64_t seed;
+    double rate;
+    unsigned kinds;
+    unsigned sites;
+  };
+  const Row rows[] = {
+      {"1234:0.02", true, 1234, 0.02, FI::kAllKinds, FI::kAllSites},
+      {"0x4d2:0.02:delay,throw", true, 0x4d2, 0.02,
+       FI::kDelay | FI::kThrow, FI::kAllSites},
+      {"7:1:wake:queue.steal,queue.push", true, 7, 1.0, FI::kWake,
+       steal | push},
+      {"7:0.1::queue.steal", true, 7, 0.1, FI::kAllKinds, steal},
+      {"7:0.1:all:all", true, 7, 0.1, FI::kAllKinds, FI::kAllSites},
+      {"7:0.1:throw:", true, 7, 0.1, FI::kThrow, FI::kAllSites},
+      {"18446744073709551615:0.5", true, 18446744073709551615ull, 0.5,
+       FI::kAllKinds, FI::kAllSites},
+      {"", false, 0, 0, 0, 0},
+      {"7", false, 0, 0, 0, 0},
+      {"7:", false, 0, 0, 0, 0},
+      {":0.1", false, 0, 0, 0, 0},
+      {"7:0", false, 0, 0, 0, 0},
+      {"7:1.5", false, 0, 0, 0, 0},
+      {"7:0.1x", false, 0, 0, 0, 0},
+      {"-7:0.1", false, 0, 0, 0, 0},
+      {"7x:0.1", false, 0, 0, 0, 0},
+      {"0x:0.1", false, 0, 0, 0, 0},
+      {"18446744073709551616:0.1", false, 0, 0, 0, 0},
+      {"7:0.1:smash", false, 0, 0, 0, 0},
+      {"7:0.1:delay,,throw", false, 0, 0, 0, 0},
+      {"7:0.1:delay:queue.pop", false, 0, 0, 0, 0},
+      {"7:0.1:delay:queue.push:x", false, 0, 0, 0, 0},
+  };
+  for (const Row& r : rows) {
+    const auto spec = FI::parse_spec(r.spec);
+    ASSERT_EQ(spec.has_value(), r.ok) << "'" << r.spec << "'";
+    if (!spec) continue;
+    EXPECT_EQ(spec->seed, r.seed) << r.spec;
+    EXPECT_EQ(spec->rate, r.rate) << r.spec;
+    EXPECT_EQ(spec->kinds, r.kinds) << r.spec;
+    EXPECT_EQ(spec->sites, r.sites) << r.spec;
+  }
+}
+
 TEST_F(ResilienceTest, ResilienceReportListsConfiguration) {
   rt.set_deadline_ms(1000);
   rt.set_stall_ms(500);

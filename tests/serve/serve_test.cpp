@@ -6,6 +6,7 @@
 #include "serve/server.hpp"
 
 #include <atomic>
+#include <chrono>
 #include <condition_variable>
 #include <mutex>
 #include <thread>
@@ -194,7 +195,16 @@ TEST(Serve, OverloadedRejectionWhenSaturated) {
     EXPECT_EQ(r->status, "deadline");
   });
 
-  // Wait until the hog actually holds the slot, then expect a bounce.
+  // Wait until the hog actually holds the slot — otherwise a bounce
+  // request could take it first and the hog would be the one bounced —
+  // then expect a bounce.
+  const curare::obs::Gauge& inflight =
+      f.daemon.runtime().obs().metrics.gauge("serve.inflight");
+  const auto give_up =
+      std::chrono::steady_clock::now() + std::chrono::seconds(30);
+  while (inflight.get() != 1 && std::chrono::steady_clock::now() < give_up)
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  EXPECT_EQ(inflight.get(), 1) << "the hog never took the slot";
   bool saw_overload = false;
   for (int i = 0; i < 200 && !saw_overload; ++i) {
     auto r = bounced.request(eval_req("(+ 1 1)"));
@@ -599,18 +609,17 @@ TEST(ServeResource, RunawayAllocationClippedWhileBystanderServes) {
 TEST(ServeResource, FuelClipsPureLoopOnBothEngines) {
   // `(while t 1)` never allocates, so the memory quota cannot stop it;
   // fuel rides the shared eval tick, which both engines pass through.
-  for (curare::EngineKind engine :
-       {curare::EngineKind::kVm, curare::EngineKind::kTree}) {
+  // The VM compiles the bare loop; the `lambda` makes it refuse the
+  // second form, which then runs on the tree-walker.
+  for (const char* src : {"(while t 1)", "(progn (lambda ()) (while t 1))"}) {
     serve::ServeOptions opts;
-    opts.engine = engine;
     opts.fuel = 200000;
     DaemonFixture f(opts);
     auto conn = f.connect();
 
-    auto clipped = conn.request(eval_req("(while t 1)"));
+    auto clipped = conn.request(eval_req(src));
     ASSERT_TRUE(clipped.has_value());
-    EXPECT_EQ(clipped->status, "resource-exhausted")
-        << (engine == curare::EngineKind::kVm ? "vm" : "tree");
+    EXPECT_EQ(clipped->status, "resource-exhausted") << src;
     EXPECT_NE(clipped->error.find("fuel exhausted"), std::string::npos)
         << clipped->error;
 

@@ -37,15 +37,11 @@
 //                  no task completes for N ms (exit code 3)
 //   --lock-budget-ms N  cap any single blocked lock acquisition
 //   --chaos SEED:RATE[:KINDS[:SITES]]  arm the deterministic fault
-//                  injector (KINDS ⊆ delay,throw,wake — default all;
-//                  SITES ⊆ lock.acquire,queue.push,future.spawn,
-//                  task.run,gc.alloc,queue.steal — default all); see
+//                  injector (grammar: FaultInjector::parse_spec); see
 //                  :resilience for per-site counts
 //   --profile[=N]  arm the sampling eval profiler (one sample per N
 //                  eval steps, default 64, power of two >= 8) and print
 //                  the collapsed hot-form report on exit
-//   --engine NAME  evaluator: vm (bytecode, default) or tree (the
-//                  tree-walking oracle)
 //   --mem-quota N  per-run GC-allocation quota in bytes (k/m/g
 //                  suffixes; 0 = unlimited) — a crossing run dies with
 //                  a ResourceExhausted diagnosis and exit code 6; in
@@ -63,6 +59,7 @@
 #include <cstdlib>
 #include <fstream>
 #include <iostream>
+#include <optional>
 #include <sstream>
 #include <string>
 
@@ -83,89 +80,6 @@ namespace {
 
 using curare::Curare;
 using curare::Value;
-
-/// "64m" → 67108864; plain bytes without a suffix.
-bool parse_bytes(const std::string& text, std::size_t& out) {
-  if (text.empty()) return false;
-  std::size_t mult = 1;
-  std::string digits = text;
-  switch (digits.back()) {
-    case 'k': case 'K': mult = 1024; digits.pop_back(); break;
-    case 'm': case 'M': mult = 1024 * 1024; digits.pop_back(); break;
-    case 'g': case 'G': mult = 1024 * 1024 * 1024; digits.pop_back(); break;
-    default: break;
-  }
-  if (digits.empty()) return false;
-  std::size_t n = 0;
-  for (char c : digits) {
-    if (c < '0' || c > '9') return false;
-    n = n * 10 + static_cast<std::size_t>(c - '0');
-  }
-  out = n * mult;
-  return true;
-}
-
-/// "1234:0.02", "0x4d2:0.02:delay,throw", or
-/// "7:0.01:throw:queue.steal,queue.push" → injector configuration.
-/// Base 0 so hex seeds (the convention in CI) parse as written. The
-/// optional fourth field names sites (see FaultInjector::site_name) so
-/// a replay can aim at one subsystem — e.g. the steal path alone.
-bool parse_chaos(const std::string& text, std::uint64_t& seed,
-                 double& rate, unsigned& kinds, unsigned& sites) {
-  using curare::runtime::FaultInjector;
-  const auto c1 = text.find(':');
-  if (c1 == std::string::npos) return false;
-  const auto c2 = text.find(':', c1 + 1);
-  const auto c3 =
-      c2 == std::string::npos ? std::string::npos : text.find(':', c2 + 1);
-  try {
-    seed = std::stoull(text.substr(0, c1), nullptr, 0);
-    rate = std::stod(text.substr(
-        c1 + 1, c2 == std::string::npos ? std::string::npos
-                                        : c2 - c1 - 1));
-  } catch (...) {
-    return false;
-  }
-  kinds = FaultInjector::kAllKinds;
-  if (c2 != std::string::npos) {
-    const std::string kinds_text = text.substr(
-        c2 + 1, c3 == std::string::npos ? std::string::npos
-                                        : c3 - c2 - 1);
-    kinds = 0;
-    std::istringstream iss(kinds_text);
-    std::string k;
-    while (std::getline(iss, k, ',')) {
-      if (k == "delay") {
-        kinds |= FaultInjector::kDelay;
-      } else if (k == "throw") {
-        kinds |= FaultInjector::kThrow;
-      } else if (k == "wake") {
-        kinds |= FaultInjector::kWake;
-      } else if (k == "all") {
-        kinds |= FaultInjector::kAllKinds;
-      } else {
-        return false;
-      }
-    }
-    if (kinds == 0) return false;
-  }
-  sites = FaultInjector::kAllSites;
-  if (c3 != std::string::npos) {
-    const std::string sites_text = text.substr(c3 + 1);
-    if (!sites_text.empty() && sites_text != "all") {
-      sites = 0;
-      std::istringstream iss(sites_text);
-      std::string s;
-      while (std::getline(iss, s, ',')) {
-        unsigned bit = 0;
-        if (!FaultInjector::site_bit(s, bit)) return false;
-        sites |= bit;
-      }
-      if (sites == 0) return false;
-    }
-  }
-  return rate > 0.0 && rate <= 1.0;
-}
 
 /// A stalled run is its own exit condition (code 3), with the dump on
 /// stderr so CI logs show *why* — not just that — a program died.
@@ -408,23 +322,18 @@ int main(int argc, char** argv) {
   bool stats = false;
   bool gc_stats = false;
   bool have_threshold = false;
-  std::size_t gc_threshold = 0;
+  std::uint64_t gc_threshold = 0;
   std::string eval_expr;
   bool have_eval = false;
   std::string file;
   std::int64_t deadline_ms = 0;
   std::int64_t stall_ms = 0;
-  curare::EngineKind engine = curare::EngineKind::kVm;
   std::int64_t lock_budget_ms = 0;
-  std::size_t mem_quota = 0;
+  std::uint64_t mem_quota = 0;
   std::int64_t fuel = 0;
-  std::size_t heap_soft = 0;
-  std::size_t heap_hard = 0;
-  bool have_chaos = false;
-  std::uint64_t chaos_seed = 0;
-  double chaos_rate = 0;
-  unsigned chaos_kinds = 0;
-  unsigned chaos_sites = curare::runtime::FaultInjector::kAllSites;
+  std::uint64_t heap_soft = 0;
+  std::uint64_t heap_hard = 0;
+  std::optional<curare::runtime::FaultInjector::Spec> chaos;
   long long profile_period = 0;  // 0 = profiler off
 
   // Every value flag accepts both "--flag VALUE" and "--flag=VALUE"
@@ -461,7 +370,7 @@ int main(int argc, char** argv) {
     const std::string arg = argv[i];
     std::string v;
     if (take_value(i, arg, "--gc-threshold", v)) {
-      if (!parse_bytes(v, gc_threshold)) {
+      if (!curare::runtime::parse_bytes(v, gc_threshold)) {
         std::fprintf(stderr,
                      "--gc-threshold requires a byte count (k/m/g "
                      "suffixes accepted)\n");
@@ -480,7 +389,7 @@ int main(int argc, char** argv) {
       if (!parse_ms("--lock-budget-ms", v, lock_budget_ms))
         return curare::serve::kExitUsage;
     } else if (take_value(i, arg, "--mem-quota", v)) {
-      if (!parse_bytes(v, mem_quota)) {
+      if (!curare::runtime::parse_bytes(v, mem_quota)) {
         std::fprintf(stderr, "--mem-quota: bad byte count '%s'\n",
                      v.c_str());
         return curare::serve::kExitUsage;
@@ -489,20 +398,20 @@ int main(int argc, char** argv) {
       if (!parse_ms("--fuel", v, fuel))  // same nonneg-integer grammar
         return curare::serve::kExitUsage;
     } else if (take_value(i, arg, "--heap-soft", v)) {
-      if (!parse_bytes(v, heap_soft)) {
+      if (!curare::runtime::parse_bytes(v, heap_soft)) {
         std::fprintf(stderr, "--heap-soft: bad byte count '%s'\n",
                      v.c_str());
         return curare::serve::kExitUsage;
       }
     } else if (take_value(i, arg, "--heap-hard", v)) {
-      if (!parse_bytes(v, heap_hard)) {
+      if (!curare::runtime::parse_bytes(v, heap_hard)) {
         std::fprintf(stderr, "--heap-hard: bad byte count '%s'\n",
                      v.c_str());
         return curare::serve::kExitUsage;
       }
     } else if (take_value(i, arg, "--chaos", v)) {
-      if (!parse_chaos(v, chaos_seed, chaos_rate, chaos_kinds,
-                       chaos_sites)) {
+      chaos = curare::runtime::FaultInjector::parse_spec(v);
+      if (!chaos) {
         std::fprintf(stderr,
                      "--chaos requires SEED:RATE[:KINDS[:SITES]] with "
                      "RATE in (0,1], KINDS from delay,throw,wake,all "
@@ -510,19 +419,8 @@ int main(int argc, char** argv) {
                      "future.spawn,task.run,gc.alloc,queue.steal,all\n");
         return curare::serve::kExitUsage;
       }
-      have_chaos = true;
     } else if (take_value(i, arg, "--trace", v)) {
       trace_path = v;
-    } else if (take_value(i, arg, "--engine", v)) {
-      if (v == "vm") {
-        engine = curare::EngineKind::kVm;
-      } else if (v == "tree") {
-        engine = curare::EngineKind::kTree;
-      } else {
-        std::fprintf(stderr, "--engine: unknown engine '%s' (vm|tree)\n",
-                     v.c_str());
-        return curare::serve::kExitUsage;
-      }
     } else if (take_value(i, arg, "-e", v)) {
       eval_expr = v;
       have_eval = true;
@@ -543,7 +441,7 @@ int main(int argc, char** argv) {
                    "unknown option %s\nusage: curare [--trace out.json] "
                    "[--stats] [--profile[=N]] [--gc-threshold N] "
                    "[--gc-stats] [--deadline-ms N] [--stall-ms N] "
-                   "[--lock-budget-ms N] [--engine vm|tree] "
+                   "[--lock-budget-ms N] "
                    "[--mem-quota N] [--fuel N] "
                    "[--heap-soft N] [--heap-hard N] "
                    "[--chaos SEED:RATE[:KINDS[:SITES]]] "
@@ -564,7 +462,6 @@ int main(int argc, char** argv) {
 
   curare::sexpr::Ctx ctx;
   Curare cur(ctx);
-  cur.set_engine(engine);
   cur.interp().set_echo(false);
   if (have_threshold) ctx.heap.gc().set_threshold(gc_threshold);
   if (heap_soft != 0 || heap_hard != 0)
@@ -575,9 +472,9 @@ int main(int argc, char** argv) {
   cur.runtime().locks().set_wait_budget_ms(lock_budget_ms);
   // Armed only now: chaos targets the user's program, and a fault
   // thrown during interpreter bootstrap would escape every handler.
-  if (have_chaos) {
+  if (chaos) {
     curare::runtime::FaultInjector::instance().configure(
-        chaos_seed, chaos_rate, chaos_kinds, chaos_sites);
+        chaos->seed, chaos->rate, chaos->kinds, chaos->sites);
   }
   if (profile_period > 0) {
     auto& prof = curare::obs::Profiler::instance();

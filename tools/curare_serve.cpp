@@ -23,8 +23,6 @@
 //   --stall-ms N        per-CRI-run watchdog window (default 0 = off)
 //   --lock-budget-ms N  cap any single blocked lock acquisition
 //   --workers N         future-pool threads (default hw concurrency)
-//   --engine NAME       evaluator for every session: vm (bytecode,
-//                       default) or tree (the tree-walking oracle)
 //   --mem-quota N       per-request GC-allocation quota in bytes
 //                       (k/m/g suffixes accepted; 0 = unlimited);
 //                       a crossing request answers
@@ -42,12 +40,11 @@
 //   --result-cap N      cap on a reply's result+output bytes
 //   --retry-after-ms N  backoff hint stamped on overloaded responses
 //                       (default 100)
-//   --chaos SEED:RATE[:KINDS[:SITES]]  arm the fault injector; SITES
-//                       is a comma list of injection sites
-//                       (e.g. queue.push,task.run — default all)
-//   --prelude PATH      program file evaluated into every session
-//                       before its first request; by default it is
-//                       evaluated once into a template session and
+//   --chaos SEED:RATE[:KINDS[:SITES]]  arm the fault injector
+//                       (grammar: FaultInjector::parse_spec; e.g.
+//                       1:0.01::queue.push,task.run)
+//   --prelude PATH      program file every session starts from: it
+//                       is evaluated once into a template session and
 //                       captured as an image that new connections
 //                       clone (warm start, DESIGN.md §15)
 //   --image-save PATH   persist the captured session image so a
@@ -55,8 +52,6 @@
 //   --image-load PATH   start from a saved image instead of
 //                       evaluating --prelude (corrupt or
 //                       version-skewed files fail startup loudly)
-//   --no-image          re-evaluate the prelude per session instead
-//                       of cloning (the cold-start baseline)
 //   --restructure-cache N  restructure-cache entry bound
 //                       (default 1024; 0 disables the cache)
 //   --stats             print the metrics report on exit
@@ -75,6 +70,7 @@
 #include <cstring>
 #include <fstream>
 #include <iterator>
+#include <optional>
 #include <string>
 
 #include <unistd.h>
@@ -82,6 +78,7 @@
 #include "obs/profiler.hpp"
 #include "obs/recorder.hpp"
 #include "runtime/fault_injector.hpp"
+#include "runtime/resource.hpp"
 #include "serve/exit_codes.hpp"
 #include "serve/server.hpp"
 #include "sexpr/ctx.hpp"
@@ -90,103 +87,10 @@ namespace {
 
 int g_signal_pipe[2] = {-1, -1};
 
-/// "64m" → 67108864; plain bytes without a suffix (the CLI's
-/// --gc-threshold grammar, reused for the governance byte flags).
-bool parse_bytes(const std::string& text, std::uint64_t& out) {
-  if (text.empty()) return false;
-  std::uint64_t mult = 1;
-  std::string digits = text;
-  switch (digits.back()) {
-    case 'k': case 'K': mult = 1024; digits.pop_back(); break;
-    case 'm': case 'M': mult = 1024 * 1024; digits.pop_back(); break;
-    case 'g': case 'G': mult = 1024 * 1024 * 1024; digits.pop_back(); break;
-    default: break;
-  }
-  if (digits.empty()) return false;
-  std::uint64_t n = 0;
-  for (char c : digits) {
-    if (c < '0' || c > '9') return false;
-    n = n * 10 + static_cast<std::uint64_t>(c - '0');
-  }
-  out = n * mult;
-  return true;
-}
-
 extern "C" void on_signal(int) {
   const char byte = 1;
   // Best-effort: if the pipe is full a drain is already pending.
   [[maybe_unused]] ssize_t n = ::write(g_signal_pipe[1], &byte, 1);
-}
-
-/// SEED:RATE[:KINDS[:SITES]] — the CLI's --chaos grammar plus an
-/// optional site list (queue.push,task.run,…) for targeted injection.
-bool parse_chaos(const std::string& text, std::uint64_t& seed,
-                 double& rate, unsigned& kinds, unsigned& sites) {
-  using curare::runtime::FaultInjector;
-  kinds = FaultInjector::kAllKinds;
-  sites = FaultInjector::kAllSites;
-  const auto c1 = text.find(':');
-  if (c1 == std::string::npos) return false;
-  const auto c2 = text.find(':', c1 + 1);
-  const auto c3 =
-      c2 == std::string::npos ? std::string::npos : text.find(':', c2 + 1);
-  try {
-    seed = std::stoull(text.substr(0, c1), nullptr, 0);
-    rate = std::stod(text.substr(
-        c1 + 1,
-        c2 == std::string::npos ? std::string::npos : c2 - c1 - 1));
-  } catch (...) {
-    return false;
-  }
-  if (c2 != std::string::npos) {
-    const std::string kinds_text = text.substr(
-        c2 + 1,
-        c3 == std::string::npos ? std::string::npos : c3 - c2 - 1);
-    if (!kinds_text.empty() && kinds_text != "all") {
-      kinds = 0;
-      std::size_t pos = 0;
-      while (pos <= kinds_text.size()) {
-        const auto comma = kinds_text.find(',', pos);
-        const std::string k = kinds_text.substr(
-            pos, comma == std::string::npos ? std::string::npos
-                                            : comma - pos);
-        if (k == "delay") {
-          kinds |= FaultInjector::kDelay;
-        } else if (k == "throw") {
-          kinds |= FaultInjector::kThrow;
-        } else if (k == "wake") {
-          kinds |= FaultInjector::kWake;
-        } else if (k == "all") {
-          kinds |= FaultInjector::kAllKinds;
-        } else {
-          return false;
-        }
-        if (comma == std::string::npos) break;
-        pos = comma + 1;
-      }
-      if (kinds == 0) return false;
-    }
-  }
-  if (c3 != std::string::npos) {
-    const std::string sites_text = text.substr(c3 + 1);
-    if (!sites_text.empty() && sites_text != "all") {
-      sites = 0;
-      std::size_t pos = 0;
-      while (pos <= sites_text.size()) {
-        const auto comma = sites_text.find(',', pos);
-        const std::string s = sites_text.substr(
-            pos, comma == std::string::npos ? std::string::npos
-                                            : comma - pos);
-        unsigned bit = 0;
-        if (!FaultInjector::site_bit(s, bit)) return false;
-        sites |= bit;
-        if (comma == std::string::npos) break;
-        pos = comma + 1;
-      }
-      if (sites == 0) return false;
-    }
-  }
-  return rate > 0.0 && rate <= 1.0;
 }
 
 int usage() {
@@ -196,12 +100,12 @@ int usage() {
       "                    [--max-inflight N] [--queue-limit N]\n"
       "                    [--deadline-ms N] [--drain-grace-ms N]\n"
       "                    [--stall-ms N] [--lock-budget-ms N]\n"
-      "                    [--workers N] [--engine vm|tree]\n"
+      "                    [--workers N]\n"
       "                    [--mem-quota N] [--heap-soft N] [--heap-hard N]\n"
       "                    [--fuel N] [--result-cap N] [--retry-after-ms N]\n"
       "                    [--chaos SEED:RATE[:KINDS[:SITES]]]\n"
       "                    [--prelude PATH] [--image-save PATH]\n"
-      "                    [--image-load PATH] [--no-image]\n"
+      "                    [--image-load PATH]\n"
       "                    [--restructure-cache N]\n"
       "                    [--stats] [--trace] [--profile[=N]]\n");
   return curare::serve::kExitUsage;
@@ -217,11 +121,7 @@ int main(int argc, char** argv) {
   std::int64_t profile_period = 0;  // 0 = profiler off
   std::int64_t stall_ms = 0;
   std::int64_t lock_budget_ms = 0;
-  bool have_chaos = false;
-  std::uint64_t chaos_seed = 0;
-  double chaos_rate = 0;
-  unsigned chaos_kinds = 0;
-  unsigned chaos_sites = 0;
+  std::optional<curare::runtime::FaultInjector::Spec> chaos;
 
   // Value flags accept both "--flag VALUE" and "--flag=VALUE".
   auto take_value = [&](int& i, const std::string& arg,
@@ -279,30 +179,20 @@ int main(int argc, char** argv) {
     } else if (take_value(i, arg, "--workers", v)) {
       parse_nonneg("--workers", v, n);
       opts.workers = static_cast<std::size_t>(n);
-    } else if (take_value(i, arg, "--engine", v)) {
-      if (v == "vm") {
-        opts.engine = curare::EngineKind::kVm;
-      } else if (v == "tree") {
-        opts.engine = curare::EngineKind::kTree;
-      } else {
-        std::fprintf(stderr, "--engine: unknown engine '%s' (vm|tree)\n",
-                     v.c_str());
-        return curare::serve::kExitUsage;
-      }
     } else if (take_value(i, arg, "--mem-quota", v)) {
-      if (!parse_bytes(v, opts.mem_quota)) {
+      if (!curare::runtime::parse_bytes(v, opts.mem_quota)) {
         std::fprintf(stderr, "--mem-quota: bad byte count '%s'\n",
                      v.c_str());
         return curare::serve::kExitUsage;
       }
     } else if (take_value(i, arg, "--heap-soft", v)) {
-      if (!parse_bytes(v, opts.heap_soft)) {
+      if (!curare::runtime::parse_bytes(v, opts.heap_soft)) {
         std::fprintf(stderr, "--heap-soft: bad byte count '%s'\n",
                      v.c_str());
         return curare::serve::kExitUsage;
       }
     } else if (take_value(i, arg, "--heap-hard", v)) {
-      if (!parse_bytes(v, opts.heap_hard)) {
+      if (!curare::runtime::parse_bytes(v, opts.heap_hard)) {
         std::fprintf(stderr, "--heap-hard: bad byte count '%s'\n",
                      v.c_str());
         return curare::serve::kExitUsage;
@@ -312,7 +202,7 @@ int main(int argc, char** argv) {
       opts.fuel = static_cast<std::uint64_t>(n);
     } else if (take_value(i, arg, "--result-cap", v)) {
       std::uint64_t cap = 0;
-      if (!parse_bytes(v, cap)) {
+      if (!curare::runtime::parse_bytes(v, cap)) {
         std::fprintf(stderr, "--result-cap: bad byte count '%s'\n",
                      v.c_str());
         return curare::serve::kExitUsage;
@@ -332,20 +222,17 @@ int main(int argc, char** argv) {
       opts.image_save = v;
     } else if (take_value(i, arg, "--image-load", v)) {
       opts.image_load = v;
-    } else if (arg == "--no-image") {
-      opts.use_image = false;
     } else if (take_value(i, arg, "--restructure-cache", v)) {
       parse_nonneg("--restructure-cache", v, n);
       opts.restructure_cache_cap = static_cast<std::size_t>(n);
     } else if (take_value(i, arg, "--chaos", v)) {
-      if (!parse_chaos(v, chaos_seed, chaos_rate, chaos_kinds,
-                       chaos_sites)) {
+      chaos = curare::runtime::FaultInjector::parse_spec(v);
+      if (!chaos) {
         std::fprintf(stderr,
                      "--chaos wants SEED:RATE[:KINDS[:SITES]] with "
                      "RATE in (0,1]\n");
         return curare::serve::kExitUsage;
       }
-      have_chaos = true;
     } else if (arg == "--stats") {
       stats = true;
     } else if (arg == "--trace") {
@@ -376,9 +263,9 @@ int main(int argc, char** argv) {
   curare::serve::ServeDaemon daemon(ctx, opts);
   daemon.runtime().set_stall_ms(stall_ms);
   daemon.runtime().locks().set_wait_budget_ms(lock_budget_ms);
-  if (have_chaos) {
+  if (chaos) {
     curare::runtime::FaultInjector::instance().configure(
-        chaos_seed, chaos_rate, chaos_kinds, chaos_sites);
+        chaos->seed, chaos->rate, chaos->kinds, chaos->sites);
   }
   if (trace) daemon.runtime().obs().tracer.set_enabled(true);
   if (profile_period > 0) {

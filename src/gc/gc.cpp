@@ -167,15 +167,24 @@ ThreadCache* GcHeap::cache_slow() {
 
 void GcHeap::retire_cache(ThreadCache* tc) {
   // Thread-exit hook (runs under the registry lock). The thread will
-  // never allocate again; release its block so a future sweep can
-  // recycle it once the block's cells die. The cache itself survives —
-  // its counters still back live_objects().
+  // never allocate again: release its block so a future sweep can
+  // recycle it once the block's cells die, fold its counters into the
+  // heap-level totals that back live_objects(), and free the cache, so
+  // the counter sums and the root walk cover live threads only.
   std::lock_guard<std::mutex> g(cache_mu_);
-  tc->retired = true;
   if (tc->block) {
     tc->block->owner.store(nullptr, std::memory_order_release);
     tc->block = nullptr;
   }
+  retired_objects_ += tc->alloc_objects.load(std::memory_order_relaxed);
+  retired_bytes_ += tc->alloc_bytes.load(std::memory_order_relaxed);
+  caches_.erase(std::find_if(caches_.begin(), caches_.end(),
+                             [tc](const auto& p) { return p.get() == tc; }));
+}
+
+std::size_t GcHeap::thread_caches() const {
+  std::lock_guard<std::mutex> g(cache_mu_);
+  return caches_.size();
 }
 
 // ---- allocation --------------------------------------------------------
@@ -290,6 +299,7 @@ std::uint64_t GcHeap::live_objects() const {
   std::uint64_t n = 0;
   {
     std::lock_guard<std::mutex> g(cache_mu_);
+    n = retired_objects_;
     for (const auto& tc : caches_)
       n += tc->alloc_objects.load(std::memory_order_relaxed);
   }
@@ -300,6 +310,7 @@ std::uint64_t GcHeap::live_bytes() const {
   std::uint64_t n = 0;
   {
     std::lock_guard<std::mutex> g(cache_mu_);
+    n = retired_bytes_;
     for (const auto& tc : caches_)
       n += tc->alloc_bytes.load(std::memory_order_relaxed);
   }

@@ -95,11 +95,11 @@ class RootScope;
 class StackRoots;
 
 /// Per-(heap × thread) allocation state. Stable address for the
-/// thread's lifetime; retired (returned to the heap) at thread exit.
+/// thread's lifetime; at thread exit its counters fold into the heap's
+/// totals and it is freed.
 struct ThreadCache {
   Block* block = nullptr;        ///< current bump block, owner == this
   std::size_t unsafe_depth = 0;  ///< MutatorScope nesting on this thread
-  bool retired = false;          ///< owning thread has exited
 
   std::atomic<std::uint64_t> alloc_objects{0};
   std::atomic<std::uint64_t> alloc_bytes{0};
@@ -263,6 +263,15 @@ class GcHeap {
   /// performed or joined a collection.
   bool maybe_collect();
 
+  /// True while a collection is armed or in progress. A thread that
+  /// holds its unsafe region across quiescent points (a CRI server
+  /// between tasks) polls this and, when true, releases the region and
+  /// calls maybe_collect(). Loads only.
+  bool collection_wanted() const {
+    return gc_active_.load(std::memory_order_seq_cst) ||
+           gc_requested_.load(std::memory_order_acquire);
+  }
+
   /// Unconditional collection at a quiescent point. If another thread
   /// is already collecting, waits for (and helps) that collection
   /// instead of starting a second one. Called from inside an unsafe
@@ -300,8 +309,13 @@ class GcHeap {
   bool in_unsafe_region();
 
   /// Internal: thread-exit hook, reached via the live-heap registry.
-  /// Marks the cache retired and releases its bump block for recycling.
+  /// Releases the cache's bump block for recycling, folds its counters
+  /// into the heap totals and frees it.
   void retire_cache(ThreadCache* tc);
+
+  /// Thread caches currently registered: one per live thread that has
+  /// touched this heap.
+  std::size_t thread_caches() const;
 
  private:
   friend class RootScope;
@@ -345,10 +359,12 @@ class GcHeap {
   std::uint64_t heap_bytes_ = 0;
   std::uint64_t bytes_since_gc_ = 0;  ///< bumped on refill, under blocks_mu_
 
-  // Thread caches.
+  // Thread caches of live threads, plus the allocation totals of the
+  // caches whose threads have exited (all guarded by cache_mu_).
   mutable std::mutex cache_mu_;
   std::vector<std::unique_ptr<ThreadCache>> caches_;
-  std::unordered_map<std::thread::id, ThreadCache*> cache_map_;
+  std::uint64_t retired_objects_ = 0;
+  std::uint64_t retired_bytes_ = 0;
 
   // Safepoint state. unsafe_ counts threads inside unsafe regions;
   // gc_active_ marks a claimed collection (phase A: drain, entries

@@ -340,7 +340,7 @@ Value Interp::apply(Value fn, std::span<const Value> args) {
   EvalFrame gc_frame(gc_, nullptr, nullptr);
   gc_frame.set_call(&fn, nullptr);
   gc_frame.set_span(&args);
-  apply_count_.fetch_add(1, std::memory_order_relaxed);
+  apply_count_.add();
   if (fn.is(Kind::Builtin)) {
     auto* b = static_cast<Builtin*>(fn.obj());
     if (static_cast<int>(args.size()) < b->min_args ||
@@ -658,7 +658,7 @@ Value Interp::eval(Value form, EnvPtr env) {
 
     if (fn.is(Kind::Closure)) {
       // Tail call: rebind and continue the loop instead of recursing.
-      apply_count_.fetch_add(1, std::memory_order_relaxed);
+      apply_count_.add();
       auto* c = static_cast<Closure*>(fn.obj());
       if (obs::Profiler::armed()) {
         auto& prof = obs::Profiler::instance();

@@ -38,6 +38,7 @@
 #include "lisp/env.hpp"
 #include "lisp/function.hpp"
 #include "lisp/structs.hpp"
+#include "obs/metrics.hpp"
 #include "sexpr/ctx.hpp"
 #include "sexpr/value.hpp"
 
@@ -124,15 +125,12 @@ class Interp : public gc::RootSource {
   /// Count one application performed outside apply() (the VM's call
   /// opcodes), keeping apply_count a comparable work measure across
   /// engines.
-  void count_apply() {
-    apply_count_.fetch_add(1, std::memory_order_relaxed);
-  }
+  void count_apply() { apply_count_.add(); }
 
   /// Number of closure applications performed (rough work measure used
-  /// by tests and benches).
-  std::uint64_t apply_count() const {
-    return apply_count_.load(std::memory_order_relaxed);
-  }
+  /// by tests and benches). Sharded per thread, so CRI servers applying
+  /// concurrently never write a shared line; exact at quiescence.
+  std::uint64_t apply_count() const { return apply_count_.get(); }
 
   // ---- defstruct types -------------------------------------------------
   /// The registered struct type named `name`, or nullptr.
@@ -189,7 +187,7 @@ class Interp : public gc::RootSource {
 
   std::size_t max_depth_ = 20000;
   static thread_local std::size_t depth_;
-  std::atomic<std::uint64_t> apply_count_{0};
+  obs::ShardedCounter apply_count_;
 };
 
 /// Registers the standard builtin library (car/cdr/cons, arithmetic,

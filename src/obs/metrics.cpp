@@ -10,20 +10,37 @@ Histogram::Histogram(std::vector<std::uint64_t> bounds)
   std::sort(bounds_.begin(), bounds_.end());
 }
 
-void Histogram::observe(std::uint64_t x) {
+std::size_t Histogram::bucket_of(std::uint64_t x) const {
   const auto it = std::lower_bound(bounds_.begin(), bounds_.end(), x);
-  const auto idx = static_cast<std::size_t>(it - bounds_.begin());
-  buckets_[idx].fetch_add(1, std::memory_order_relaxed);
-  count_.fetch_add(1, std::memory_order_relaxed);
-  sum_.fetch_add(x, std::memory_order_relaxed);
+  return static_cast<std::size_t>(it - bounds_.begin());
+}
+
+void Histogram::note_min_max(std::uint64_t lo, std::uint64_t hi) {
   std::uint64_t cur = min_.load(std::memory_order_relaxed);
-  while (x < cur &&
-         !min_.compare_exchange_weak(cur, x, std::memory_order_relaxed)) {
+  while (lo < cur &&
+         !min_.compare_exchange_weak(cur, lo, std::memory_order_relaxed)) {
   }
   cur = max_.load(std::memory_order_relaxed);
-  while (x > cur &&
-         !max_.compare_exchange_weak(cur, x, std::memory_order_relaxed)) {
+  while (hi > cur &&
+         !max_.compare_exchange_weak(cur, hi, std::memory_order_relaxed)) {
   }
+}
+
+void Histogram::observe(std::uint64_t x) {
+  buckets_[bucket_of(x)].fetch_add(1, std::memory_order_relaxed);
+  count_.fetch_add(1, std::memory_order_relaxed);
+  sum_.fetch_add(x, std::memory_order_relaxed);
+  note_min_max(x, x);
+}
+
+void Histogram::merge(const Shard& s) {
+  if (s.count_ == 0) return;
+  for (std::size_t i = 0; i < s.buckets_.size(); ++i)
+    if (s.buckets_[i] != 0)
+      buckets_[i].fetch_add(s.buckets_[i], std::memory_order_relaxed);
+  count_.fetch_add(s.count_, std::memory_order_relaxed);
+  sum_.fetch_add(s.sum_, std::memory_order_relaxed);
+  note_min_max(s.min_, s.max_);
 }
 
 std::uint64_t Histogram::min() const {

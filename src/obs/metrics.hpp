@@ -42,6 +42,7 @@
 //   serve.queue_wait_ns     histogram admission wait per admitted request
 #pragma once
 
+#include <array>
 #include <atomic>
 #include <cstdint>
 #include <map>
@@ -62,6 +63,39 @@ class Counter {
 
  private:
   std::atomic<std::uint64_t> v_{0};
+};
+
+/// A counter many threads bump on their hot path: each thread adds to
+/// its own cache-line-sized shard (assigned round-robin on its first
+/// add), so concurrent adders never write a shared line. get() sums
+/// the shards; it is exact whenever no add is in flight.
+class ShardedCounter {
+ public:
+  void add(std::uint64_t n = 1) {
+    shards_[shard_index()].v.fetch_add(n, std::memory_order_relaxed);
+  }
+  std::uint64_t get() const {
+    std::uint64_t sum = 0;
+    for (const Shard& s : shards_) sum += s.v.load(std::memory_order_relaxed);
+    return sum;
+  }
+
+ private:
+  static constexpr std::size_t kShards = 16;
+  struct alignas(64) Shard {
+    std::atomic<std::uint64_t> v{0};
+  };
+  static std::size_t shard_index() {
+    // 0 means "not assigned yet", so the thread_local needs no
+    // dynamic initialization.
+    static thread_local std::size_t idx = 0;
+    if (idx == 0) {
+      static std::atomic<std::size_t> next{0};
+      idx = next.fetch_add(1, std::memory_order_relaxed) % kShards + 1;
+    }
+    return idx - 1;
+  }
+  std::array<Shard, kShards> shards_;
 };
 
 class Gauge {
@@ -102,12 +136,44 @@ class Histogram {
     return i < bounds_.size() ? bounds_[i] : UINT64_MAX;
   }
 
+  /// An unsynchronized accumulator for one thread's observations, folded
+  /// in later by merge(): a hot path that owns a Shard observes without
+  /// writing any line other threads write.
+  class Shard {
+   public:
+    explicit Shard(const Histogram& h)
+        : h_(&h), buckets_(h.num_buckets(), 0) {}
+    void observe(std::uint64_t x) {
+      ++buckets_[h_->bucket_of(x)];
+      ++count_;
+      sum_ += x;
+      if (x < min_) min_ = x;
+      if (x > max_) max_ = x;
+    }
+
+   private:
+    friend class Histogram;
+    const Histogram* h_;
+    std::vector<std::uint64_t> buckets_;
+    std::uint64_t count_ = 0;
+    std::uint64_t sum_ = 0;
+    std::uint64_t min_ = UINT64_MAX;
+    std::uint64_t max_ = 0;
+  };
+
+  /// Fold a shard of this histogram in, as if each of its observations
+  /// had been made here.
+  void merge(const Shard& s);
+
   /// Default bounds for nanosecond durations: 1µs…~17s, ×4 steps.
   static std::vector<std::uint64_t> default_ns_bounds();
   /// Default bounds for small cardinalities (queue depths): 1…4096, ×2.
   static std::vector<std::uint64_t> default_depth_bounds();
 
  private:
+  std::size_t bucket_of(std::uint64_t x) const;
+  void note_min_max(std::uint64_t lo, std::uint64_t hi);
+
   std::vector<std::uint64_t> bounds_;  ///< sorted upper bounds
   std::vector<std::atomic<std::uint64_t>> buckets_;  ///< bounds + inf
   std::atomic<std::uint64_t> count_{0};

@@ -9,12 +9,13 @@
 // rides the same counter, so its period arithmetic is identical under
 // both engines. The process-wide poll count is the "one metric" the
 // two engines share: it feeds the resilience report and lets tests
-// assert that preemption points were actually reached.
+// assert that preemption points were actually reached. It is sharded
+// per thread, so busy servers never write a shared line to count polls.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 
+#include "obs/metrics.hpp"
 #include "obs/profiler.hpp"
 #include "runtime/resilience.hpp"
 #include "runtime/resource.hpp"
@@ -26,14 +27,14 @@ namespace curare::runtime {
 inline constexpr unsigned kEvalPollPeriod = 64;
 
 namespace detail {
-inline std::atomic<std::uint64_t> g_eval_polls{0};
+inline obs::ShardedCounter g_eval_polls;
 inline thread_local unsigned g_eval_tick = 0;
 }  // namespace detail
 
 /// How many times either engine reached a cancellation poll point
 /// (process-wide, all threads, both engines).
 inline std::uint64_t eval_poll_count() {
-  return detail::g_eval_polls.load(std::memory_order_relaxed);
+  return detail::g_eval_polls.get();
 }
 
 /// Advance this thread's eval tick one step; poll cancellation and
@@ -47,7 +48,7 @@ inline std::uint64_t eval_poll_count() {
 inline unsigned eval_tick_step() {
   const unsigned tick = ++detail::g_eval_tick;
   if ((tick & (kEvalPollPeriod - 1)) == 0) {
-    detail::g_eval_polls.fetch_add(1, std::memory_order_relaxed);
+    detail::g_eval_polls.add();
     poll_cancellation();
     charge_fuel(kEvalPollPeriod);
   }

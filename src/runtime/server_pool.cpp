@@ -1,15 +1,20 @@
 #include "runtime/server_pool.hpp"
 
+#include <condition_variable>
 #include <optional>
 #include <sstream>
+#include <thread>
 #include <vector>
 
 #include "runtime/fault_injector.hpp"
+#include "runtime/resource.hpp"
 
 namespace curare::runtime {
 
 namespace {
 thread_local CriRun* g_current_run = nullptr;
+// This thread's server index within g_current_run.
+thread_local std::size_t g_server_index = 0;
 // Timestamp (Tracer::now_ns) of the serving thread's most recent
 // %cri-enqueue inside the current task body; 0 between tasks. This is
 // the head/tail boundary: the paper's head H ends at the last recursive
@@ -17,15 +22,133 @@ thread_local CriRun* g_current_run = nullptr;
 thread_local std::uint64_t g_last_enqueue_ns = 0;
 
 struct CurrentRunGuard {
-  explicit CurrentRunGuard(CriRun* r) : prev(g_current_run) {
+  CurrentRunGuard(CriRun* r, std::size_t index)
+      : prev(g_current_run), prev_index(g_server_index) {
     g_current_run = r;
+    g_server_index = index;
   }
-  ~CurrentRunGuard() { g_current_run = prev; }
+  ~CurrentRunGuard() {
+    g_current_run = prev;
+    g_server_index = prev_index;
+  }
   CriRun* prev;
+  std::size_t prev_index;
 };
 }  // namespace
 
 CriRun* CriRun::current() { return g_current_run; }
+
+// ---- ServerPool ----------------------------------------------------------
+
+/// One Lease::run: how many leased threads are still working, and the
+/// first exception a job let escape.
+struct ServerPool::Lease::Batch {
+  std::mutex mu;
+  std::condition_variable cv;
+  std::size_t running = 0;
+  std::exception_ptr error;
+};
+
+struct ServerPool::Lease::Worker {
+  std::condition_variable cv;  ///< waits on the pool mutex
+  // The next assignment; guarded by the pool mutex.
+  const std::function<void(std::size_t)>* job = nullptr;
+  std::size_t index = 0;
+  Batch* batch = nullptr;
+};
+
+ServerPool& ServerPool::instance() {
+  // Never destroyed, and its threads are detached rather than joined at
+  // exit: a run may still be in flight during static destruction, and a
+  // joined worker would run its thread_local destructors (GC caches,
+  // tracer and profiler slots) after the statics they reach are gone.
+  // Parked workers simply end with the process.
+  static ServerPool* pool = new ServerPool;
+  return *pool;
+}
+
+std::size_t ServerPool::size() const {
+  std::lock_guard<std::mutex> g(mu_);
+  return workers_.size();
+}
+
+ServerPool::Lease ServerPool::lease(std::size_t n) {
+  std::lock_guard<std::mutex> g(mu_);
+  while (idle_.size() < n) {
+    auto w = std::make_unique<Lease::Worker>();
+    Lease::Worker* raw = w.get();
+    std::thread([this, raw] { work(raw); }).detach();
+    workers_.push_back(std::move(w));
+    idle_.push_back(raw);
+  }
+  const auto first = idle_.end() - static_cast<std::ptrdiff_t>(n);
+  std::vector<Lease::Worker*> taken(first, idle_.end());
+  idle_.erase(first, idle_.end());
+  return Lease(*this, std::move(taken));
+}
+
+ServerPool::Lease::~Lease() { give_back(); }
+
+void ServerPool::Lease::give_back() {
+  if (workers_.empty()) return;
+  {
+    std::lock_guard<std::mutex> g(pool_->mu_);
+    pool_->idle_.insert(pool_->idle_.end(), workers_.begin(),
+                        workers_.end());
+  }
+  workers_.clear();
+}
+
+void ServerPool::Lease::run(const std::function<void(std::size_t)>& job) {
+  Batch batch;
+  batch.running = workers_.size();
+  {
+    std::lock_guard<std::mutex> g(pool_->mu_);
+    for (std::size_t i = 0; i < workers_.size(); ++i) {
+      workers_[i]->job = &job;
+      workers_[i]->index = i;
+      workers_[i]->batch = &batch;
+      workers_[i]->cv.notify_one();
+    }
+  }
+  {
+    std::unique_lock<std::mutex> g(batch.mu);
+    batch.cv.wait(g, [&] { return batch.running == 0; });
+  }
+  // Give the threads back before returning, so the caller's next run
+  // finds them idle. (A worker that reported done may still be on its
+  // way back to its wait; a new job is simply waiting for it there.)
+  give_back();
+  if (batch.error) std::rethrow_exception(batch.error);
+}
+
+void ServerPool::work(Lease::Worker* w) {
+  std::unique_lock<std::mutex> lk(mu_);
+  for (;;) {
+    w->cv.wait(lk, [w] { return w->job != nullptr; });
+    const std::function<void(std::size_t)>* job =
+        std::exchange(w->job, nullptr);
+    Lease::Batch* batch = w->batch;
+    const std::size_t index = w->index;
+    lk.unlock();
+    std::exception_ptr error;
+    try {
+      (*job)(index);
+    } catch (...) {
+      error = std::current_exception();
+    }
+    {
+      // Notify under the batch mutex: the waiter may destroy the batch
+      // as soon as it can observe running == 0.
+      std::lock_guard<std::mutex> g(batch->mu);
+      if (error && !batch->error) batch->error = error;
+      if (--batch->running == 0) batch->cv.notify_all();
+    }
+    lk.lock();
+  }
+}
+
+// ---- CriRun ----------------------------------------------------------------
 
 CriRun::CriRun(lisp::Interp& interp, sexpr::Value fn,
                std::size_t num_sites, std::size_t servers,
@@ -45,9 +168,7 @@ CriRun::CriRun(lisp::Interp& interp, sexpr::Value fn,
     qdepth_ = &rec_->metrics.histogram(
         "cri.queue_depth", obs::Histogram::default_depth_bounds());
   }
-  busy_ns_.assign(servers_, 0);
-  idle_ns_.assign(servers_, 0);
-  tasks_per_server_.assign(servers_, 0);
+  slots_ = std::make_unique<ServerSlot[]>(servers_ + 1);
   queues_.attach_gc(&gc_);
   gc_.add_root_source(this);
 }
@@ -80,8 +201,14 @@ void CriRun::enqueue(std::size_t site, TaskArgs args) {
   }
   if (rec_) {
     g_last_enqueue_ns = rec_->tracer.now_ns();
-    enqueues_.fetch_add(1, std::memory_order_relaxed);
-    qdepth_->observe(depth);
+    if (g_current_run == this) {
+      ServerSlot& slot = slots_[g_server_index];
+      slot.enqueues.fetch_add(1, std::memory_order_relaxed);
+      slot.qdepth->observe(depth);
+    } else {
+      slots_[servers_].enqueues.fetch_add(1, std::memory_order_relaxed);
+      qdepth_->observe(depth);
+    }
     rec_->tracer.instant(obs::EventKind::kTaskEnqueue, site, depth);
   }
 }
@@ -108,11 +235,9 @@ std::string CriRun::dump_state() const {
   os << "  pending tasks: " << pending_.load(std::memory_order_relaxed)
      << ", queue depth: " << queues_.depth() << " (max "
      << queues_.max_length() << ")\n";
-  os << "  invocations started: "
-     << invocations_.load(std::memory_order_relaxed)
-     << ", completed: " << completions_.load(std::memory_order_relaxed)
-     << ", enqueues: " << enqueues_.load(std::memory_order_relaxed)
-     << "\n";
+  os << "  invocations started: " << sum(&ServerSlot::invocations)
+     << ", completed: " << sum(&ServerSlot::completions)
+     << ", enqueues: " << sum(&ServerSlot::enqueues) << "\n";
   std::string out = os.str();
   if (resil_.extra_dump) {
     try {
@@ -125,7 +250,8 @@ std::string CriRun::dump_state() const {
 }
 
 void CriRun::serve(std::size_t server_index) {
-  CurrentRunGuard guard(this);
+  CurrentRunGuard guard(this, server_index);
+  ServerSlot& slot = slots_[server_index];
   // Make this run's token the thread's current one: every blocking
   // primitive the body reaches (eval loop, lock waits, touch) now
   // polls it. Null-token scope when resilience is off.
@@ -142,15 +268,22 @@ void CriRun::serve(std::size_t server_index) {
   // the start of the next wait, so the steady state costs two clock
   // reads per task, not three.
   std::uint64_t t_wait = rec_ ? rec_->tracer.now_ns() : 0;
+  // One unsafe region spans the whole serve loop, so a task costs no
+  // write to the heap's shared unsafe-thread count. It covers the pop —
+  // popped arguments leave the queue's root set the instant they are
+  // dequeued — and the scheduler's sleep path releases it around
+  // blocking waits.
+  gc_.maybe_collect();
+  gc::MutatorScope gc_scope(gc_);
   for (;;) {
     // Quiescent point between tasks: no Lisp values live on this
-    // thread's stack here, so it may run (or help) a collection. The
-    // MutatorScope then covers the pop itself — popped arguments leave
-    // the queue's root set the instant they are dequeued, so the
-    // dequeue must already be inside the unsafe region (the scheduler's
-    // sleep path releases it around blocking waits).
-    gc_.maybe_collect();
-    gc::MutatorScope gc_scope(gc_);
+    // thread's stack here, so when a collection is armed or running the
+    // server steps out of its unsafe region to run (or help) it.
+    if (gc_.collection_wanted()) {
+      const std::size_t depth = gc_.blocking_release();
+      gc_.maybe_collect();
+      gc_.blocking_reacquire(depth);
+    }
     std::optional<TaskArgs> task;
     try {
       task = queues_.pop();
@@ -204,7 +337,7 @@ void CriRun::serve(std::size_t server_index) {
     // retried on this same CriRun.
     if (!stop_.load(std::memory_order_acquire)) {
       const std::uint64_t inv =
-          invocations_.fetch_add(1, std::memory_order_relaxed);
+          slot.invocations.fetch_add(1, std::memory_order_relaxed);
       g_last_enqueue_ns = 0;
       bool failed = false;
       try {
@@ -223,7 +356,7 @@ void CriRun::serve(std::size_t server_index) {
       // fail. (Starts can't be the signal — a wedged body starts and
       // never ends; enqueues can't either — an infinite re-enqueue loop
       // "progresses" forever, and bounding that is the deadline's job.)
-      completions_.fetch_add(1, std::memory_order_relaxed);
+      slot.completions.fetch_add(1, std::memory_order_relaxed);
       if (rec_ && !failed) {
         const std::uint64_t t1 = rec_->tracer.now_ns();
         busy += t1 - t0;
@@ -234,8 +367,8 @@ void CriRun::serve(std::size_t server_index) {
             (g_last_enqueue_ns > t0 && g_last_enqueue_ns < t1)
                 ? g_last_enqueue_ns
                 : t1;
-        head_ns_.fetch_add(head_end - t0, std::memory_order_relaxed);
-        tail_ns_.fetch_add(t1 - head_end, std::memory_order_relaxed);
+        slot.head_ns += head_end - t0;
+        slot.tail_ns += t1 - head_end;
         rec_->tracer.emit(obs::EventKind::kTaskRun, t0, t1 - t0,
                           server_index, inv);
         t_wait = t1;
@@ -246,23 +379,31 @@ void CriRun::serve(std::size_t server_index) {
       queues_.close();
     }
   }
-  if (rec_) {
-    busy_ns_[server_index] = busy;
-    idle_ns_[server_index] = idle;
-    tasks_per_server_[server_index] = tasks;
-  }
+  slot.busy_ns = busy;
+  slot.idle_ns = idle;
+  slot.tasks = tasks;
+  // A pooled thread must not carry this run's request quota reservation
+  // into a later run for another request.
+  detail::g_quota_reservation = detail::QuotaReservation{};
 }
 
 CriStats CriRun::run(TaskArgs initial_args) {
+  // Take the server threads first: starting one can throw, and nothing
+  // below has happened yet to undo.
+  ServerPool::Lease lease = ServerPool::instance().lease(servers_);
   // Reset termination accounting and reopen the queues, so a CriRun
   // can be re-run after an aborted (thrown) or early-finished run.
   queues_.reopen();
   stop_.store(false, std::memory_order_relaxed);
-  invocations_.store(0, std::memory_order_relaxed);
-  completions_.store(0, std::memory_order_relaxed);
-  enqueues_.store(0, std::memory_order_relaxed);
-  head_ns_.store(0, std::memory_order_relaxed);
-  tail_ns_.store(0, std::memory_order_relaxed);
+  for (std::size_t i = 0; i <= servers_; ++i) {
+    ServerSlot& slot = slots_[i];
+    slot.invocations.store(0, std::memory_order_relaxed);
+    slot.completions.store(0, std::memory_order_relaxed);
+    slot.enqueues.store(0, std::memory_order_relaxed);
+    slot.head_ns = slot.tail_ns = slot.busy_ns = slot.idle_ns = 0;
+    slot.tasks = 0;
+    if (rec_ && i < servers_) slot.qdepth.emplace(*qdepth_);
+  }
   {
     std::lock_guard<std::mutex> g(err_mu_);
     first_error_ = nullptr;
@@ -272,9 +413,6 @@ CriStats CriRun::run(TaskArgs initial_args) {
     finished_early_ = false;
     result_ = sexpr::Value::nil();
   }
-  busy_ns_.assign(servers_, 0);
-  idle_ns_.assign(servers_, 0);
-  tasks_per_server_.assign(servers_, 0);
 
   // Carry the caller's request identity into the server threads (nil
   // outside a serving request).
@@ -286,9 +424,8 @@ CriStats CriRun::run(TaskArgs initial_args) {
   token_->dump_fn = [this] { return dump_state(); };
   if (resil_.deadline_ms > 0) token_->set_deadline_ms(resil_.deadline_ms);
   token_->set_parent(resil_.parent);
-  // Scope guard rather than a bare id: the initial push and the server
-  // spawns below can throw (an injected kQueuePush fault, or
-  // std::system_error out of std::thread), and an entry left armed past
+  // Scope guard rather than a bare id: the initial push below can
+  // throw (an injected kQueuePush fault), and an entry left armed past
   // this frame would have the watchdog call progress()/dump_state() on
   // a destroyed CriRun.
   struct WatchdogGuard {
@@ -306,7 +443,7 @@ CriStats CriRun::run(TaskArgs initial_args) {
     wd_guard.wd = resil_.watchdog;
     wd_guard.id = resil_.watchdog->arm(
         token_,
-        [this] { return completions_.load(std::memory_order_relaxed); },
+        [this] { return completions(); },
         std::chrono::milliseconds(resil_.stall_ms),
         label_.empty() ? std::string("cri-run") : label_);
   }
@@ -322,9 +459,7 @@ CriStats CriRun::run(TaskArgs initial_args) {
     queues_.push(0, std::move(initial_args));
   }
 
-  std::vector<std::thread> threads;
-  threads.reserve(servers_);
-  // Release this thread's unsafe region across the join: the caller is
+  // Release this thread's unsafe region across the wait: the caller is
   // typically blocked here inside a stack of Interp::apply/eval frames
   // (the $parallel wrapper), and holding their MutatorScopes for the
   // whole run would keep unsafe_ nonzero — no collection could ever
@@ -334,17 +469,11 @@ CriStats CriRun::run(TaskArgs initial_args) {
   // rooted by gc_roots() above.
   const std::size_t gc_depth = gc_.blocking_release();
   try {
-    for (std::size_t i = 0; i < servers_; ++i)
-      threads.emplace_back([this, i] { serve(i); });
-    for (std::thread& t : threads) t.join();
+    lease.run([this](std::size_t i) { serve(i); });
   } catch (...) {
-    // A failed spawn leaves the earlier servers running: close the
-    // queues so they drain out and join them (a still-joinable thread
-    // in ~thread terminates the process), then restore the guard
-    // ordering below — disarm before reacquire — before unwinding.
-    stop_.store(true, std::memory_order_release);
-    queues_.close();
-    for (std::thread& t : threads) t.join();
+    // A server let an exception escape serve(); every server has
+    // returned by now. Restore the guard ordering below — disarm
+    // before reacquire — before unwinding.
     token_->set_parent(nullptr);  // the borrowed parent may die with us
     wd_guard.disarm();
     gc_.blocking_reacquire(gc_depth);
@@ -360,6 +489,10 @@ CriStats CriRun::run(TaskArgs initial_args) {
   // once this frame (and with it the CriRun) goes away.
   wd_guard.disarm();
   gc_.blocking_reacquire(gc_depth);
+  if (rec_) {
+    for (std::size_t i = 0; i < servers_; ++i)
+      qdepth_->merge(*slots_[i].qdepth);
+  }
 
   if (first_error_) {
     if (rec_) rec_->metrics.counter("cri.aborts").add();
@@ -367,7 +500,7 @@ CriStats CriRun::run(TaskArgs initial_args) {
   }
 
   CriStats stats;
-  stats.invocations = invocations_.load(std::memory_order_relaxed);
+  stats.invocations = sum(&ServerSlot::invocations);
   stats.max_queue_length = queues_.max_length();
   stats.servers = servers_;
   stats.queue = queues_.stats();
@@ -378,12 +511,15 @@ CriStats CriRun::run(TaskArgs initial_args) {
   }
   if (rec_) {
     stats.wall_ns = rec_->tracer.now_ns() - t_start;
-    stats.enqueues = enqueues_.load(std::memory_order_relaxed);
-    stats.head_ns = head_ns_.load(std::memory_order_relaxed);
-    stats.tail_ns = tail_ns_.load(std::memory_order_relaxed);
-    stats.busy_ns = busy_ns_;
-    stats.idle_ns = idle_ns_;
-    stats.tasks_per_server = tasks_per_server_;
+    stats.enqueues = sum(&ServerSlot::enqueues);
+    for (std::size_t i = 0; i < servers_; ++i) {
+      const ServerSlot& slot = slots_[i];
+      stats.head_ns += slot.head_ns;
+      stats.tail_ns += slot.tail_ns;
+      stats.busy_ns.push_back(slot.busy_ns);
+      stats.idle_ns.push_back(slot.idle_ns);
+      stats.tasks_per_server.push_back(slot.tasks);
+    }
 
     obs::Metrics& m = rec_->metrics;
     m.counter("cri.invocations").add(stats.invocations);

@@ -13,20 +13,26 @@
 //        {body of f}
 //     end
 //
-// CriRun realizes it: S std::threads loop dequeue→apply on a transformed
-// function whose recursive calls were rewritten to (%cri-enqueue site
-// args…). Termination: a pending-task counter (enqueue +1, completion
-// −1, initial call = 1) closes the queues at zero — the invocation that
-// terminates the recursion effectively "enqueues tokens that kill the
-// other servers".
+// CriRun realizes it: S server threads loop dequeue→apply on a
+// transformed function whose recursive calls were rewritten to
+// (%cri-enqueue site args…). Termination: a pending-task counter
+// (enqueue +1, completion −1, initial call = 1) closes the queues at
+// zero — the invocation that terminates the recursion effectively
+// "enqueues tokens that kill the other servers".
+//
+// The server threads come from ServerPool, a process-wide set of
+// threads reused across runs, and a server's per-task path writes only
+// its own cache lines: counters live in per-server slots summed at join.
 #pragma once
 
 #include <atomic>
 #include <functional>
 #include <memory>
+#include <mutex>
 #include <numeric>
+#include <optional>
 #include <string>
-#include <thread>
+#include <utility>
 #include <vector>
 
 #include "gc/gc.hpp"
@@ -95,6 +101,57 @@ struct ResilienceConfig {
   std::function<std::string()> extra_dump;
 };
 
+/// Process-wide server threads, reused across CRI runs: a run leases S
+/// threads, hands each one a server index, and waits for all S to
+/// return. Idle threads park on a condition variable outside any GC
+/// unsafe region. The pool grows whenever a lease finds too few idle
+/// threads, so nested or concurrent runs never wait for one another;
+/// threads never exit.
+class ServerPool {
+ public:
+  static ServerPool& instance();
+  ServerPool(const ServerPool&) = delete;
+  ServerPool& operator=(const ServerPool&) = delete;
+
+  class Lease {
+   public:
+    Lease(Lease&& o) noexcept
+        : pool_(o.pool_), workers_(std::exchange(o.workers_, {})) {}
+    Lease& operator=(Lease&&) = delete;
+    ~Lease();
+    /// Run job(i) on the i-th leased thread for every i, block until
+    /// all have returned, and give the threads back before returning.
+    /// Rethrows the first exception a job let escape. Call at most once.
+    void run(const std::function<void(std::size_t)>& job);
+
+   private:
+    friend class ServerPool;
+    struct Worker;
+    struct Batch;
+    Lease(ServerPool& pool, std::vector<Worker*> workers)
+        : pool_(&pool), workers_(std::move(workers)) {}
+    void give_back();  ///< return the threads to the idle list
+    ServerPool* pool_;
+    std::vector<Worker*> workers_;
+  };
+
+  /// Take `n` idle threads, starting new ones when fewer are idle. May
+  /// throw std::system_error (thread creation); then no job has run.
+  Lease lease(std::size_t n);
+
+  /// Threads started so far (every one is still alive).
+  std::size_t size() const;
+
+ private:
+  friend class Lease;
+  ServerPool() = default;
+  void work(Lease::Worker* w);
+
+  mutable std::mutex mu_;
+  std::vector<Lease::Worker*> idle_;
+  std::vector<std::unique_ptr<Lease::Worker>> workers_;
+};
+
 class CriRun : public gc::RootSource {
  public:
   /// `fn` is the transformed server-body function (a Closure value);
@@ -135,11 +192,9 @@ class CriRun : public gc::RootSource {
   std::string dump_state() const;
 
   /// Tasks whose bodies finished (successfully or not) — the watchdog's
-  /// progress signal. invocations() counts starts; a wedged body starts
+  /// progress signal. Invocations count starts; a wedged body starts
   /// but never completes.
-  std::uint64_t completions() const {
-    return completions_.load(std::memory_order_relaxed);
-  }
+  std::uint64_t completions() const { return sum(&ServerSlot::completions); }
 
   /// The CriRun the calling server thread is executing for, if any.
   static CriRun* current();
@@ -158,8 +213,6 @@ class CriRun : public gc::RootSource {
   OrderedTaskQueues queues_;
   std::size_t servers_;
   std::atomic<std::int64_t> pending_{0};
-  std::atomic<std::uint64_t> invocations_{0};
-  std::atomic<std::uint64_t> completions_{0};
   ResilienceConfig resil_;
   /// This run's cancellation token; replaced at every run() start.
   /// Server threads read the pointer only between run()'s reset and
@@ -176,16 +229,32 @@ class CriRun : public gc::RootSource {
   std::atomic<bool> stop_{false};
 
   obs::Recorder* rec_;
-  obs::Histogram* qdepth_ = nullptr;  ///< resolved once, hit per enqueue
+  obs::Histogram* qdepth_ = nullptr;  ///< resolved once, merged at join
   std::string label_;
-  std::atomic<std::uint64_t> enqueues_{0};
-  std::atomic<std::uint64_t> head_ns_{0};
-  std::atomic<std::uint64_t> tail_ns_{0};
-  // Indexed by server; each slot written only by its own thread, read
-  // after join.
-  std::vector<std::uint64_t> busy_ns_;
-  std::vector<std::uint64_t> idle_ns_;
-  std::vector<std::uint64_t> tasks_per_server_;
+
+  /// One server's counters, alone on its cache lines: the per-task path
+  /// writes only its own slot. The atomics are read while the run is
+  /// live (watchdog, dump_state); the rest only after the join. Slot
+  /// servers_ (one past the last server) takes enqueues from threads
+  /// that are not this run's servers, through atomics only.
+  struct alignas(64) ServerSlot {
+    std::atomic<std::uint64_t> invocations{0};
+    std::atomic<std::uint64_t> completions{0};
+    std::atomic<std::uint64_t> enqueues{0};
+    std::uint64_t head_ns = 0;
+    std::uint64_t tail_ns = 0;
+    std::uint64_t busy_ns = 0;
+    std::uint64_t idle_ns = 0;
+    std::uint64_t tasks = 0;
+    std::optional<obs::Histogram::Shard> qdepth;  ///< set when rec_ is
+  };
+  std::uint64_t sum(std::atomic<std::uint64_t> ServerSlot::*field) const {
+    std::uint64_t n = 0;
+    for (std::size_t i = 0; i <= servers_; ++i)
+      n += (slots_[i].*field).load(std::memory_order_relaxed);
+    return n;
+  }
+  std::unique_ptr<ServerSlot[]> slots_;  ///< servers_ + 1 entries
 
   std::mutex err_mu_;
   std::exception_ptr first_error_;

@@ -114,10 +114,10 @@ bool Vm::try_apply(Value fn, std::span<const Value> args, Value* out) {
   auto* c = static_cast<Closure*>(fn.obj());
   const CodeObject* code = ensure_compiled(c);
   if (code == nullptr) {
-    fallback_entries_.fetch_add(1, std::memory_order_relaxed);
+    fallback_entries_.add();
     return false;
   }
-  compiled_entries_.fetch_add(1, std::memory_order_relaxed);
+  compiled_entries_.add();
   *out = execute(code, fn, c->env, args);
   return true;
 }
@@ -130,10 +130,10 @@ Value Vm::eval(Value form, const EnvPtr& env) {
   gc::MutatorScope ms(gc_);
   CompileResult r = compile_expr(interp_, form, env);
   if (r.code == nullptr) {
-    fallback_entries_.fetch_add(1, std::memory_order_relaxed);
+    fallback_entries_.add();
     return interp_.eval(form, env);
   }
-  compiled_entries_.fetch_add(1, std::memory_order_relaxed);
+  compiled_entries_.add();
   return execute(r.code.get(), Value::nil(), env, {});
 }
 

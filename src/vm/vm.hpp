@@ -28,7 +28,6 @@
 //    modules knowing the VM exists.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <span>
@@ -36,6 +35,7 @@
 
 #include "gc/gc.hpp"
 #include "lisp/interp.hpp"
+#include "obs/metrics.hpp"
 #include "vm/bytecode.hpp"
 
 namespace curare::vm {
@@ -79,13 +79,10 @@ class Vm {
   const CodeObject* ensure_compiled(const lisp::Closure* c);
 
   /// Engine-entry counters: executions started on bytecode vs. handed
-  /// to the tree-walker (compile refusals).
-  std::uint64_t compiled_entries() const {
-    return compiled_entries_.load(std::memory_order_relaxed);
-  }
-  std::uint64_t fallback_entries() const {
-    return fallback_entries_.load(std::memory_order_relaxed);
-  }
+  /// to the tree-walker (compile refusals). Sharded per thread; exact
+  /// at quiescence.
+  std::uint64_t compiled_entries() const { return compiled_entries_.get(); }
+  std::uint64_t fallback_entries() const { return fallback_entries_.get(); }
 
  private:
   Value execute(const CodeObject* entry, Value entry_closure,
@@ -97,8 +94,8 @@ class Vm {
   sexpr::Ctx& ctx_;
   gc::GcHeap& gc_;
   const Value t_;  ///< Value::object(ctx.s_t), for predicate results
-  std::atomic<std::uint64_t> compiled_entries_{0};
-  std::atomic<std::uint64_t> fallback_entries_{0};
+  obs::ShardedCounter compiled_entries_;
+  obs::ShardedCounter fallback_entries_;
 };
 
 }  // namespace curare::vm

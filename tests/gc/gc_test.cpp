@@ -60,6 +60,39 @@ TEST(GcHeapTest, ExactLiveCountersTrackAllocationAndReclamation) {
   EXPECT_EQ(ctx.heap.live_objects(), base);
 }
 
+TEST(GcHeapTest, ExitedThreadCachesAreFreedAndCountsStayExact) {
+  // A thread's cache folds into the heap totals and is freed when the
+  // thread exits, so live counts stay exact while the per-thread walks
+  // (live_objects, stats, root gathering) cover live threads only.
+  sexpr::Ctx ctx;
+  GcHeap& gc = ctx.heap.gc();
+  const std::size_t caches = gc.thread_caches();
+  const std::uint64_t base = gc.live_objects();
+  RootScope roots(gc);
+  std::vector<Value> kept(1000);
+  for (int round = 0; round < 10; ++round) {
+    std::vector<std::thread> threads;
+    for (int t = 0; t < 100; ++t) {
+      const int i = round * 100 + t;
+      threads.emplace_back([&ctx, &kept, i] {
+        MutatorScope ms(ctx.heap.gc());
+        ctx.heap.cons(Value::fixnum(i), Value::nil());  // garbage
+        kept[static_cast<std::size_t>(i)] =
+            ctx.heap.cons(Value::fixnum(i), Value::nil());
+      });
+    }
+    for (std::thread& th : threads) th.join();
+  }
+  for (Value v : kept) roots.add(v);
+  EXPECT_EQ(gc.thread_caches(), caches)
+      << "1000 exited threads leave no cache behind";
+  EXPECT_EQ(gc.live_objects(), base + 2000);
+  gc.collect("test");
+  EXPECT_EQ(gc.live_objects(), base + 1000);
+  for (std::size_t i = 0; i < kept.size(); ++i)
+    EXPECT_EQ(car(kept[i]).as_fixnum(), static_cast<std::int64_t>(i));
+}
+
 TEST(GcHeapTest, UnreachableConsesAreReclaimed) {
   sexpr::Ctx ctx;
   GcHeap& gc = ctx.heap.gc();

@@ -4,9 +4,14 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <filesystem>
+#include <stdexcept>
+
 #include "runtime/runtime.hpp"
 #include "sexpr/printer.hpp"
 #include "sexpr/reader.hpp"
+#include "vm/vm.hpp"
 
 namespace curare::runtime {
 namespace {
@@ -247,6 +252,135 @@ TEST_F(ServerPoolTest, BadSiteIndexSurfaces) {
   Value fn = in.global("s-cri");
   EXPECT_THROW(rt.run_cri(fn, 1, 2, {sexpr::read_one(ctx, "(1 2)")}),
                sexpr::LispError);
+}
+
+// ---- server threads are reused across runs ------------------------------
+
+std::size_t live_thread_count() {
+  std::size_t n = 0;
+  for ([[maybe_unused]] const auto& e :
+       std::filesystem::directory_iterator("/proc/self/task"))
+    ++n;
+  return n;
+}
+
+TEST_F(ServerPoolTest, RepeatedRunsStartNoThreads) {
+  run_src("(defun r-cri (l) (when l (%cri-enqueue 0 (cdr l))))");
+  Value fn = in.global("r-cri");
+  Value list = sexpr::read_one(ctx, "(1 2 3 4 5 6 7 8 9 10 11 12)");
+  rt.run_cri(fn, 1, 4, {list});  // warm-up: the pool holds >= 4 threads
+  const std::size_t threads = live_thread_count();
+  const std::size_t pool = ServerPool::instance().size();
+  for (int i = 0; i < 200; ++i) {
+    CriStats stats = rt.run_cri(fn, 1, 4, {list});
+    ASSERT_EQ(stats.invocations, 13u);
+  }
+  EXPECT_EQ(live_thread_count(), threads)
+      << "200 S=4 runs must reuse the pooled servers";
+  EXPECT_EQ(ServerPool::instance().size(), pool);
+}
+
+TEST_F(ServerPoolTest, NestedCriRunInsideServerBodyCompletes) {
+  // Every outer server blocks in an inner %cri-run whose servers must
+  // come from somewhere: the pool grows instead of deadlocking.
+  run_src(
+      "(setq inner-count 0)"
+      "(defun inner-cri (l)"
+      "  (when l (%atomic-incf-var 'inner-count 1) (%cri-enqueue 0 (cdr l))))"
+      "(defun outer-cri (n)"
+      "  (when (> n 0)"
+      "    (%cri-run inner-cri 1 2 '(a b c))"
+      "    (%cri-enqueue 0 (- n 1))))");
+  CriStats stats = rt.run_cri(in.global("outer-cri"), 1, 4,
+                              {Value::fixnum(8)});
+  EXPECT_EQ(stats.invocations, 9u);
+  EXPECT_EQ(run_src("inner-count").as_fixnum(), 8 * 3);
+}
+
+TEST_F(ServerPoolTest, ThrowingBodyLeavesPoolReusable) {
+  run_src(
+      "(setq seen 0)"
+      "(defun t-cri (n)"
+      "  (when (= n 5) (error \"boom\"))"
+      "  (when (> n 0) (%atomic-incf-var 'seen 1) (%cri-enqueue 0 (- n 1))))");
+  Value fn = in.global("t-cri");
+  rt.run_cri(fn, 1, 4, {Value::fixnum(3)});  // warm-up
+  const std::size_t pool = ServerPool::instance().size();
+  for (int i = 0; i < 20; ++i)
+    EXPECT_THROW(rt.run_cri(fn, 1, 4, {Value::fixnum(9)}), sexpr::LispError);
+  run_src("(setq seen 0)");
+  CriStats stats = rt.run_cri(fn, 1, 4, {Value::fixnum(4)});
+  EXPECT_EQ(stats.invocations, 5u);
+  EXPECT_EQ(run_src("seen").as_fixnum(), 4);
+  EXPECT_EQ(ServerPool::instance().size(), pool)
+      << "servers of a failed run go back to the pool";
+}
+
+TEST(ServerPoolLease, JobExceptionReachesCaller) {
+  ServerPool::Lease lease = ServerPool::instance().lease(3);
+  std::atomic<int> ran{0};
+  EXPECT_THROW(lease.run([&](std::size_t i) {
+                 ran.fetch_add(1);
+                 if (i == 1) throw std::runtime_error("job");
+               }),
+               std::runtime_error);
+  EXPECT_EQ(ran.load(), 3) << "every leased thread ran its job";
+}
+
+// ---- per-server counters stay exact ---------------------------------------
+
+TEST(ServerPoolCounters, MultiServerCountsMatchSingleServer) {
+  // The same two-site tree walk at S=1 (ground truth: one thread) and
+  // S=4: every per-server counter, summed at the join, must agree.
+  struct Totals {
+    CriStats stats;
+    std::uint64_t depth_count = 0, applies = 0, compiled = 0;
+  };
+  auto measure = [](std::size_t servers) {
+    sexpr::Ctx ctx;
+    lisp::Interp in{ctx};
+    vm::Vm vm{in};
+    vm.install_apply_hook();
+    Runtime rt{in, 2};
+    rt.install();
+    in.eval_program(
+        "(setq nodes 0)"
+        "(defun tree (d)"
+        "  (if (= d 0) nil (cons (tree (- d 1)) (tree (- d 1)))))"
+        "(defun walk-cri (x)"
+        "  (when (consp x)"
+        "    (%atomic-incf-var 'nodes 1)"
+        "    (%cri-enqueue 0 (car x))"
+        "    (%cri-enqueue 1 (cdr x))))"
+        "(setq input (tree 9))");
+    Value fn = in.global("walk-cri");
+    Value input = in.global("input");
+    obs::Histogram& depth = rt.obs().metrics.histogram(
+        "cri.queue_depth", obs::Histogram::default_depth_bounds());
+    Totals t;
+    const std::uint64_t depth0 = depth.count();
+    const std::uint64_t applies0 = in.apply_count();
+    const std::uint64_t compiled0 = vm.compiled_entries();
+    t.stats = rt.run_cri(fn, 2, servers, {input});
+    t.depth_count = depth.count() - depth0;
+    t.applies = in.apply_count() - applies0;
+    t.compiled = vm.compiled_entries() - compiled0;
+    EXPECT_EQ(in.eval_program("nodes").as_fixnum(), (1 << 9) - 1);
+    return t;
+  };
+  const Totals one = measure(1);
+  const Totals four = measure(4);
+  // 511 conses, 512 nil leaves.
+  EXPECT_EQ(one.stats.invocations, 1023u);
+  EXPECT_EQ(one.stats.enqueues, 1022u);
+  EXPECT_EQ(four.stats.invocations, one.stats.invocations);
+  EXPECT_EQ(four.stats.enqueues, one.stats.enqueues);
+  EXPECT_EQ(one.depth_count, one.stats.enqueues)
+      << "one cri.queue_depth observation per enqueue";
+  EXPECT_EQ(four.depth_count, four.stats.enqueues);
+  EXPECT_EQ(four.applies, one.applies);
+  EXPECT_GT(one.compiled, 0u);
+  EXPECT_EQ(four.compiled, one.compiled);
 }
 
 // Parameterized: invocation counting is exact for every server count.

@@ -36,6 +36,7 @@
 #include <atomic>
 #include <cstdio>
 #include <memory>
+#include <optional>
 #include <thread>
 #include <type_traits>
 #include <vector>
@@ -53,15 +54,38 @@ namespace {
 
 enum class Shape { kHandoff, kSpawnChain };
 
-/// The work-stealing queue wants to know how many threads will touch
-/// it (one lane each; +1 covers the main thread seeding the handoff
-/// shape); the mutex queue takes sites only.
+/// The work-stealing queue takes a lane on every push and pop, as
+/// CriRun's servers do: worker t owns lane t, and lane `threads` is the
+/// main thread's, which seeds the handoff shape. The mutex queue has
+/// no lanes.
+template <typename Q>
+constexpr bool kHasLanes = std::is_same_v<Q, runtime::WorkStealingTaskQueues>;
+
 template <typename Q>
 std::unique_ptr<Q> make_queue(std::size_t sites, std::size_t threads) {
-  if constexpr (std::is_same_v<Q, runtime::WorkStealingTaskQueues>) {
+  if constexpr (kHasLanes<Q>) {
     return std::make_unique<Q>(sites, threads + 1);
   } else {
     return std::make_unique<Q>(sites);
+  }
+}
+
+template <typename Q>
+void push(Q& q, std::size_t lane, std::size_t site, runtime::TaskArgs t) {
+  if constexpr (kHasLanes<Q>) {
+    q.push(lane, site, std::move(t));
+  } else {
+    q.push(site, std::move(t));
+  }
+}
+
+template <typename Q>
+std::optional<runtime::TaskArgs> pop(Q& q, std::size_t lane,
+                                     std::size_t* site) {
+  if constexpr (kHasLanes<Q>) {
+    return q.pop(lane, site);
+  } else {
+    return q.pop(site);
   }
 }
 
@@ -90,16 +114,16 @@ double run_shape(Shape shape, std::size_t threads, std::size_t sites,
   std::atomic<std::int64_t> budget{static_cast<std::int64_t>(total_ops)};
   if (shape == Shape::kHandoff) {
     for (std::size_t t = 0; t < chains; ++t)
-      q.push(0, runtime::TaskArgs{sexpr::Value::fixnum(0)});
+      push(q, threads, 0, runtime::TaskArgs{sexpr::Value::fixnum(0)});
   }
 
-  auto handle = [&](std::size_t site) {
+  auto handle = [&](std::size_t lane, std::size_t site) {
     const std::int64_t left =
         budget.fetch_sub(1, std::memory_order_relaxed) - 1;
     if (left >= static_cast<std::int64_t>(chains)) {
       const std::size_t next =
           shape == Shape::kHandoff ? (site + 1) % sites : site;
-      q.push(next, runtime::TaskArgs{sexpr::Value::fixnum(left)});
+      push(q, lane, next, runtime::TaskArgs{sexpr::Value::fixnum(left)});
     } else if (left == 0) {
       q.close();
     }
@@ -111,12 +135,12 @@ double run_shape(Shape shape, std::size_t threads, std::size_t sites,
     for (std::size_t t = 0; t < threads; ++t) {
       ws.emplace_back([&, t] {
         if (shape == Shape::kSpawnChain && t < chains) {
-          q.push(t % sites,
-                 runtime::TaskArgs{sexpr::Value::fixnum(
-                     static_cast<std::int64_t>(t))});
+          push(q, t, t % sites,
+               runtime::TaskArgs{
+                   sexpr::Value::fixnum(static_cast<std::int64_t>(t))});
         }
         std::size_t site = 0;
-        while (q.pop(&site)) handle(site);
+        while (pop(q, t, &site)) handle(t, site);
       });
     }
     for (auto& w : ws) w.join();
@@ -152,9 +176,10 @@ void emit_json(std::FILE* js, const AbRow& r) {
   std::fprintf(js,
                "{\"bench\":\"queue_ab\",\"impl\":\"%s\","
                "\"workload\":\"%s\",\"threads\":%zu,\"chains\":%zu,"
-               "\"sites\":%zu,\"ops\":%zu,\"secs\":%.6f,\"mops\":%.3f}\n",
+               "\"sites\":%zu,\"ops\":%zu,\"secs\":%.6f,\"mops\":%.3f,"
+               "%s}\n",
                r.impl, r.workload, r.threads, r.chains, r.sites, r.ops,
-               r.secs, r.mops);
+               r.secs, r.mops, host_facts_json().c_str());
 }
 
 void run_ab(std::FILE* js) {

@@ -25,7 +25,10 @@
 // deterministic fault injector for the whole run (the TSan CI job
 // targets queue.push and task.run), in which case non-ok responses are
 // counted, not fatal: the invariants under chaos are "no hang" and
-// "every request gets a response".
+// "every request gets a response". A failed set-up (heap, daemon,
+// image) is retried up to kSetupAttempts times under chaos — gc.alloc
+// faults land in construction too — and the retries are reported; a
+// section whose set-up never succeeds is skipped with a note.
 #include <algorithm>
 #include <atomic>
 #include <cstdio>
@@ -67,6 +70,46 @@ struct SweepResult {
   double mean_eval_ms = 0;
 };
 
+/// Set-ups retried after a failure (chaos runs only).
+int g_setup_retries = 0;
+constexpr int kSetupAttempts = 200;
+
+/// make(&err) until it returns non-null; a throw counts as a failed
+/// attempt. Without chaos the first failure is fatal. Under chaos it
+/// retries up to kSetupAttempts times, then returns null and the caller
+/// skips its section.
+template <typename Fn>
+auto set_up(const char* what, bool chaos, Fn&& make)
+    -> decltype(make(nullptr)) {
+  std::string err;
+  const int attempts = chaos ? kSetupAttempts : 1;
+  for (int i = 0; i < attempts; ++i) {
+    if (i > 0) ++g_setup_retries;
+    try {
+      if (auto made = make(&err)) return made;
+    } catch (const std::exception& e) {
+      err = e.what();
+    }
+  }
+  std::fprintf(stderr, "bench_serve: %s set-up failed %d time(s): %s\n",
+               what, attempts, err.c_str());
+  if (!chaos) std::exit(1);
+  return nullptr;
+}
+
+/// A daemon and the heap it serves from.
+struct Served {
+  sexpr::Ctx ctx;  // declared first: outlives the daemon
+  std::unique_ptr<serve::ServeDaemon> daemon;
+
+  static std::unique_ptr<Served> open(const serve::ServeOptions& opts,
+                                      std::string* err) {
+    auto s = std::make_unique<Served>();
+    s->daemon = serve::ServeDaemon::open(s->ctx, opts, err);
+    return s->daemon ? std::move(s) : nullptr;
+  }
+};
+
 /// The per-session workload: a recursive countdown the interpreter
 /// actually walks, so each request costs real eval work (and polls
 /// cancellation), not just socket round-trips.
@@ -81,17 +124,17 @@ constexpr const char* kDefineWorkload =
 SweepResult run_sweep(int clients, std::size_t requests_per_client,
                       int workload_n, bool chaos,
                       bool runaway_mix = false) {
-  sexpr::Ctx ctx;
   serve::ServeOptions opts;
   opts.max_inflight = static_cast<std::size_t>(clients);
   opts.queue_limit = static_cast<std::size_t>(clients) * 2;
   if (runaway_mix) opts.mem_quota = 8ull << 20;
-  serve::ServeDaemon daemon(ctx, opts);
-  std::string err;
-  if (!daemon.start(&err)) {
-    std::fprintf(stderr, "bench_serve: %s\n", err.c_str());
-    std::exit(1);
-  }
+  SweepResult r;
+  r.clients = clients;
+  const auto srv = set_up("daemon", chaos, [&](std::string* err) {
+    return Served::open(opts, err);
+  });
+  if (!srv) return r;
+  serve::ServeDaemon& daemon = *srv->daemon;
 
   const std::string eval_src =
       "(bench-count " + std::to_string(workload_n) + " 0)";
@@ -199,8 +242,6 @@ SweepResult run_sweep(int clients, std::size_t requests_per_client,
     return all[i];
   };
 
-  SweepResult r;
-  r.clients = clients;
   r.requests = all.size();
   r.wall_s = wall_s;
   r.throughput_rps =
@@ -261,29 +302,38 @@ struct ColdstartResult {
 /// evaluate the prelude itself. Timed per driver: construction plus
 /// load_program.
 ColdstartResult run_prelude_coldstart(int sessions,
-                                      const std::string& prelude) {
-  sexpr::Ctx ctx;
-  lisp::Interp host(ctx);
-  runtime::Runtime rt(host);
+                                      const std::string& prelude,
+                                      bool chaos) {
+  struct Host {
+    sexpr::Ctx ctx;
+    lisp::Interp interp{ctx};
+    runtime::Runtime rt{interp};
+  };
+  ColdstartResult r;
+  const auto host = set_up("coldstart host", chaos, [](std::string*) {
+    return std::make_unique<Host>();
+  });
+  if (!host) return r;
   double total_s = 0;
   for (int s = 0; s < sessions; ++s) {
     std::unique_ptr<Curare> session;
     try {
-      total_s += time_s([&] {
-        session = std::make_unique<Curare>(ctx, rt);
+      const double setup_s = time_s([&] {
+        session = std::make_unique<Curare>(host->ctx, host->rt);
         session->load_program(prelude);
         session->interp().take_output();
       });
       session->eval_program("(prelude-f0 3 0)");  // the prelude is live
+      total_s += setup_s;
+      ++r.sessions;
     } catch (const std::exception& e) {
+      if (chaos) continue;  // counted by its absence from r.sessions
       std::fprintf(stderr, "bench_serve: coldstart session failed (%s)\n",
                    e.what());
       std::exit(1);
     }
   }
-  ColdstartResult r;
-  r.sessions = sessions;
-  r.mean_setup_ms = total_s * 1e3 / sessions;
+  if (r.sessions > 0) r.mean_setup_ms = total_s * 1e3 / r.sessions;
   return r;
 }
 
@@ -292,16 +342,16 @@ ColdstartResult run_prelude_coldstart(int sessions,
 /// histogram (serve.session_setup_ns) then holds each session's image
 /// clone plus driver construction.
 ColdstartResult run_image_coldstart(int sessions,
-                                    const std::string& prelude) {
-  sexpr::Ctx ctx;
+                                    const std::string& prelude,
+                                    bool chaos) {
   serve::ServeOptions opts;
   opts.prelude_src = prelude;
-  serve::ServeDaemon daemon(ctx, opts);
-  std::string err;
-  if (!daemon.start(&err)) {
-    std::fprintf(stderr, "bench_serve: %s\n", err.c_str());
-    std::exit(1);
-  }
+  ColdstartResult r;
+  const auto srv = set_up("image daemon", chaos, [&](std::string* err) {
+    return Served::open(opts, err);
+  });
+  if (!srv) return r;
+  serve::ServeDaemon& daemon = *srv->daemon;
   for (int s = 0; s < sessions; ++s) {
     serve::ClientConnection conn;
     if (!conn.connect("127.0.0.1", daemon.port())) {
@@ -313,14 +363,14 @@ ColdstartResult run_image_coldstart(int sessions,
     probe.program = "(prelude-f0 3 0)";  // proves the prelude is live
     auto resp = conn.request(probe);
     if (!resp || resp->status != "ok") {
+      if (chaos) continue;  // counted by its absence from r.sessions
       std::fprintf(stderr,
                    "bench_serve: coldstart probe failed (%s)\n",
                    resp ? resp->error.c_str() : "transport");
       std::exit(1);
     }
+    ++r.sessions;
   }
-  ColdstartResult r;
-  r.sessions = sessions;
   r.mean_setup_ms = daemon.runtime()
                         .obs()
                         .metrics.histogram("serve.session_setup_ns")
@@ -343,15 +393,13 @@ struct CacheSweepResult {
 /// transformation pipeline and seeds the cache; every later session
 /// replays the cached answer. Each reply's restructure_ns breakdown
 /// is the per-request cost this sweep compares.
-CacheSweepResult run_cache_sweep(int sessions, int defuns) {
-  sexpr::Ctx ctx;
-  serve::ServeOptions opts;  // default: restructure cache enabled
-  serve::ServeDaemon daemon(ctx, opts);
-  std::string err;
-  if (!daemon.start(&err)) {
-    std::fprintf(stderr, "bench_serve: %s\n", err.c_str());
-    std::exit(1);
-  }
+CacheSweepResult run_cache_sweep(int sessions, int defuns, bool chaos) {
+  CacheSweepResult r;
+  const auto srv = set_up("cache daemon", chaos, [](std::string* err) {
+    return Served::open(serve::ServeOptions{}, err);  // cache enabled
+  });
+  if (!srv) return r;
+  serve::ServeDaemon& daemon = *srv->daemon;
   // Tree-recursive struct walkers — the paper's CRI candidates, so a
   // miss pays the full conflict analysis and server-pool generation
   // that the cache exists to amortize.
@@ -369,7 +417,6 @@ CacheSweepResult run_cache_sweep(int sessions, int defuns) {
                "(if (null (right tr)) 2 1) 0) " + n + ")))))";
   }
 
-  CacheSweepResult r;
   std::uint64_t miss_ns = 0, hit_ns = 0;
   for (int s = 0; s < sessions; ++s) {
     serve::ClientConnection conn;
@@ -382,6 +429,7 @@ CacheSweepResult run_cache_sweep(int sessions, int defuns) {
     req.program = program;
     auto resp = conn.request(req);
     if (!resp || resp->status != "ok") {
+      if (chaos) continue;
       std::fprintf(stderr, "bench_serve: cache sweep failed (%s)\n",
                    resp ? resp->error.c_str() : "transport");
       std::exit(1);
@@ -515,8 +563,10 @@ int main() {
               "set, %d sessions) ==\n",
               cs_defuns, cs_data, cs_sessions);
   std::printf("%10s %10s %14s\n", "mode", "sessions", "setup_ms");
-  const ColdstartResult cold = run_prelude_coldstart(cs_sessions, prelude);
-  const ColdstartResult warm = run_image_coldstart(cs_sessions, prelude);
+  const ColdstartResult cold =
+      run_prelude_coldstart(cs_sessions, prelude, chaos);
+  const ColdstartResult warm =
+      run_image_coldstart(cs_sessions, prelude, chaos);
   std::printf("%10s %10d %14.3f\n", "prelude", cold.sessions,
               cold.mean_setup_ms);
   std::printf("%10s %10d %14.3f   (%.1fx faster)\n", "image",
@@ -541,7 +591,7 @@ int main() {
   const int cache_sessions = smoke ? 8 : 16;
   const int cache_defuns = smoke ? 8 : 12;
   const CacheSweepResult cache =
-      run_cache_sweep(cache_sessions, cache_defuns);
+      run_cache_sweep(cache_sessions, cache_defuns, chaos);
   std::printf("\n== restructure cache (%d defuns swept by %d "
               "sessions) ==\n",
               cache_defuns, cache_sessions);
@@ -573,6 +623,7 @@ int main() {
                  cache.hit_requests, cache.hit_mean_ms);
   }
   if (js != nullptr) std::fclose(js);
+  std::printf("\nset-up retries: %d\n", g_setup_retries);
   std::printf("JSON %s\n", path);
   return 0;
 }

@@ -157,7 +157,7 @@ void run_server_sweep(Curare& cur, unsigned cores) {
         "\"wall_ms\":%.3f,\"invocations\":%llu,"
         "\"head_ns_mean\":%.1f,\"tail_ns_mean\":%.1f,"
         "\"utilization\":%.4f,\"max_queue\":%llu,"
-        "\"notify_suppressed\":%llu,\"sleeps\":%llu}",
+        "\"notify_suppressed\":%llu,\"sleeps\":%llu,%s}",
         s, depth, h, t, model, sim, wall * 1e3,
         static_cast<unsigned long long>(st.invocations),
         inv > 0 ? static_cast<double>(st.head_ns) / inv : 0.0,
@@ -165,7 +165,8 @@ void run_server_sweep(Curare& cur, unsigned cores) {
         st.utilization(),
         static_cast<unsigned long long>(st.max_queue_length),
         static_cast<unsigned long long>(st.queue.notify_suppressed),
-        static_cast<unsigned long long>(st.queue.sleeps));
+        static_cast<unsigned long long>(st.queue.sleeps),
+        host_facts_json().c_str());
     std::printf("JSON %s\n", rec);
     if (js != nullptr) std::fprintf(js, "%s\n", rec);
   }

@@ -6,11 +6,13 @@
 // microseconds. All benches build their workloads through here.
 #pragma once
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdlib>
 #include <string>
 #include <string_view>
+#include <thread>
 
 #include "curare/curare.hpp"
 #include "lisp/interp.hpp"
@@ -65,6 +67,15 @@ double time_s(F&& f) {
 inline bool smoke_mode() {
   const char* e = std::getenv("CURARE_BENCH_SMOKE");
   return e != nullptr && *e != '\0' && std::string_view(e) != "0";
+}
+
+/// Host facts for a JSON record, without braces:
+/// `"cores":N,"build_type":"…"`. tools/bench_check.py refuses to
+/// drift-compare records whose core counts differ.
+inline std::string host_facts_json() {
+  const unsigned cores = std::max(1u, std::thread::hardware_concurrency());
+  return "\"cores\":" + std::to_string(cores) +
+         ",\"build_type\":\"" CURARE_BUILD_TYPE "\"";
 }
 
 /// Where machine-readable results go (JSON lines, one object per

@@ -1,6 +1,9 @@
 #include "runtime/runtime.hpp"
 
+#include <atomic>
+#include <optional>
 #include <sstream>
+#include <string>
 #include <vector>
 
 #include "lisp/function.hpp"
@@ -42,6 +45,55 @@ LocKey cell_key(Value cell, Value field) {
   if (cell.is(Kind::Cons) || cell.is(Kind::Struct))
     return LocKey{cell.obj(), as_symbol(field)};
   throw LispError("%lock: location container must be a cons or struct");
+}
+
+/// The word behind a structure location: a cons's car or cdr, or a
+/// struct's named slot. `who` names the builtin in error messages.
+std::atomic<std::uint64_t>* field_slot(Value cell, Value field,
+                                       const char* who) {
+  Symbol* f = as_symbol(field);
+  if (cell.is(Kind::Cons)) {
+    Cons* c = static_cast<Cons*>(cell.obj());
+    if (f->name == "car") return &c->car_bits;
+    if (f->name == "cdr") return &c->cdr_bits;
+    throw LispError(std::string(who) + ": cons field must be car or cdr");
+  }
+  if (cell.is(Kind::Struct)) {
+    auto* inst = static_cast<lisp::Instance*>(cell.obj());
+    const int idx = inst->type->slot_index(f);
+    if (idx < 0)
+      throw LispError(std::string(who) + ": no field " + f->name + " in " +
+                      inst->type->name->name);
+    return &inst->slots[static_cast<std::size_t>(idx)];
+  }
+  throw LispError(std::string(who) + ": container must be a cons or struct");
+}
+
+/// update() under the exclusive lock on `key`, released on every exit.
+template <typename Fn>
+Value locked(LockManager& locks, const LocKey& key, Fn&& update) {
+  locks.lock(key, true);
+  Value nv;
+  try {
+    nv = update();
+  } catch (...) {
+    locks.unlock(key, true);
+    throw;
+  }
+  locks.unlock(key, true);
+  return nv;
+}
+
+/// Replace global `var` with update(its value, if bound) under the
+/// variable's lock.
+template <typename Fn>
+Value update_global(LockManager& locks, Interp& i, Symbol* var,
+                    Fn&& update) {
+  return locked(locks, LocKey{var, nullptr}, [&] {
+    const Value nv = update(i.global_env()->lookup(var));
+    i.global_env()->set(var, nv);
+    return nv;
+  });
 }
 
 }  // namespace
@@ -215,28 +267,8 @@ void Runtime::install_into(Interp& in) {
   // ---- atomic reordered updates (§3.2.3) --------------------------------
   in.define_builtin("%atomic-add", 3, 3, [](Interp&,
                                             std::span<const Value> a) {
-    Symbol* field = as_symbol(a[1]);
+    std::atomic<std::uint64_t>* slot = field_slot(a[0], a[1], "%atomic-add");
     const std::int64_t delta = lisp::as_int(a[2]);
-    std::atomic<std::uint64_t>* slot = nullptr;
-    if (a[0].is(Kind::Cons)) {
-      Cons* cell = static_cast<Cons*>(a[0].obj());
-      if (field->name == "car") {
-        slot = &cell->car_bits;
-      } else if (field->name == "cdr") {
-        slot = &cell->cdr_bits;
-      } else {
-        throw LispError("%atomic-add: cons field must be car or cdr");
-      }
-    } else if (a[0].is(Kind::Struct)) {
-      auto* inst = static_cast<lisp::Instance*>(a[0].obj());
-      const int idx = inst->type->slot_index(field);
-      if (idx < 0)
-        throw LispError("%atomic-add: no field " + field->name + " in " +
-                        inst->type->name->name);
-      slot = &inst->slots[static_cast<std::size_t>(idx)];
-    } else {
-      throw LispError("%atomic-add: container must be a cons or struct");
-    }
     // CAS loop over the tagged fixnum representation.
     std::uint64_t old_bits = slot->load(std::memory_order_relaxed);
     for (;;) {
@@ -255,21 +287,12 @@ void Runtime::install_into(Interp& in) {
                     [this](Interp& i, std::span<const Value> a) {
                       Symbol* var = as_symbol(a[0]);
                       const std::int64_t delta = lisp::as_int(a[1]);
-                      const LocKey key{var, nullptr};
-                      locks_.lock(key, true);
-                      Value nv;
-                      try {
-                        auto old = i.global_env()->lookup(var);
-                        const std::int64_t base =
-                            old ? lisp::as_int(*old) : 0;
-                        nv = Value::fixnum(base + delta);
-                        i.global_env()->set(var, nv);
-                      } catch (...) {
-                        locks_.unlock(key, true);
-                        throw;
-                      }
-                      locks_.unlock(key, true);
-                      return nv;
+                      return update_global(
+                          locks_, i, var, [delta](std::optional<Value> old) {
+                            const std::int64_t base =
+                                old ? lisp::as_int(*old) : 0;
+                            return Value::fixnum(base + delta);
+                          });
                     });
 
   // ---- generic atomic/locked update for any operator -----------------
@@ -279,21 +302,12 @@ void Runtime::install_into(Interp& in) {
   // operations can be made atomic with the aid of locks", §3.2.3).
   in.define_builtin("%locked-update-var", 2, 2,
                     [this](Interp& i, std::span<const Value> a) {
-                      Symbol* var = as_symbol(a[0]);
-                      const LocKey key{var, nullptr};
-                      locks_.lock(key, true);
-                      Value nv;
-                      try {
-                        auto old = i.global_env()->lookup(var);
-                        const Value args[] = {old ? *old : Value::nil()};
-                        nv = i.apply(a[1], args);
-                        i.global_env()->set(var, nv);
-                      } catch (...) {
-                        locks_.unlock(key, true);
-                        throw;
-                      }
-                      locks_.unlock(key, true);
-                      return nv;
+                      return update_global(
+                          locks_, i, as_symbol(a[0]),
+                          [&](std::optional<Value> old) {
+                            const Value args[] = {old ? *old : Value::nil()};
+                            return i.apply(a[1], args);
+                          });
                     });
 
   // (%locked-update cell 'field fn): apply fn to the field's value under
@@ -301,49 +315,15 @@ void Runtime::install_into(Interp& in) {
   // structure location.
   in.define_builtin(
       "%locked-update", 3, 3, [this](Interp& i, std::span<const Value> a) {
-        Symbol* field = as_symbol(a[1]);
-        std::function<Value()> get;
-        std::function<void(Value)> set;
-        if (a[0].is(Kind::Cons)) {
-          Cons* cell = static_cast<Cons*>(a[0].obj());
-          const bool is_car = field->name == "car";
-          if (!is_car && field->name != "cdr")
-            throw LispError("%locked-update: cons field must be car or "
-                            "cdr");
-          get = [cell, is_car] {
-            return is_car ? cell->car() : cell->cdr();
-          };
-          set = [cell, is_car](Value v) {
-            if (is_car) {
-              cell->set_car(v);
-            } else {
-              cell->set_cdr(v);
-            }
-          };
-        } else if (a[0].is(Kind::Struct)) {
-          auto* inst = static_cast<lisp::Instance*>(a[0].obj());
-          const int idx = inst->type->slot_index(field);
-          if (idx < 0)
-            throw LispError("%locked-update: no field " + field->name);
-          get = [inst, idx] { return inst->get(idx); };
-          set = [inst, idx](Value v) { inst->set(idx, v); };
-        } else {
-          throw LispError(
-              "%locked-update: container must be a cons or struct");
-        }
-        const LocKey key{a[0].obj(), field};
-        locks_.lock(key, true);
-        Value nv;
-        try {
-          const Value args[] = {get()};
-          nv = i.apply(a[2], args);
-          set(nv);
-        } catch (...) {
-          locks_.unlock(key, true);
-          throw;
-        }
-        locks_.unlock(key, true);
-        return nv;
+        std::atomic<std::uint64_t>* slot =
+            field_slot(a[0], a[1], "%locked-update");
+        return locked(locks_, LocKey{a[0].obj(), as_symbol(a[1])}, [&] {
+          const Value args[] = {
+              Value::from_bits(slot->load(std::memory_order_relaxed))};
+          const Value nv = i.apply(a[2], args);
+          slot->store(nv.bits(), std::memory_order_relaxed);
+          return nv;
+        });
       });
 
   // ---- CRI server pool (§4) --------------------------------------------
@@ -386,14 +366,19 @@ void Runtime::install_into(Interp& in) {
       });
 
   // ---- futures (§3.1) -----------------------------------------------------
-  in.define_builtin("spawn", 1, 1, [this](Interp& i,
-                                          std::span<const Value> a) {
-    Value thunk = a[0];
-    auto state = futures_.spawn([&i, thunk] {
-      return i.apply(thunk, {});
-    }, thunk);
+  // The `spawn` builtin and the `future` form's hook. The thunk rides
+  // along as the task's root: a queued future's closure (and everything
+  // it captures) must survive collections that happen before a worker
+  // picks it up.
+  auto spawn = [this](Interp& i, Value thunk) {
+    auto state =
+        futures_.spawn([&i, thunk] { return i.apply(thunk, {}); }, thunk);
     return Value::object(i.ctx().heap.alloc<FutureObj>(std::move(state)));
-  });
+  };
+  in.define_builtin("spawn", 1, 1,
+                    [spawn](Interp& i, std::span<const Value> a) {
+                      return spawn(i, a[0]);
+                    });
   in.define_builtin("future-p", 1, 1, [](Interp& i,
                                          std::span<const Value> a) {
     return as_future(a[0]) != nullptr ? Value::object(i.ctx().s_t)
@@ -404,14 +389,7 @@ void Runtime::install_into(Interp& in) {
     return force_tree(a[0]);
   });
 
-  in.set_spawn_hook([this](Interp& i, Value thunk) {
-    // The thunk rides along as the task's root: a queued future's
-    // closure (and everything it captures) must survive collections
-    // that happen before a worker picks it up.
-    auto state =
-        futures_.spawn([&i, thunk] { return i.apply(thunk, {}); }, thunk);
-    return Value::object(i.ctx().heap.alloc<FutureObj>(std::move(state)));
-  });
+  in.set_spawn_hook(spawn);
   in.set_touch_hook([this](Interp&, Value v) {
     if (FutureObj* f = as_future(v)) return futures_.touch(f->state);
     return v;

@@ -156,10 +156,10 @@ CriRun::CriRun(lisp::Interp& interp, sexpr::Value fn,
     : interp_(interp),
       gc_(interp.ctx().heap.gc()),
       fn_(fn),
-      // Lane sizing: one lane per server plus one for the caller, so
-      // the thread seeding the initial task keeps its own lane and
-      // every server still claims one. (Raw ctor argument on purpose:
-      // servers_ is declared after queues_ and not yet initialized.)
+      // Lane i belongs to server i; lane `servers_` to the threads
+      // that are not this run's servers (the caller seeding the
+      // initial task). Raw ctor argument on purpose: servers_ is
+      // declared after queues_ and not yet initialized.
       queues_(num_sites, (servers == 0 ? 1 : servers) + 1),
       servers_(servers == 0 ? 1 : servers),
       rec_(rec),
@@ -187,10 +187,12 @@ void CriRun::gc_roots(std::vector<sexpr::Value>& out) {
 }
 
 void CriRun::enqueue(std::size_t site, TaskArgs args) {
+  const bool server = g_current_run == this;
   pending_.fetch_add(1, std::memory_order_acq_rel);
   std::size_t depth = 0;
   try {
-    depth = queues_.push(site, std::move(args));
+    depth = queues_.push(server ? g_server_index : servers_, site,
+                         std::move(args));
   } catch (...) {
     // A push that throws (bad site, injected fault) enqueued nothing:
     // take the increment back or the run never terminates. The count
@@ -201,7 +203,7 @@ void CriRun::enqueue(std::size_t site, TaskArgs args) {
   }
   if (rec_) {
     g_last_enqueue_ns = rec_->tracer.now_ns();
-    if (g_current_run == this) {
+    if (server) {
       ServerSlot& slot = slots_[g_server_index];
       slot.enqueues.fetch_add(1, std::memory_order_relaxed);
       slot.qdepth->observe(depth);
@@ -286,7 +288,7 @@ void CriRun::serve(std::size_t server_index) {
     }
     std::optional<TaskArgs> task;
     try {
-      task = queues_.pop();
+      task = queues_.pop(server_index);
     } catch (...) {
       // A pop can throw: the queue.steal fault site injects at the top
       // of every steal round. Route it through the body-error path —
@@ -456,7 +458,7 @@ CriStats CriRun::run(TaskArgs initial_args) {
     // queue (they are rooted by the queue only once pushed).
     gc::MutatorScope gc_scope(gc_);
     pending_.store(1, std::memory_order_relaxed);
-    queues_.push(0, std::move(initial_args));
+    queues_.push(servers_, 0, std::move(initial_args));
   }
 
   // Release this thread's unsafe region across the wait: the caller is

@@ -171,7 +171,10 @@ class CriRun : public gc::RootSource {
   /// (thrown) or early-finished run.
   CriStats run(TaskArgs initial_args);
 
-  /// Called (via the %cri-enqueue builtin) from server threads.
+  /// Called (via the %cri-enqueue builtin) from server threads, which
+  /// push to their own lane. Any other thread pushes to the one lane
+  /// the run keeps for non-servers, so at most one may enqueue at a
+  /// time.
   void enqueue(std::size_t site, TaskArgs args);
 
   /// Any-result search termination (§3.2.3): deliver a result and kill

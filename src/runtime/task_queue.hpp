@@ -14,12 +14,13 @@
 //
 //  * WorkStealingTaskQueues — the scheduler CriRun runs on. One *lane*
 //    per server, each lane holding the full per-site structure (ring +
-//    spill). A thread that touches the queue claims a lane; the lane
-//    owner pushes with a single-producer ring append (no CAS) and pops
-//    from its own lane first, so a task's head→spawn chain stays on the
-//    server that spawned it. Only when the owner's lane is dry does it
-//    steal — single tasks, oldest-first, two-choice victim selection —
-//    and only after several dry rounds does it sleep. There is no
+//    spill). The caller names its lane on every push and pop (CriRun
+//    passes the server index); the lane's one producer pushes with a
+//    single-producer ring append (no CAS) and pops from its own lane
+//    first, so a task's head→spawn chain stays on the server that
+//    spawned it. Only when the owner's lane is dry does it steal —
+//    single tasks, oldest-first, two-choice victim selection — and
+//    only after several dry rounds does it sleep. There is no
 //    global depth word at all: emptiness is read off the ring cursors
 //    (publication *is* the count), so the owner's push+pop pair
 //    serializes on nothing shared — one ring-cursor CAS on its own
@@ -194,32 +195,33 @@ class SingleMutexTaskQueues {
 // WorkStealingTaskQueues: per-server lanes with work stealing.
 // ---------------------------------------------------------------------------
 //
-// Shard by *server*, not by site: one lane per expected worker, each
-// lane carrying the full per-site array of {ring, spill}. (A global
-// per-site ring that any server drains has no locality, and its shared
-// cursors cost several contended RMWs per push+pop pair.) A thread
-// claims a lane the first time it touches the queue; the claim grants
-// exclusive *producer* rights, so the owner pushes with single-producer
-// ring appends (no CAS) and pops its own lane first — a head→spawn
-// chain stays on the server that spawned it. Consumption stays
-// multi-consumer: a dry owner steals single tasks, oldest first, from
-// the lowest nonempty site of a victim lane (randomized two-choice
+// Shard by *server*, not by site: one lane per server, each lane
+// carrying the full per-site array of {ring, spill}. (A global per-site
+// ring that any server drains has no locality, and its shared cursors
+// cost several contended RMWs per push+pop pair.) The caller names the
+// lane on every push and pop — CriRun passes the server index, and one
+// extra lane for threads that are not its servers — and each lane has
+// exactly one producer at a time. So the lane's producer pushes with
+// single-producer ring appends (no CAS) and pops its own lane first: a
+// head→spawn chain stays on the server that spawned it. Consumption
+// stays multi-consumer: a dry owner steals single tasks, oldest first,
+// from the lowest nonempty site of a victim lane (randomized two-choice
 // selection by estimated load, then a deterministic sweep so
 // provably-present work is never missed), and only after several dry
 // rounds does it sleep.
 //
-// Ownership/steal protocol and memory orders:
+// Steal protocol and memory orders:
 //  * Payload publication: Vyukov cell-sequence release/acquire in the
 //    rings; the spill deques under their per-site mutex. There is no
 //    separate depth word — a task is "in the queue" exactly when its
 //    cell sequence (or spill slot) says so, so emptiness probes and
 //    the kill-token check sweep the cursors instead of trusting a
 //    counter that could run ahead of the payload.
-//  * Depth accounting: four monotonic per-lane counters
-//    (pushed_own/pushed_foreign/popped_own/popped_stolen). The two
-//    owner-side ones are single-writer — plain load+store, no lock
-//    prefix; the foreign/stolen ones are RMWs on cold paths only.
-//    depth() and stats() are sums, exact at quiescence.
+//  * Depth accounting: three monotonic per-lane counters
+//    (pushed/popped_own/popped_stolen). The first two are
+//    single-writer (the lane's one producer and owner) — plain
+//    load+store, no lock prefix; popped_stolen is an RMW on the steal
+//    path only. depth() and stats() are sums, exact at quiescence.
 //  * Sleeper handshake (Dekker): a pusher that may need to wake a
 //    server publishes the payload, then issues a seq_cst fence, then
 //    reads sleepers_; a sleeper registers in sleepers_ (seq_cst RMW,
@@ -231,43 +233,38 @@ class SingleMutexTaskQueues {
 //    fence/notify entirely when its lane depth after the push is 1 —
 //    the producer is the next consumer, so there is nothing for a
 //    thief to do (the classic work-stealing wake rule). Surplus
-//    pushes (lane depth > 1), producer-only owners (a seeding caller
-//    or dispatcher that never pops), and foreign spills always go
-//    through the handshake. The bounded 100 ms sleep slice is the
-//    liveness backstop if a consuming owner stalls mid-chain.
-//  * Lane claims: one CAS per thread per generation, never on the hot
-//    path (a thread-local cache keyed by queue id + reopen generation
-//    remembers the registration).
+//    pushes (lane depth > 1) and pushes to a lane nobody pops (a
+//    seeding caller or dispatcher) always go through the handshake.
+//    The bounded 100 ms sleep slice is the liveness backstop if a
+//    consuming owner stalls mid-chain.
 
 class WorkStealingTaskQueues {
  public:
-  static constexpr std::size_t kDefaultRing = 512;
+  /// Per lane-site ring slots; a site that outgrows them spills.
+  static constexpr std::size_t kRingCapacity = 512;
 
-  /// `workers` sizes the lane array: the number of threads expected to
-  /// touch the queue (CriRun passes servers + 1 so the caller seeding
-  /// the initial task keeps its own lane and every server still claims
-  /// one). Extra threads beyond `workers` stay correct — they share a
-  /// home lane for popping and push through the spill path.
-  explicit WorkStealingTaskQueues(std::size_t num_sites,
-                                  std::size_t workers = 1,
-                                  std::size_t ring_capacity = kDefaultRing)
-      : nsites_(num_sites == 0 ? 1 : num_sites), id_(next_queue_id()) {
-    const std::size_t nlanes = workers == 0 ? 1 : workers;
+  /// `lanes` is the number of lane indices callers will pass to push
+  /// and pop. CriRun passes servers + 1: lane i for server i, and lane
+  /// `servers` for the caller seeding the initial task.
+  WorkStealingTaskQueues(std::size_t num_sites, std::size_t lanes)
+      : nsites_(num_sites == 0 ? 1 : num_sites) {
+    const std::size_t nlanes = lanes == 0 ? 1 : lanes;
     lanes_.reserve(nlanes);
     for (std::size_t i = 0; i < nlanes; ++i)
-      lanes_.push_back(std::make_unique<Lane>(nsites_, ring_capacity));
+      lanes_.push_back(std::make_unique<Lane>(nsites_));
   }
 
   WorkStealingTaskQueues(const WorkStealingTaskQueues&) = delete;
   WorkStealingTaskQueues& operator=(const WorkStealingTaskQueues&) = delete;
 
-  /// Enqueue at a call site. Returns the pusher's lane depth after the
-  /// push (the affinity-local observability sample — the depth a
-  /// server's own backlog has grown to). Owner fast path: one SP ring
-  /// append (no CAS, no fence) plus plain single-writer counters —
-  /// when the owner also consumes its lane and this task is its only
-  /// backlog, the push executes zero lock-prefixed instructions.
-  std::size_t push(std::size_t site, TaskArgs args) {
+  /// Enqueue at a call site of lane `lane_index`, whose only producer
+  /// the caller must be. Returns the lane's depth after the push (the
+  /// affinity-local observability sample — the depth a server's own
+  /// backlog has grown to). Fast path: one SP ring append (no CAS, no
+  /// fence) plus plain single-writer counters — when the lane's owner
+  /// also consumes it and this task is its only backlog, the push
+  /// executes zero lock-prefixed instructions.
+  std::size_t push(std::size_t lane_index, std::size_t site, TaskArgs args) {
     if (FaultInjector::instance().check(
             FaultInjector::Site::kQueuePush)) {
       // Injected spurious wakeup for any sleeping server.
@@ -276,62 +273,41 @@ class WorkStealingTaskQueues {
     }
     if (site >= nsites_)
       throw sexpr::LispError("cri: call-site index out of range");
-    const TlsEntry me = self();
-    Lane& lane = *lanes_[me.lane];
-    bool consuming_owner = false;
-    if (me.owner) {
-      LaneSite& s = *lane.sites[site];
-      // SP append unless the site has spilled items — ring items must
-      // stay older than spill items so per-site FIFO survives an
-      // overflow episode.
-      if (s.spill_count.load(std::memory_order_acquire) != 0 ||
-          !s.ring.try_push_sp(std::move(args))) {
-        std::lock_guard<std::mutex> g(s.mu);
-        if (!(s.spill.empty() && s.ring.try_push_sp(std::move(args)))) {
-          s.spill.push_back(std::move(args));
-          s.spill_count.store(s.spill.size(), std::memory_order_release);
-          spill_pushes_.fetch_add(1, std::memory_order_relaxed);
-        }
-      }
-      // Single-writer counter: plain load+store, no lock prefix.
-      lane.pushed_own.store(
-          lane.pushed_own.load(std::memory_order_relaxed) + 1,
-          std::memory_order_relaxed);
-      consuming_owner = lane.owner_consumes.load(std::memory_order_relaxed);
-    } else {
-      // Foreign producer (a thread beyond the lane count, or one that
-      // never claimed — e.g. a run's caller when lanes are exhausted):
-      // spill into its home lane under the site mutex. Cold by design.
-      LaneSite& s = *lane.sites[site];
-      {
-        std::lock_guard<std::mutex> g(s.mu);
+    Lane& lane = *lanes_[lane_index];
+    LaneSite& s = *lane.sites[site];
+    // SP append unless the site has spilled items — ring items must
+    // stay older than spill items so per-site FIFO survives an
+    // overflow episode.
+    if (s.spill_count.load(std::memory_order_acquire) != 0 ||
+        !s.ring.try_push_sp(std::move(args))) {
+      std::lock_guard<std::mutex> g(s.mu);
+      if (!(s.spill.empty() && s.ring.try_push_sp(std::move(args)))) {
         s.spill.push_back(std::move(args));
         s.spill_count.store(s.spill.size(), std::memory_order_release);
+        spill_pushes_.fetch_add(1, std::memory_order_relaxed);
       }
-      spill_pushes_.fetch_add(1, std::memory_order_relaxed);
-      lane.pushed_foreign.fetch_add(1, std::memory_order_relaxed);
     }
+    // Single-writer counter: plain load+store, no lock prefix.
+    lane.pushed.store(lane.pushed.load(std::memory_order_relaxed) + 1,
+                      std::memory_order_relaxed);
 
-    // Lane depth after the push, from the monotonic counters. Stale
-    // reads of the cold-side counters can only misjudge the *surplus*
-    // test below in the safe direction: a lagging popped_stolen makes
-    // the depth look larger (spurious notify); a lagging
-    // pushed_foreign hides an item whose own pusher carries its
-    // notify obligation.
+    // Lane depth after the push, from the monotonic counters. A stale
+    // popped_stolen can only make the depth look larger, which errs
+    // toward a spurious notify below, never a missed one.
     const std::int64_t d = lane_depth(lane);
     const std::size_t total = d > 0 ? static_cast<std::size_t>(d) : 1;
     std::size_t m = lane.max_depth.load(std::memory_order_relaxed);
     if (total > m)
       lane.max_depth.store(total, std::memory_order_relaxed);
 
-    // Wake throttle: when the pusher is a consuming owner and this
-    // task is its lane's only backlog, the producer is the next
-    // consumer — skip the handshake entirely (no fence, no sleeper
-    // check). Any surplus task, and any push by a producer that never
-    // pops, must offer itself to a thief: publish-then-fence, then
-    // read the sleeper count (Dekker with the sleeper's registration
-    // RMW + re-sweep), waking at most one.
-    if (!consuming_owner || d > 1) {
+    // Wake throttle: when the lane's owner consumes it and this task
+    // is its only backlog, the producer is the next consumer — skip
+    // the handshake entirely (no fence, no sleeper check). Any surplus
+    // task, and any push to a lane nobody pops, must offer itself to a
+    // thief: publish-then-fence, then read the sleeper count (Dekker
+    // with the sleeper's registration RMW + re-sweep), waking at most
+    // one.
+    if (!lane.owner_consumes.load(std::memory_order_relaxed) || d > 1) {
       std::atomic_thread_fence(std::memory_order_seq_cst);
       if (sleepers_.load(std::memory_order_relaxed) > 0) {
         notify_sent_.fetch_add(1, std::memory_order_relaxed);
@@ -342,15 +318,15 @@ class WorkStealingTaskQueues {
     return total;
   }
 
-  /// Block for the next task (own lane's lowest site first, then
-  /// steal); nullopt when the queues are closed and empty — the kill
-  /// token.
-  std::optional<TaskArgs> pop(std::size_t* site_out = nullptr) {
-    const TlsEntry me = self();
-    const std::size_t home = me.lane;
+  /// Block for the next task (lane `lane_index`'s lowest site first,
+  /// then steal); nullopt when the queues are closed and empty — the
+  /// kill token. The caller must be that lane's producer.
+  std::optional<TaskArgs> pop(std::size_t lane_index,
+                              std::size_t* site_out = nullptr) {
+    const std::size_t home = lane_index;
     const std::size_t nlanes = lanes_.size();
     Lane& own = *lanes_[home];
-    if (me.owner && !own.owner_consumes.load(std::memory_order_relaxed))
+    if (!own.owner_consumes.load(std::memory_order_relaxed))
       own.owner_consumes.store(true, std::memory_order_relaxed);
     std::size_t dry_rounds = 0;
     bool desperate = false;
@@ -363,20 +339,13 @@ class WorkStealingTaskQueues {
     auto slice = std::chrono::milliseconds(1);
     constexpr auto kMaxSlice = std::chrono::milliseconds(100);
     for (;;) {
-      // Own lane first, lowest site first.
+      // Own lane first, lowest site first. Owner takes are the
+      // single-writer counter.
       std::optional<TaskArgs> t = take_from_lane(own, site_out);
       if (t) {
-        // Owner takes are the single-writer counter; shared-lane
-        // takes by a non-owner count as stolen (the RMW is off the
-        // fast path by construction — a non-owner home popper only
-        // exists when threads outnumber lanes).
-        if (me.owner) {
-          own.popped_own.store(
-              own.popped_own.load(std::memory_order_relaxed) + 1,
-              std::memory_order_relaxed);
-        } else {
-          own.popped_stolen.fetch_add(1, std::memory_order_relaxed);
-        }
+        own.popped_own.store(
+            own.popped_own.load(std::memory_order_relaxed) + 1,
+            std::memory_order_relaxed);
         return t;
       }
       if (nlanes > 1) {
@@ -431,8 +400,8 @@ class WorkStealingTaskQueues {
       }
       dry_rounds = 0;
       // Sleep protocol: register, then re-check. A pusher that may
-      // need a thief (surplus task, foreign spill, or a producer-only
-      // lane owner) publishes the payload, fences seq_cst, then reads
+      // need a thief (a surplus task, or any push to a lane nobody
+      // pops) publishes the payload, fences seq_cst, then reads
       // sleepers_; our registration is a seq_cst RMW, so either the
       // pusher sees it and notifies under wait_mu_, or this re-check
       // sees the payload and we skip the wait — no lost wakeup on
@@ -478,15 +447,12 @@ class WorkStealingTaskQueues {
     wait_cv_.notify_all();
   }
 
-  /// Reset to the open, empty state, dropping leftover tasks, zeroing
-  /// the per-run stats, and revoking every lane claim (the next run's
-  /// server threads are new). Callers must be quiescent.
+  /// Reset to the open, empty state, dropping leftover tasks and
+  /// zeroing the per-run stats. Callers must be quiescent.
   void reopen() {
     for (auto& lp : lanes_) {
-      lp->claimed.store(false, std::memory_order_relaxed);
       lp->owner_consumes.store(false, std::memory_order_relaxed);
-      lp->pushed_own.store(0, std::memory_order_relaxed);
-      lp->pushed_foreign.store(0, std::memory_order_relaxed);
+      lp->pushed.store(0, std::memory_order_relaxed);
       lp->popped_own.store(0, std::memory_order_relaxed);
       lp->popped_stolen.store(0, std::memory_order_relaxed);
       lp->max_depth.store(0, std::memory_order_relaxed);
@@ -503,9 +469,6 @@ class WorkStealingTaskQueues {
     spill_pushes_.store(0, std::memory_order_relaxed);
     sleeps_.store(0, std::memory_order_relaxed);
     steals_.store(0, std::memory_order_relaxed);
-    next_lane_.store(0, std::memory_order_relaxed);
-    // Invalidate every thread's cached registration.
-    gen_.fetch_add(1, std::memory_order_release);
     closed_.store(false, std::memory_order_seq_cst);
   }
 
@@ -522,9 +485,9 @@ class WorkStealingTaskQueues {
 
   /// High-water mark of a single lane's backlog (§4.1: with a single
   /// call site the queue never grows beyond its initial length). With
-  /// one producer thread this equals the old total-depth high-water;
-  /// under concurrent mixed producers it is a per-server measure —
-  /// the backlog any one server accumulated — and approximate.
+  /// one lane in use this equals the total-depth high-water; with
+  /// several it is a per-server measure — the backlog any one server
+  /// accumulated — and approximate while thieves race the owner.
   std::size_t max_length() const {
     std::size_t m = 0;
     for (const auto& lp : lanes_)
@@ -540,8 +503,7 @@ class WorkStealingTaskQueues {
   QueueStats stats() const {
     QueueStats st;
     for (const auto& lp : lanes_) {
-      st.pushes += lp->pushed_own.load(std::memory_order_relaxed) +
-                   lp->pushed_foreign.load(std::memory_order_relaxed);
+      st.pushes += lp->pushed.load(std::memory_order_relaxed);
       st.pops += lp->popped_own.load(std::memory_order_relaxed) +
                  lp->popped_stolen.load(std::memory_order_relaxed);
     }
@@ -574,38 +536,32 @@ class WorkStealingTaskQueues {
   static constexpr std::size_t kDryRoundsBeforeSleep = 4;
 
   struct LaneSite {
-    explicit LaneSite(std::size_t ring_capacity) : ring(ring_capacity) {}
-    SpmcRing<TaskArgs> ring;
+    SpmcRing<TaskArgs> ring{kRingCapacity};
     std::atomic<std::size_t> spill_count{0};
     std::mutex mu;  ///< guards spill
     std::deque<TaskArgs> spill;
   };
 
   struct alignas(64) Lane {
-    Lane(std::size_t nsites, std::size_t ring_capacity) {
+    explicit Lane(std::size_t nsites) {
       sites.reserve(nsites);
       for (std::size_t i = 0; i < nsites; ++i)
-        sites.push_back(std::make_unique<LaneSite>(ring_capacity));
+        sites.push_back(std::make_unique<LaneSite>());
     }
     std::vector<std::unique_ptr<LaneSite>> sites;
-    /// Producer claim: the claiming thread alone may SP-push here.
-    std::atomic<bool> claimed{false};
-    /// Set by the owner the first time it pops — distinguishes a
-    /// server (producer-is-next-consumer, wake throttle applies) from
-    /// a producer-only claimant like a seeding caller or dispatcher
-    /// (whose pushes always run the sleeper handshake). Written and
-    /// read by the owner thread only.
+    /// Set by the first pop on this lane — distinguishes a server
+    /// (producer-is-next-consumer, wake throttle applies) from a lane
+    /// nobody pops, like a seeding caller's (whose pushes always run
+    /// the sleeper handshake). Written and read by the owner only.
     std::atomic<bool> owner_consumes{false};
     /// Monotonic depth counters, padded off the sites vector so
-    /// stats() reads don't bounce the owner's hot line. pushed_own
-    /// and popped_own are single-writer (the owner) — plain
-    /// load+store; the other two are RMWs on cold paths (foreign
-    /// spill pushes; takes by non-owners).
-    alignas(64) std::atomic<std::uint64_t> pushed_own{0};
+    /// stats() reads don't bounce the owner's hot line. pushed and
+    /// popped_own are single-writer (the owner) — plain load+store;
+    /// popped_stolen is an RMW by thieves, on its own line.
+    alignas(64) std::atomic<std::uint64_t> pushed{0};
     std::atomic<std::uint64_t> popped_own{0};
     std::atomic<std::size_t> max_depth{0};
-    alignas(64) std::atomic<std::uint64_t> pushed_foreign{0};
-    std::atomic<std::uint64_t> popped_stolen{0};
+    alignas(64) std::atomic<std::uint64_t> popped_stolen{0};
   };
 
   /// Racy lane backlog from the monotonic counters (exact when
@@ -613,59 +569,10 @@ class WorkStealingTaskQueues {
   /// snapshot matters).
   static std::int64_t lane_depth(const Lane& lane) {
     return static_cast<std::int64_t>(
-               lane.pushed_own.load(std::memory_order_relaxed) +
-               lane.pushed_foreign.load(std::memory_order_relaxed)) -
+               lane.pushed.load(std::memory_order_relaxed)) -
            static_cast<std::int64_t>(
                lane.popped_own.load(std::memory_order_relaxed) +
                lane.popped_stolen.load(std::memory_order_relaxed));
-  }
-
-  struct TlsEntry {
-    std::uint64_t qid = 0;
-    std::uint64_t gen = 0;
-    std::uint32_t lane = 0;
-    bool owner = false;
-  };
-  struct TlsCache {
-    TlsEntry e[4];
-    unsigned next = 0;
-  };
-  static TlsCache& tls() {
-    thread_local TlsCache c;
-    return c;
-  }
-  static std::uint64_t next_queue_id() {
-    static std::atomic<std::uint64_t> n{0};
-    return n.fetch_add(1, std::memory_order_relaxed) + 1;
-  }
-
-  /// This thread's registration with this queue (cached per thread,
-  /// keyed by queue id + reopen generation). First touch rotates to a
-  /// home lane and tries to claim exclusive producer rights on it —
-  /// one CAS per thread per generation, never repeated on the hot
-  /// path.
-  TlsEntry self() {
-    TlsCache& c = tls();
-    const std::uint64_t gen = gen_.load(std::memory_order_acquire);
-    for (const TlsEntry& e : c.e)
-      if (e.qid == id_ && e.gen == gen) return e;
-    const std::size_t nlanes = lanes_.size();
-    std::size_t lane =
-        next_lane_.fetch_add(1, std::memory_order_relaxed) % nlanes;
-    bool owner = false;
-    for (std::size_t k = 0; k < nlanes; ++k) {
-      const std::size_t cand = (lane + k) % nlanes;
-      bool expected = false;
-      if (lanes_[cand]->claimed.compare_exchange_strong(
-              expected, true, std::memory_order_acq_rel)) {
-        lane = cand;
-        owner = true;
-        break;
-      }
-    }
-    TlsEntry& e = c.e[c.next++ % (sizeof(c.e) / sizeof(c.e[0]))];
-    e = TlsEntry{id_, gen, static_cast<std::uint32_t>(lane), owner};
-    return e;
   }
 
   /// Take the oldest task of one site: the ring (older — owner pushes
@@ -784,9 +691,6 @@ class WorkStealingTaskQueues {
 
   std::size_t nsites_;
   std::vector<std::unique_ptr<Lane>> lanes_;
-  const std::uint64_t id_;
-  std::atomic<std::uint64_t> gen_{0};
-  std::atomic<std::uint32_t> next_lane_{0};
 
   // The only cross-lane flags; cold. There is no shared hot word at
   // all — every fast-path byte a push or pop touches is lane-local.

@@ -1,7 +1,9 @@
 #include "serve/protocol.hpp"
 
-#include <cerrno>
+#include <sys/socket.h>
 #include <unistd.h>
+
+#include <cerrno>
 
 namespace curare::serve {
 
@@ -70,9 +72,13 @@ Response Response::fail(std::string_view status, std::string error) {
 
 namespace {
 
+// Frames travel over sockets only. MSG_NOSIGNAL turns a write to a
+// peer that already hung up into EPIPE instead of a process-killing
+// SIGPIPE: a torn connection costs that connection, never the process
+// hosting the daemon or the client.
 bool write_all(int fd, const char* data, std::size_t n) {
   while (n > 0) {
-    const ssize_t w = ::write(fd, data, n);
+    const ssize_t w = ::send(fd, data, n, MSG_NOSIGNAL);
     if (w < 0) {
       if (errno == EINTR) continue;
       return false;

@@ -76,6 +76,19 @@ bool ServeDaemon::prepare_image(std::string* err) {
 
 ServeDaemon::~ServeDaemon() { shutdown(); }
 
+std::unique_ptr<ServeDaemon> ServeDaemon::open(sexpr::Ctx& ctx,
+                                               ServeOptions opts,
+                                               std::string* err) {
+  try {
+    auto daemon = std::make_unique<ServeDaemon>(ctx, std::move(opts));
+    if (daemon->start(err)) return daemon;
+  } catch (const std::exception& e) {
+    if (err != nullptr)
+      *err = std::string("daemon set-up failed: ") + e.what();
+  }
+  return nullptr;
+}
+
 bool ServeDaemon::start(std::string* err) {
   // Warm-start preparation before the socket exists: a daemon pointed
   // at a corrupt or version-skewed image must fail loudly at startup,

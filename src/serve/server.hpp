@@ -103,6 +103,16 @@ class ServeDaemon {
   /// on any socket failure; the daemon is then inert.
   bool start(std::string* err = nullptr);
 
+  /// Construct and start() as one step. Every set-up failure comes back
+  /// as nullptr with *err filled, the way a connection's session set-up
+  /// failure comes back as a structured reply: a socket error, a bad
+  /// image, or an allocation failure (a heap hard watermark, an injected
+  /// gc.alloc fault) while building the host interpreter. The process
+  /// keeps running and the shared heap stays usable.
+  static std::unique_ptr<ServeDaemon> open(sexpr::Ctx& ctx,
+                                           ServeOptions opts,
+                                           std::string* err = nullptr);
+
   /// The bound port (valid after start()).
   int port() const { return port_; }
 

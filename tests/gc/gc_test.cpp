@@ -13,6 +13,7 @@
 
 #include <atomic>
 #include <memory>
+#include <optional>
 #include <thread>
 #include <vector>
 
@@ -258,23 +259,38 @@ TEST(GcRootPrecisionTest, NegativeControlUnrootedValueIsCollected) {
 // is dequeued (reclamation is exact, not deferred).
 // ---------------------------------------------------------------------------
 
+/// Builds each queue and speaks its API: the work-stealing queue takes
+/// an explicit lane (two lanes here), the mutex oracle has none.
 template <typename Q>
 struct QueueFactory;
 
 template <>
 struct QueueFactory<runtime::SingleMutexTaskQueues> {
-  static std::unique_ptr<runtime::SingleMutexTaskQueues> make(
-      std::size_t nsites) {
-    return std::make_unique<runtime::SingleMutexTaskQueues>(nsites);
+  using Q = runtime::SingleMutexTaskQueues;
+  static std::unique_ptr<Q> make(std::size_t nsites) {
+    return std::make_unique<Q>(nsites);
+  }
+  static void push(Q& q, std::size_t, std::size_t site,
+                   runtime::TaskArgs t) {
+    q.push(site, std::move(t));
+  }
+  static std::optional<runtime::TaskArgs> pop(Q& q, std::size_t) {
+    return q.pop();
   }
 };
 
 template <>
 struct QueueFactory<runtime::WorkStealingTaskQueues> {
-  static std::unique_ptr<runtime::WorkStealingTaskQueues> make(
-      std::size_t nsites) {
-    return std::make_unique<runtime::WorkStealingTaskQueues>(
-        nsites, /*workers=*/2, /*ring_capacity=*/4);
+  using Q = runtime::WorkStealingTaskQueues;
+  static std::unique_ptr<Q> make(std::size_t nsites) {
+    return std::make_unique<Q>(nsites, 2);
+  }
+  static void push(Q& q, std::size_t lane, std::size_t site,
+                   runtime::TaskArgs t) {
+    q.push(lane, site, std::move(t));
+  }
+  static std::optional<runtime::TaskArgs> pop(Q& q, std::size_t lane) {
+    return q.pop(lane);
   }
 };
 
@@ -305,67 +321,58 @@ TYPED_TEST_SUITE(QueueGcRootsTest, QueueImpls);
 TYPED_TEST(QueueGcRootsTest, PayloadsSurviveAtEveryQueuePosition) {
   sexpr::Ctx ctx;
   GcHeap& gc = ctx.heap.gc();
-  auto q = QueueFactory<TypeParam>::make(2);
+  using F = QueueFactory<TypeParam>;
+  auto q = F::make(2);
   q->attach_gc(&gc);
   QueueRootAdapter<TypeParam> roots(*q);
   gc.add_root_source(&roots);
   const std::size_t base = ctx.heap.live_objects();
 
-  // Payload k is (cons k nil); nine in total, planted so the
-  // work-stealing impl has them in all three physical positions.
-  int next = 0;
+  // Payload k is (cons k nil), planted so the work-stealing impl has
+  // them in all three physical positions.
+  constexpr int kRing =
+      static_cast<int>(runtime::WorkStealingTaskQueues::kRingCapacity);
+  constexpr int kTotal = kRing + 4;
   auto payload = [&](int k) {
     return runtime::TaskArgs{ctx.heap.cons(Value::fixnum(k), Value::nil())};
   };
   {
     MutatorScope ms(gc);
-    // 0..3: this thread's pushes — in the work-stealing impl they claim
-    // lane 0 and fill its capacity-4 site-0 ring (the owner fast path).
-    // 4..5: same site, ring full — the spill vector.
-    for (; next < 6; ++next) q->push(0, payload(next));
+    // 0..kRing-1 fill lane 0's site-0 ring (the owner fast path);
+    // the next two find it full — the spill vector.
+    for (int k = 0; k < kRing + 2; ++k) F::push(*q, 0, 0, payload(k));
+    // The last two go to lane 1 — the position a thief's steal serves.
+    for (int k = kRing + 2; k < kTotal; ++k) F::push(*q, 1, 1, payload(k));
     // A decoy with no root: precision means the collector reclaims
     // exactly this one while every queued payload survives.
     ctx.heap.cons(Value::fixnum(999), Value::nil());
   }
-  // 6..7: pushed by a sibling thread, which claims the second lane —
-  // the position a thief's steal would serve. 8: pushed by a third
-  // thread with no lane left to claim — the foreign mailbox spill.
-  // Joined before collecting: for_each_task wants quiescence, which is
-  // exactly what a stop-the-world gives the real collector.
-  std::thread([&] {
-    MutatorScope ms(gc);
-    for (int k = 6; k < 8; ++k) q->push(1, payload(k));
-  }).join();
-  std::thread([&] {
-    MutatorScope ms(gc);
-    q->push(1, payload(8));
-  }).join();
 
   gc.collect("test");
-  EXPECT_EQ(ctx.heap.live_objects(), base + 9)
+  EXPECT_EQ(ctx.heap.live_objects(), base + kTotal)
       << "all queued payloads survive; the unqueued decoy does not";
 
   // Dequeue three. Their payloads leave the root set with them: the
   // next collection must reclaim exactly those three.
   long sum = 0;
   for (int i = 0; i < 3; ++i) {
-    auto got = q->pop();
+    auto got = F::pop(*q, 0);
     ASSERT_TRUE(got.has_value());
     sum += sexpr::car((*got)[0]).as_fixnum();
   }
   gc.collect("test");
-  EXPECT_EQ(ctx.heap.live_objects(), base + 6)
+  EXPECT_EQ(ctx.heap.live_objects(), base + kTotal - 3)
       << "a dequeued task's payload is garbage immediately";
 
-  // Drain the rest — in the work-stealing impl this thread owns lane 0,
-  // so payloads 6..8 arrive via the steal path — and verify integrity:
-  // every planted fixnum came back exactly once.
-  for (int i = 3; i < 9; ++i) {
-    auto got = q->pop();
+  // Drain the rest from lane 0 — in the work-stealing impl the lane-1
+  // payloads arrive via the steal path — and verify integrity: every
+  // planted fixnum came back exactly once.
+  for (int i = 3; i < kTotal; ++i) {
+    auto got = F::pop(*q, 0);
     ASSERT_TRUE(got.has_value());
     sum += sexpr::car((*got)[0]).as_fixnum();
   }
-  EXPECT_EQ(sum, 9 * 8 / 2);
+  EXPECT_EQ(sum, static_cast<long>(kTotal) * (kTotal - 1) / 2);
   gc.collect("test");
   EXPECT_EQ(ctx.heap.live_objects(), base);
   gc.remove_root_source(&roots);
@@ -374,7 +381,8 @@ TYPED_TEST(QueueGcRootsTest, PayloadsSurviveAtEveryQueuePosition) {
 TYPED_TEST(QueueGcRootsTest, RemainingTasksStayRootedAfterClose) {
   sexpr::Ctx ctx;
   GcHeap& gc = ctx.heap.gc();
-  auto q = QueueFactory<TypeParam>::make(1);
+  using F = QueueFactory<TypeParam>;
+  auto q = F::make(1);
   q->attach_gc(&gc);
   QueueRootAdapter<TypeParam> roots(*q);
   gc.add_root_source(&roots);
@@ -383,7 +391,7 @@ TYPED_TEST(QueueGcRootsTest, RemainingTasksStayRootedAfterClose) {
   {
     MutatorScope ms(gc);
     for (int k = 0; k < 5; ++k)
-      q->push(0, {ctx.heap.cons(Value::fixnum(k), Value::nil())});
+      F::push(*q, 0, 0, {ctx.heap.cons(Value::fixnum(k), Value::nil())});
   }
   q->close();
   gc.collect("test");
@@ -393,11 +401,11 @@ TYPED_TEST(QueueGcRootsTest, RemainingTasksStayRootedAfterClose) {
   // Post-close pops still serve the backlog (the kill token only
   // arrives once empty), and the roots fall away task by task.
   for (int k = 0; k < 5; ++k) {
-    auto got = q->pop();
+    auto got = F::pop(*q, 0);
     ASSERT_TRUE(got.has_value());
     EXPECT_EQ(sexpr::car((*got)[0]).as_fixnum(), k) << "FIFO across close";
   }
-  EXPECT_FALSE(q->pop().has_value()) << "kill token after the backlog";
+  EXPECT_FALSE(F::pop(*q, 0).has_value()) << "kill token after the backlog";
   gc.collect("test");
   EXPECT_EQ(ctx.heap.live_objects(), base);
   gc.remove_root_source(&roots);

@@ -85,6 +85,35 @@ TEST_F(RuntimeTest, LockedUpdateVarAppliesFunction) {
             "(2 1)");
 }
 
+TEST_F(RuntimeTest, LockedUpdateOnConsField) {
+  EXPECT_EQ(run("(let ((x (cons 1 '(2))))"
+                "  (%locked-update x 'car (lambda (old) (+ old 10)))"
+                "  (%locked-update x 'cdr (lambda (old) (cons 3 old)))"
+                "  x)"),
+            "(11 3 2)");
+  EXPECT_EQ(rt.locks().live_entries(), 0u) << "both locks released";
+}
+
+TEST_F(RuntimeTest, LockedUpdateOnStructField) {
+  EXPECT_EQ(run("(defstruct acc-box (data total))"
+                "(let ((b (make-acc-box 'total 5)))"
+                "  (list (%locked-update b 'total (lambda (old) (* old 3)))"
+                "        (total b)))"),
+            "(15 15)");
+  EXPECT_EQ(rt.locks().live_entries(), 0u);
+}
+
+TEST_F(RuntimeTest, LockedUpdateRejectsBadField) {
+  run("(defstruct acc-box (data total))");
+  EXPECT_THROW(run("(%locked-update (make-acc-box) 'nope (lambda (o) o))"),
+               sexpr::LispError);
+  EXPECT_THROW(run("(%locked-update (cons 1 2) 'cadr (lambda (o) o))"),
+               sexpr::LispError);
+  EXPECT_THROW(run("(%locked-update 7 'car (lambda (o) o))"),
+               sexpr::LispError);
+  EXPECT_EQ(rt.locks().live_entries(), 0u) << "no lock taken on a bad field";
+}
+
 TEST_F(RuntimeTest, FutureSpecialFormIsAsyncWithRuntime) {
   EXPECT_EQ(run("(touch (future (+ 40 2)))"), "42");
 }

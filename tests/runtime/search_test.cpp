@@ -95,47 +95,49 @@ TEST_F(SearchTest, FinishWithNoValueDeliversNil) {
 }
 
 // ---- ordered multi-site queues (§4.1) ----------------------------------
+//
+// One lane, the shape of an S=1 run: lane 0 is the only server's.
 
 TEST(OrderedQueues, LowerSiteDrainsFirst) {
-  OrderedTaskQueues q(3);
-  q.push(2, {Value::fixnum(22)});
-  q.push(0, {Value::fixnum(1)});
-  q.push(1, {Value::fixnum(11)});
-  q.push(0, {Value::fixnum(2)});
-  EXPECT_EQ((*q.pop())[0].as_fixnum(), 1);
-  EXPECT_EQ((*q.pop())[0].as_fixnum(), 2);
-  EXPECT_EQ((*q.pop())[0].as_fixnum(), 11);
-  EXPECT_EQ((*q.pop())[0].as_fixnum(), 22);
+  OrderedTaskQueues q(3, 1);
+  q.push(0, 2, {Value::fixnum(22)});
+  q.push(0, 0, {Value::fixnum(1)});
+  q.push(0, 1, {Value::fixnum(11)});
+  q.push(0, 0, {Value::fixnum(2)});
+  EXPECT_EQ((*q.pop(0))[0].as_fixnum(), 1);
+  EXPECT_EQ((*q.pop(0))[0].as_fixnum(), 2);
+  EXPECT_EQ((*q.pop(0))[0].as_fixnum(), 11);
+  EXPECT_EQ((*q.pop(0))[0].as_fixnum(), 22);
 }
 
 TEST(OrderedQueues, CloseWakesWithEmpty) {
-  OrderedTaskQueues q(1);
+  OrderedTaskQueues q(1, 1);
   q.close();
-  EXPECT_FALSE(q.pop().has_value());
+  EXPECT_FALSE(q.pop(0).has_value());
   EXPECT_TRUE(q.closed());
 }
 
 TEST(OrderedQueues, DrainsRemainingAfterClose) {
-  OrderedTaskQueues q(1);
-  q.push(0, {Value::fixnum(1)});
+  OrderedTaskQueues q(1, 1);
+  q.push(0, 0, {Value::fixnum(1)});
   q.close();
   // Items already enqueued are still served before the kill token.
-  EXPECT_TRUE(q.pop().has_value());
-  EXPECT_FALSE(q.pop().has_value());
+  EXPECT_TRUE(q.pop(0).has_value());
+  EXPECT_FALSE(q.pop(0).has_value());
 }
 
 TEST(OrderedQueues, BadSiteThrows) {
-  OrderedTaskQueues q(2);
-  EXPECT_THROW(q.push(5, {}), sexpr::LispError);
+  OrderedTaskQueues q(2, 1);
+  EXPECT_THROW(q.push(0, 5, {}), sexpr::LispError);
 }
 
 TEST(OrderedQueues, MaxLengthHighWaterMark) {
-  OrderedTaskQueues q(2);
-  q.push(0, {});
-  q.push(1, {});
-  q.push(1, {});
-  (void)q.pop();
-  q.push(0, {});
+  OrderedTaskQueues q(2, 1);
+  q.push(0, 0, {});
+  q.push(0, 1, {});
+  q.push(0, 1, {});
+  (void)q.pop(0);
+  q.push(0, 0, {});
   EXPECT_EQ(q.max_length(), 3u);
 }
 

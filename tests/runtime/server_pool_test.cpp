@@ -297,6 +297,28 @@ TEST_F(ServerPoolTest, NestedCriRunInsideServerBodyCompletes) {
   EXPECT_EQ(run_src("inner-count").as_fixnum(), 8 * 3);
 }
 
+TEST_F(ServerPoolTest, ServerSeedingInnerRunsKeepsItsOwnLane) {
+  // The one server seeds five inner %cri-runs in turn, then enqueues
+  // its successor. Each inner run's queue is a different queue the
+  // thread pushes to; none of that may move the thread off its own
+  // lane in the outer run, so every outer push stays a ring append.
+  run_src(
+      "(setq inner-count 0)"
+      "(defun inner-cri (l)"
+      "  (when l (%atomic-incf-var 'inner-count 1) (%cri-enqueue 0 (cdr l))))"
+      "(defun outer-cri (n)"
+      "  (when (> n 0)"
+      "    (dotimes (i 5) (%cri-run inner-cri 1 1 '(a b)))"
+      "    (%cri-enqueue 0 (- n 1))))");
+  CriStats stats = rt.run_cri(in.global("outer-cri"), 1, 1,
+                              {Value::fixnum(6)});
+  EXPECT_EQ(stats.invocations, 7u);
+  EXPECT_EQ(stats.queue.pushes, 7u);
+  EXPECT_EQ(stats.queue.pops, 7u);
+  EXPECT_EQ(stats.queue.spill_pushes, 0u);
+  EXPECT_EQ(run_src("inner-count").as_fixnum(), 6 * 5 * 2);
+}
+
 TEST_F(ServerPoolTest, ThrowingBodyLeavesPoolReusable) {
   run_src(
       "(setq seen 0)"

@@ -741,6 +741,40 @@ TEST(ServeResource, EightSessionsIsolatedWhileOneRunsAway) {
   EXPECT_EQ(clips.load(), 1) << "the runaway must have been clipped";
 }
 
+TEST(ServeResource, GcAllocFaultDuringDaemonSetUpIsAStartError) {
+  // Building the daemon's host interpreter allocates; every allocation
+  // throws here. The failure must come back from open() as an error
+  // string, and the heap must still host a working daemon afterwards.
+  struct InjectorGuard {
+    ~InjectorGuard() {
+      curare::runtime::FaultInjector::instance().disable();
+    }
+  } guard;
+  using FI = curare::runtime::FaultInjector;
+  curare::sexpr::Ctx ctx;
+
+  FI::instance().configure(
+      0xA110C, 1.0, FI::kThrow,
+      1u << static_cast<unsigned>(FI::Site::kGcAlloc));
+  std::string err;
+  auto failed = serve::ServeDaemon::open(ctx, {}, &err);
+  FI::instance().disable();
+  EXPECT_EQ(failed, nullptr);
+  EXPECT_NE(err.find("daemon set-up failed"), std::string::npos) << err;
+  EXPECT_NE(err.find("fault injected at gc.alloc"), std::string::npos)
+      << err;
+
+  auto daemon = serve::ServeDaemon::open(ctx, {}, &err);
+  ASSERT_NE(daemon, nullptr) << err;
+  serve::ClientConnection conn;
+  ASSERT_TRUE(conn.connect("127.0.0.1", daemon->port()));
+  auto resp = conn.request(eval_req("(+ 40 2)"));
+  ASSERT_TRUE(resp.has_value());
+  EXPECT_EQ(resp->status, "ok");
+  EXPECT_EQ(resp->result, "42");
+  daemon->shutdown();
+}
+
 TEST(ServeResource, GcAllocChaosYieldsStructuredErrorsSessionsSurvive) {
   // The quota's throw path shares its unwind with the gc.alloc fault
   // site; here the injector drives that path at random mid-request

@@ -20,7 +20,15 @@ metrics are compared:
 
 Records present in only one file are reported but not fatal — sweeps
 legitimately grow and smoke mode legitimately shrinks them. Exit codes:
-0 ok, 1 regression found, 2 bad invocation or unparseable input.
+0 ok, 1 regression found, 2 bad invocation or unparseable input, or
+records from hosts with different core counts.
+
+Host facts: a record may carry "cores" and "build_type" (bench_queue
+and bench_server_scaling stamp both). They are not part of a record's
+identity, but when a matched pair of records both carry "cores" and the
+counts differ, the check refuses to compare anything: a baseline from a
+1-core host says nothing about a 4-core run. Records without host facts
+are compared as before.
 
 Besides the drift check, both files are held to the scheduler's
 *ratio gates* (the acceptance bars of the work-stealing queue rework,
@@ -116,6 +124,9 @@ VOLATILE = frozenset(
         "mean_restructure_ms",
     )
 )
+
+# Host facts (see module docstring): never part of a record's identity.
+HOST_FACTS = frozenset(("cores", "build_type"))
 
 # Ratio gates (see module docstring). Slack 1.0 = judge strictly.
 ACCEPTANCE_RATIO = 1.5  # ws vs mutex, spawn_chain, 8 threads, 1 site
@@ -333,7 +344,25 @@ def load(path):
 
 
 def identity(rec):
-    return tuple(sorted((k, v) for k, v in rec.items() if k not in VOLATILE))
+    return tuple(
+        sorted(
+            (k, v)
+            for k, v in rec.items()
+            if k not in VOLATILE and k not in HOST_FACTS
+        )
+    )
+
+
+def core_mismatches(base, fresh):
+    """Matched record pairs that both carry "cores" and disagree."""
+    return [
+        (key, base[key]["cores"], fresh[key]["cores"])
+        for key in sorted(base)
+        if key in fresh
+        and "cores" in base[key]
+        and "cores" in fresh[key]
+        and base[key]["cores"] != fresh[key]["cores"]
+    ]
 
 
 def index(recs, path):
@@ -375,6 +404,20 @@ def main():
     fresh_recs = load(args.fresh)
     base = index(base_recs, args.baseline)
     fresh = index(fresh_recs, args.fresh)
+
+    mismatched = core_mismatches(base, fresh)
+    if mismatched:
+        key, bc, fc = mismatched[0]
+        label = ", ".join(f"{k}={v}" for k, v in key)
+        print(
+            f"bench_check: refusing to compare records from hosts with "
+            f"different core counts: {len(mismatched)} matched record(s) "
+            f"differ, e.g. baseline cores={bc} vs fresh cores={fc} "
+            f"[{label}]. Re-baseline on a host with the fresh run's core "
+            f"count.",
+            file=sys.stderr,
+        )
+        return 2
 
     gate_problems = check_gates(base_recs, "baseline", 1.0)
     gate_problems += check_gates(fresh_recs, "fresh", args.gate_slack)

@@ -5,13 +5,15 @@
 // set of unique paths by combining adjacent successor-predecessor pairs
 // in a path."
 //
-// The plain tree check (analysis::check_sapp) rejects doubly-linked
-// lists outright. This checker walks the pointer fields of struct
-// instances but does NOT follow the declared inverse of the edge it
-// arrived by — the runtime realization of the canonicalization function
-// C: a node reached by `succ` and then revisited by the matching `pred`
-// is the same canonical path, not a second one. A node reachable along
-// two genuinely different canonical paths still fails.
+// For plain cons structures no canonicalization is needed: SAPP means
+// no cons cell reachable along two paths (shared substructure) and no
+// cycle, which this checker verifies for every cons it meets. It walks
+// the pointer fields of struct instances but does NOT follow the
+// declared inverse of the edge it arrived by — the runtime realization
+// of the canonicalization function C: a node reached by `succ` and
+// then revisited by the matching `pred` is the same canonical path,
+// not a second one. A node reachable along two genuinely different
+// canonical paths still fails.
 #pragma once
 
 #include <string>

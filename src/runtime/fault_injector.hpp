@@ -41,6 +41,7 @@
 #include <string_view>
 #include <thread>
 
+#include "runtime/splitmix.hpp"
 #include "sexpr/value.hpp"
 
 namespace curare::runtime {
@@ -252,14 +253,6 @@ class FaultInjector {
  private:
   FaultInjector() = default;
 
-  /// splitmix64 finalizer (same mixer as LocKeyHash).
-  static std::uint64_t mix(std::uint64_t x) {
-    x += 0x9E3779B97F4A7C15ull;
-    x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9ull;
-    x = (x ^ (x >> 27)) * 0x94D049BB133111EBull;
-    return x ^ (x >> 31);
-  }
-
   static bool kind_bit(std::string_view name, unsigned& bit) {
     if (name == "delay") {
       bit = kDelay;
@@ -318,7 +311,9 @@ class FaultInjector {
     const auto i = static_cast<unsigned>(s);
     const std::uint64_t n = seq_[i].fetch_add(1, std::memory_order_relaxed);
     const std::uint64_t seed = seed_.load(std::memory_order_relaxed);
-    const std::uint64_t x = mix(seed ^ mix((i + 1) * 0x9E3779B97F4A7C15ull) ^ mix(n));
+    const std::uint64_t x =
+        splitmix64(seed ^ splitmix64((i + 1) * 0x9E3779B97F4A7C15ull) ^
+                   splitmix64(n));
     if (x >= rate_bits_.load(std::memory_order_relaxed)) return false;
 
     // Pick among the enabled kinds with fresh bits so the kind choice
@@ -330,7 +325,7 @@ class FaultInjector {
     if (kinds & kThrow) avail[count++] = kThrow;
     if (kinds & kWake) avail[count++] = kWake;
     if (count == 0) return false;
-    const std::uint64_t y = mix(x);
+    const std::uint64_t y = splitmix64(x);
     switch (avail[y % count]) {
       case kDelay: {
         delays_[i].fetch_add(1, std::memory_order_relaxed);

@@ -34,6 +34,7 @@
 #include <vector>
 
 #include "obs/recorder.hpp"
+#include "runtime/splitmix.hpp"
 #include "sexpr/value.hpp"
 
 namespace curare::runtime {
@@ -48,22 +49,15 @@ struct LocKey {
 };
 
 struct LocKeyHash {
-  /// splitmix64 finalizer. Pointer values are dominated by alignment
-  /// zeros in their low bits; feeding them into `% kShards` (or the
-  /// unordered_map's bucket count) without mixing collapses traffic
-  /// onto a handful of shards. The finalizer diffuses every input bit
-  /// into the low bits the modulo actually uses.
-  static std::uint64_t mix(std::uint64_t x) {
-    x += 0x9E3779B97F4A7C15ull;
-    x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9ull;
-    x = (x ^ (x >> 27)) * 0x94D049BB133111EBull;
-    return x ^ (x >> 31);
-  }
-
+  /// Pointer values are dominated by alignment zeros in their low bits;
+  /// feeding them into `% kShards` (or the unordered_map's bucket
+  /// count) without mixing collapses traffic onto a handful of shards.
+  /// splitmix64 diffuses every input bit into the low bits the modulo
+  /// actually uses.
   std::size_t operator()(const LocKey& k) const {
     const auto obj = reinterpret_cast<std::uintptr_t>(k.object);
     const auto fld = reinterpret_cast<std::uintptr_t>(k.field);
-    return static_cast<std::size_t>(mix(obj ^ mix(fld)));
+    return static_cast<std::size_t>(splitmix64(obj ^ splitmix64(fld)));
   }
 };
 

@@ -156,11 +156,9 @@ CriRun::CriRun(lisp::Interp& interp, sexpr::Value fn,
     : interp_(interp),
       gc_(interp.ctx().heap.gc()),
       fn_(fn),
-      // Lane i belongs to server i; lane `servers_` to the threads
-      // that are not this run's servers (the caller seeding the
-      // initial task). Raw ctor argument on purpose: servers_ is
-      // declared after queues_ and not yet initialized.
-      queues_(num_sites, (servers == 0 ? 1 : servers) + 1),
+      // Lane i belongs to server i. Raw ctor argument on purpose:
+      // servers_ is declared after queues_ and not yet initialized.
+      queues_(num_sites, servers == 0 ? 1 : servers),
       servers_(servers == 0 ? 1 : servers),
       rec_(rec),
       label_(std::move(label)) {
@@ -168,7 +166,7 @@ CriRun::CriRun(lisp::Interp& interp, sexpr::Value fn,
     qdepth_ = &rec_->metrics.histogram(
         "cri.queue_depth", obs::Histogram::default_depth_bounds());
   }
-  slots_ = std::make_unique<ServerSlot[]>(servers_ + 1);
+  slots_ = std::make_unique<ServerSlot[]>(servers_);
   queues_.attach_gc(&gc_);
   gc_.add_root_source(this);
 }
@@ -187,12 +185,10 @@ void CriRun::gc_roots(std::vector<sexpr::Value>& out) {
 }
 
 void CriRun::enqueue(std::size_t site, TaskArgs args) {
-  const bool server = g_current_run == this;
   pending_.fetch_add(1, std::memory_order_acq_rel);
   std::size_t depth = 0;
   try {
-    depth = queues_.push(server ? g_server_index : servers_, site,
-                         std::move(args));
+    depth = queues_.push(g_server_index, site, std::move(args));
   } catch (...) {
     // A push that throws (bad site, injected fault) enqueued nothing:
     // take the increment back or the run never terminates. The count
@@ -203,14 +199,9 @@ void CriRun::enqueue(std::size_t site, TaskArgs args) {
   }
   if (rec_) {
     g_last_enqueue_ns = rec_->tracer.now_ns();
-    if (server) {
-      ServerSlot& slot = slots_[g_server_index];
-      slot.enqueues.fetch_add(1, std::memory_order_relaxed);
-      slot.qdepth->observe(depth);
-    } else {
-      slots_[servers_].enqueues.fetch_add(1, std::memory_order_relaxed);
-      qdepth_->observe(depth);
-    }
+    ServerSlot& slot = slots_[g_server_index];
+    slot.enqueues.fetch_add(1, std::memory_order_relaxed);
+    slot.qdepth->observe(depth);
     rec_->tracer.instant(obs::EventKind::kTaskEnqueue, site, depth);
   }
 }
@@ -397,14 +388,14 @@ CriStats CriRun::run(TaskArgs initial_args) {
   // can be re-run after an aborted (thrown) or early-finished run.
   queues_.reopen();
   stop_.store(false, std::memory_order_relaxed);
-  for (std::size_t i = 0; i <= servers_; ++i) {
+  for (std::size_t i = 0; i < servers_; ++i) {
     ServerSlot& slot = slots_[i];
     slot.invocations.store(0, std::memory_order_relaxed);
     slot.completions.store(0, std::memory_order_relaxed);
     slot.enqueues.store(0, std::memory_order_relaxed);
     slot.head_ns = slot.tail_ns = slot.busy_ns = slot.idle_ns = 0;
     slot.tasks = 0;
-    if (rec_ && i < servers_) slot.qdepth.emplace(*qdepth_);
+    if (rec_) slot.qdepth.emplace(*qdepth_);
   }
   {
     std::lock_guard<std::mutex> g(err_mu_);
@@ -455,10 +446,15 @@ CriStats CriRun::run(TaskArgs initial_args) {
 
   {
     // Keep the initial arguments alive across the hand-off into the
-    // queue (they are rooted by the queue only once pushed).
+    // queue (they are rooted by the queue only once pushed). The seed
+    // goes into lane 0 from this thread: lease.run() below hands the
+    // lane to server 0 under the pool mutex, which orders this push
+    // before the server's first pop. Lane 0 has not been popped since
+    // reopen(), so it counts as a mailbox and any server may take the
+    // seed.
     gc::MutatorScope gc_scope(gc_);
     pending_.store(1, std::memory_order_relaxed);
-    queues_.push(servers_, 0, std::move(initial_args));
+    queues_.push(0, 0, std::move(initial_args));
   }
 
   // Release this thread's unsafe region across the wait: the caller is

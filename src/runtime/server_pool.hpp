@@ -171,10 +171,8 @@ class CriRun : public gc::RootSource {
   /// (thrown) or early-finished run.
   CriStats run(TaskArgs initial_args);
 
-  /// Called (via the %cri-enqueue builtin) from server threads, which
-  /// push to their own lane. Any other thread pushes to the one lane
-  /// the run keeps for non-servers, so at most one may enqueue at a
-  /// time.
+  /// Called (via the %cri-enqueue builtin) from this run's server
+  /// threads only; each pushes to its own lane.
   void enqueue(std::size_t site, TaskArgs args);
 
   /// Any-result search termination (§3.2.3): deliver a result and kill
@@ -237,9 +235,7 @@ class CriRun : public gc::RootSource {
 
   /// One server's counters, alone on its cache lines: the per-task path
   /// writes only its own slot. The atomics are read while the run is
-  /// live (watchdog, dump_state); the rest only after the join. Slot
-  /// servers_ (one past the last server) takes enqueues from threads
-  /// that are not this run's servers, through atomics only.
+  /// live (watchdog, dump_state); the rest only after the join.
   struct alignas(64) ServerSlot {
     std::atomic<std::uint64_t> invocations{0};
     std::atomic<std::uint64_t> completions{0};
@@ -253,11 +249,11 @@ class CriRun : public gc::RootSource {
   };
   std::uint64_t sum(std::atomic<std::uint64_t> ServerSlot::*field) const {
     std::uint64_t n = 0;
-    for (std::size_t i = 0; i <= servers_; ++i)
+    for (std::size_t i = 0; i < servers_; ++i)
       n += (slots_[i].*field).load(std::memory_order_relaxed);
     return n;
   }
-  std::unique_ptr<ServerSlot[]> slots_;  ///< servers_ + 1 entries
+  std::unique_ptr<ServerSlot[]> slots_;  ///< one per server
 
   std::mutex err_mu_;
   std::exception_ptr first_error_;

@@ -199,8 +199,8 @@ class SingleMutexTaskQueues {
 // carrying the full per-site array of {ring, spill}. (A global per-site
 // ring that any server drains has no locality, and its shared cursors
 // cost several contended RMWs per push+pop pair.) The caller names the
-// lane on every push and pop — CriRun passes the server index, and one
-// extra lane for threads that are not its servers — and each lane has
+// lane on every push and pop — CriRun passes the server index; its
+// caller seeds lane 0 before server 0 starts — and each lane has
 // exactly one producer at a time. So the lane's producer pushes with
 // single-producer ring appends (no CAS) and pops its own lane first: a
 // head→spawn chain stays on the server that spawned it. Consumption
@@ -233,8 +233,8 @@ class SingleMutexTaskQueues {
 //    fence/notify entirely when its lane depth after the push is 1 —
 //    the producer is the next consumer, so there is nothing for a
 //    thief to do (the classic work-stealing wake rule). Surplus
-//    pushes (lane depth > 1) and pushes to a lane nobody pops (a
-//    seeding caller or dispatcher) always go through the handshake.
+//    pushes (lane depth > 1) and pushes to a lane nobody has popped
+//    yet (a seeding caller's) always go through the handshake.
 //    The bounded 100 ms sleep slice is the liveness backstop if a
 //    consuming owner stalls mid-chain.
 
@@ -244,8 +244,8 @@ class WorkStealingTaskQueues {
   static constexpr std::size_t kRingCapacity = 512;
 
   /// `lanes` is the number of lane indices callers will pass to push
-  /// and pop. CriRun passes servers + 1: lane i for server i, and lane
-  /// `servers` for the caller seeding the initial task.
+  /// and pop. CriRun passes its server count S: lane i for server i,
+  /// with the caller seeding the initial task into lane 0.
   WorkStealingTaskQueues(std::size_t num_sites, std::size_t lanes)
       : nsites_(num_sites == 0 ? 1 : num_sites) {
     const std::size_t nlanes = lanes == 0 ? 1 : lanes;
@@ -549,10 +549,11 @@ class WorkStealingTaskQueues {
         sites.push_back(std::make_unique<LaneSite>());
     }
     std::vector<std::unique_ptr<LaneSite>> sites;
-    /// Set by the first pop on this lane — distinguishes a server
-    /// (producer-is-next-consumer, wake throttle applies) from a lane
-    /// nobody pops, like a seeding caller's (whose pushes always run
-    /// the sleeper handshake). Written and read by the owner only.
+    /// Set by the first pop on this lane since reopen() — distinguishes
+    /// a server (producer-is-next-consumer, wake throttle applies) from
+    /// a lane nobody has popped yet, like lane 0 holding the seed
+    /// (whose push always runs the sleeper handshake, and which any
+    /// server may take). Written and read by the owner only.
     std::atomic<bool> owner_consumes{false};
     /// Monotonic depth counters, padded off the sites vector so
     /// stats() reads don't bounce the owner's hot line. pushed and
@@ -623,9 +624,9 @@ class WorkStealingTaskQueues {
 
   /// Steal-affinity rule: a spin-phase thief may rob a victim only
   /// when the work is *surplus* — the victim's owner has more backlog
-  /// than it can consume next (load ≥ 2), or the lane is a mailbox (a
-  /// producer-only owner that never pops: a seeding caller, a serve
-  /// dispatcher). A consuming owner's single in-flight task is left
+  /// than it can consume next (load ≥ 2), or the lane is a mailbox (no
+  /// owner has popped it yet: the seed a caller left in lane 0). A
+  /// consuming owner's single in-flight task is left
   /// alone even while that owner is descheduled; robbing it would just
   /// migrate the chain and strand the owner (the churn that time-
   /// sliced hosts otherwise exhibit). Desperate rounds — the first

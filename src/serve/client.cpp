@@ -19,6 +19,11 @@ bool ClientConnection::connect(const std::string& host, int port,
     return false;
   };
   close();
+  if (port < 1 || port > 65535) {
+    if (err != nullptr)
+      *err = "port " + std::to_string(port) + " outside 1-65535";
+    return false;
+  }
   fd_ = ::socket(AF_INET, SOCK_STREAM, 0);
   if (fd_ < 0) return fail("socket");
   sockaddr_in addr{};

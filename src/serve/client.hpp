@@ -7,6 +7,7 @@
 #include <optional>
 #include <string>
 
+#include "runtime/splitmix.hpp"
 #include "serve/protocol.hpp"
 
 namespace curare::serve {
@@ -40,7 +41,8 @@ class RetryPolicy {
                             ? retry_after_hint
                             : backoff_ms_ << (attempt < 16 ? attempt : 16);
     if (base < 0) base = 0;
-    const std::uint64_t x = mix(seed_ ^ mix(attempt + 1));
+    const std::uint64_t x =
+        runtime::splitmix64(seed_ ^ runtime::splitmix64(attempt + 1));
     const std::int64_t jitter =
         base > 0 ? static_cast<std::int64_t>(
                        x % static_cast<std::uint64_t>(base / 2 + 1))
@@ -49,14 +51,6 @@ class RetryPolicy {
   }
 
  private:
-  /// splitmix64 finalizer (same mixer as the fault injector).
-  static std::uint64_t mix(std::uint64_t x) {
-    x += 0x9E3779B97F4A7C15ull;
-    x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9ull;
-    x = (x ^ (x >> 27)) * 0x94D049BB133111EBull;
-    return x ^ (x >> 31);
-  }
-
   unsigned retries_;
   std::int64_t backoff_ms_;
   std::uint64_t seed_;

@@ -19,10 +19,19 @@
 // The serving protocol carries the same taxonomy as the response's
 // "status" string; status_exit_code() maps one onto the other so
 // curare_client's exit code equals what a local run would have
-// returned.
+// returned, and classify_failure() maps a failed run's exception onto
+// it, so the daemon and the local CLI classify failures alike.
 #pragma once
 
+#include <optional>
+#include <string>
 #include <string_view>
+
+#include "runtime/resource.hpp"
+
+namespace curare::runtime {
+class CancelState;
+}
 
 namespace curare::serve {
 
@@ -53,5 +62,23 @@ inline int status_exit_code(std::string_view status) {
   if (status == kStatusResourceExhausted) return kExitResourceExhausted;
   return kExitError;
 }
+
+/// A failed run, classified onto the wire statuses.
+struct Failure {
+  /// kStatusStall, kStatusDeadline, kStatusResourceExhausted or
+  /// kStatusError.
+  std::string_view status;
+  std::string message;  ///< the exception's what()
+  std::string dump;     ///< a stall's diagnostic dump (else empty)
+  /// The limit that clipped a resource-exhausted run.
+  std::optional<runtime::ResourceExhausted::Kind> exhausted;
+};
+
+/// Classify the exception being handled; call only from a catch block.
+/// A stall is a deadline when its message, or the reason `tok` fired
+/// with, says so: the watchdog, the daemon's drain and every deadline
+/// cancel through CancelState, and only its deadline path mints
+/// "deadline exceeded" (runtime/resilience.hpp).
+Failure classify_failure(const runtime::CancelState* tok = nullptr);
 
 }  // namespace curare::serve

@@ -22,7 +22,7 @@ ServeDaemon::ServeDaemon(sexpr::Ctx& ctx, ServeOptions opts)
     : ctx_(ctx),
       opts_(std::move(opts)),
       host_interp_(ctx),
-      runtime_(host_interp_, opts_.workers),
+      runtime_(host_interp_),
       admission_(opts_.max_inflight, opts_.queue_limit,
                  runtime_.obs().metrics),
       sessions_g_(runtime_.obs().metrics.gauge("serve.sessions")),
@@ -90,6 +90,12 @@ std::unique_ptr<ServeDaemon> ServeDaemon::open(sexpr::Ctx& ctx,
 }
 
 bool ServeDaemon::start(std::string* err) {
+  // htons would silently truncate an out-of-range port to another one.
+  if (opts_.port < 0 || opts_.port > 65535) {
+    if (err != nullptr)
+      *err = "port " + std::to_string(opts_.port) + " outside 0-65535";
+    return false;
+  }
   // Warm-start preparation before the socket exists: a daemon pointed
   // at a corrupt or version-skewed image must fail loudly at startup,
   // not serve sessions from half a heap.

@@ -57,7 +57,6 @@ struct ServeOptions {
   /// How long shutdown() waits for in-flight requests before
   /// cancelling their tokens.
   std::int64_t drain_grace_ms = 2000;
-  std::size_t workers = 0;  ///< future-pool size (0 = hw concurrency)
 
   // Resource governance (DESIGN.md §14); 0 disables each bound.
   /// Per-request GC-allocation quota in bytes; crossing it answers

@@ -15,13 +15,6 @@ namespace curare::serve {
 
 namespace {
 
-/// A fired token's reason decides deadline vs. stall: the daemon and
-/// the watchdog both cancel through the same CancelState machinery,
-/// and only deadline cancels carry this phrase (resilience.hpp).
-bool is_deadline(const std::string& msg) {
-  return msg.find("deadline exceeded") != std::string::npos;
-}
-
 /// Which resource.exhausted.* counter a clipped request bumps — the
 /// names are API for :stats, the metrics op, and the bench.
 const char* exhausted_counter_name(runtime::ResourceExhausted::Kind k) {
@@ -85,26 +78,16 @@ Response Session::handle(const Request& req,
     } else {
       resp = Response::fail(kStatusError, "unknown op: " + req.op);
     }
-  } catch (const runtime::StallError& e) {
-    const std::string why =
-        tok != nullptr && tok->cancelled() ? tok->reason() : e.what();
-    resp = Response::fail(
-        is_deadline(why) || is_deadline(e.what()) ? kStatusDeadline
-                                                  : kStatusStall,
-        e.what());
-  } catch (const runtime::ResourceExhausted& e) {
-    // Before the generic LispError arm: a clipped request answers
-    // with the structured status (exit code 6 client-side), and only
-    // this request died — the session's next request gets a fresh
-    // budget.
-    driver_.runtime().obs().metrics
-        .counter(exhausted_counter_name(e.kind()))
-        .add();
-    resp = Response::fail(kStatusResourceExhausted, e.what());
-  } catch (const sexpr::LispError& e) {
-    resp = Response::fail(kStatusError, e.what());
-  } catch (const std::exception& e) {
-    resp = Response::fail(kStatusError, e.what());
+  } catch (...) {
+    Failure f = classify_failure(tok);
+    // A clipped request bumps its limit's counter; only this request
+    // died — the session's next request gets a fresh budget.
+    if (f.exhausted) {
+      driver_.runtime().obs().metrics
+          .counter(exhausted_counter_name(*f.exhausted))
+          .add();
+    }
+    resp = Response::fail(f.status, std::move(f.message));
   }
   if (result_cap_ != 0 && resp.status == kStatusOk &&
       resp.result.size() + resp.output.size() > result_cap_) {

@@ -1,5 +1,6 @@
 // E14 end-to-end: canonicalization-aware SAPP over real defstruct
-// graphs (paper §2.1's doubly-linked example).
+// graphs (paper §2.1's doubly-linked example), and the plain cons
+// cases: trees pass, shared substructure and cycles fail.
 #include "curare/struct_sapp.hpp"
 
 #include <gtest/gtest.h>
@@ -9,6 +10,57 @@
 
 namespace curare {
 namespace {
+
+class SappTest : public ::testing::Test {
+ protected:
+  sexpr::Ctx ctx;
+  decl::Declarations decls{ctx};
+
+  StructSappResult check(Value v) { return check_struct_sapp(v, decls); }
+};
+
+TEST_F(SappTest, AtomsHold) {
+  EXPECT_TRUE(check(Value::nil()));
+  EXPECT_TRUE(check(Value::fixnum(7)));
+  EXPECT_TRUE(check(ctx.sym("x")));
+}
+
+TEST_F(SappTest, ProperListHolds) {
+  EXPECT_TRUE(check(sexpr::read_one(ctx, "(1 2 3 (4 5) 6)")));
+}
+
+TEST_F(SappTest, SharedAtomsAreFine) {
+  Value a = ctx.sym("a");
+  Value l = ctx.make_list(a, a, a);
+  EXPECT_TRUE(check(l)) << "interned atoms are shared by design";
+}
+
+TEST_F(SappTest, SharedSubstructureFails) {
+  Value shared = sexpr::read_one(ctx, "(x)");
+  Value l = ctx.make_list(shared, shared);
+  StructSappResult r = check(l);
+  EXPECT_FALSE(r);
+  EXPECT_FALSE(r.violation.empty());
+}
+
+TEST_F(SappTest, CycleFails) {
+  Value a = ctx.cons(Value::fixnum(1), Value::nil());
+  sexpr::as_cons(a)->set_cdr(a);
+  EXPECT_FALSE(check(a));
+}
+
+TEST_F(SappTest, DiamondViaCarAndCdrFails) {
+  Value shared = ctx.cons(Value::fixnum(9), Value::nil());
+  Value both = ctx.cons(shared, shared);
+  EXPECT_FALSE(check(both));
+}
+
+TEST_F(SappTest, LargeListIterative) {
+  std::string src = "(";
+  for (int i = 0; i < 200000; ++i) src += "1 ";
+  src += ")";
+  EXPECT_TRUE(check(sexpr::read_one(ctx, src)));
+}
 
 class StructSappTest : public ::testing::Test {
  protected:

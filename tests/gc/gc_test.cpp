@@ -222,19 +222,46 @@ TEST(GcRootPrecisionTest, PendingFutureThunkSurvives) {
 }
 
 TEST(GcRootPrecisionTest, QueuedCriTaskArgumentSurvives) {
+  // A real S=1 run: the seed task collects, enqueues a fresh cons that
+  // only the queue holds, and collects again. With one server the
+  // successor cannot start before the seed task ends, so the second
+  // collection sees the cons only through CriRun::gc_roots. The body
+  // steps out of its unsafe region to collect, as a server does when
+  // it parks: collect() inside the region would only arm the next
+  // quiescent point, and its frames stay shadow-stack rooted.
   sexpr::Ctx ctx;
   lisp::Interp in(ctx);
-  runtime::CriRun run(in, Value::nil(), 1, 1);
+  runtime::Runtime rt(in, 1);
+  rt.install();
+  std::vector<std::uint64_t> live;
+  in.define_builtin("collect-now", 0, 0,
+                    [&](lisp::Interp&, std::span<const Value>) {
+                      GcHeap& gc = ctx.heap.gc();
+                      const std::size_t depth = gc.blocking_release();
+                      gc.collect("test");
+                      gc.blocking_reacquire(depth);
+                      live.push_back(ctx.heap.live_objects());
+                      return Value::nil();
+                    });
+  std::int64_t received = 0;
+  in.define_builtin("receive", 1, 1,
+                    [&](lisp::Interp&, std::span<const Value> a) {
+                      received = car(a[0]).as_fixnum();
+                      return Value::nil();
+                    });
+  in.eval_program(
+      "(defun body (x)"
+      "  (if (eq x 'seed)"
+      "      (progn (collect-now) (%cri-enqueue 0 (cons 123 nil))"
+      "             (collect-now))"
+      "      (receive x)))");
+  runtime::CriRun run(in, in.global("body"), 1, 1);
+  run.run({ctx.sym("seed")});
 
-  const std::size_t base = ctx.heap.live_objects();
-  {
-    MutatorScope ms(ctx.heap.gc());
-    Value payload = ctx.heap.cons(Value::fixnum(123), Value::nil());
-    run.enqueue(0, {payload});
-  }
-  ctx.heap.gc().collect("test");
-  EXPECT_EQ(ctx.heap.live_objects(), base + 1)
+  ASSERT_EQ(live.size(), 2u);
+  EXPECT_EQ(live[1], live[0] + 1)
       << "a pending task's argument is a root while queued";
+  EXPECT_EQ(received, 123);
 }
 
 TEST(GcRootPrecisionTest, NegativeControlUnrootedValueIsCollected) {

@@ -291,6 +291,30 @@ TEST(Serve, GracefulDrainCancelsInFlight) {
   EXPECT_FALSE(late.connect("127.0.0.1", f.daemon.port(), &err));
 }
 
+TEST(Serve, StartRejectsAPortOutsideTheTcpRange) {
+  // htons would truncate 70000 to 4464 and bind that port instead.
+  curare::sexpr::Ctx ctx;
+  for (int port : {-1, 65536, 70000}) {
+    serve::ServeOptions opts;
+    opts.port = port;
+    serve::ServeDaemon daemon(ctx, opts);
+    std::string err;
+    EXPECT_FALSE(daemon.start(&err)) << "port " << port;
+    EXPECT_NE(err.find("outside 0-65535"), std::string::npos) << err;
+    EXPECT_EQ(daemon.port(), 0);
+  }
+}
+
+TEST(Serve, ConnectRejectsAPortOutsideTheTcpRange) {
+  for (int port : {-1, 0, 65536, 70000}) {
+    serve::ClientConnection c;
+    std::string err;
+    EXPECT_FALSE(c.connect("127.0.0.1", port, &err)) << "port " << port;
+    EXPECT_NE(err.find("outside 1-65535"), std::string::npos) << err;
+    EXPECT_FALSE(c.connected());
+  }
+}
+
 TEST(Serve, RestructureOpTransformsARecursiveDefun) {
   DaemonFixture f;
   auto conn = f.connect();

@@ -32,7 +32,7 @@
 //                  live) on exit
 //   --deadline-ms N    abort any CRI run (and batch/-e evaluation) that
 //                  exceeds N ms of wall clock with a StallError +
-//                  diagnostic dump (exit code 3)
+//                  diagnostic dump (exit code 4)
 //   --stall-ms N   arm the per-run watchdog: abort a CRI run in which
 //                  no task completes for N ms (exit code 3)
 //   --lock-budget-ms N  cap any single blocked lock acquisition
@@ -56,21 +56,18 @@
 //                  fail with ResourceExhausted instead of growing
 //                  toward the OS OOM killer
 #include <cstdio>
-#include <cstdlib>
 #include <fstream>
 #include <iostream>
-#include <optional>
 #include <sstream>
 #include <string>
 
+#include "args.hpp"
 #include "curare/curare.hpp"
 #include "curare/struct_sapp.hpp"
 #include "obs/profiler.hpp"
 #include "obs/recorder.hpp"
 #include "obs/request.hpp"
-#include "runtime/fault_injector.hpp"
 #include "runtime/resilience.hpp"
-#include "runtime/resource.hpp"
 #include "serve/exit_codes.hpp"
 #include "sexpr/list_ops.hpp"
 #include "sexpr/printer.hpp"
@@ -81,11 +78,19 @@ namespace {
 using curare::Curare;
 using curare::Value;
 
-/// A stalled run is its own exit condition (code 3), with the dump on
-/// stderr so CI logs show *why* — not just that — a program died.
-void print_stall(const curare::runtime::StallError& e) {
-  std::fprintf(stderr, "stall: %s\n", e.what());
-  if (!e.dump().empty()) std::fprintf(stderr, "%s", e.dump().c_str());
+/// Report a failed run and return its exit code (the shared table in
+/// serve/exit_codes.hpp, so a local run and a served one report the
+/// same way). A stall goes to stderr with its dump so CI logs show
+/// why — not just that — a program died.
+int report_failure(const curare::serve::Failure& f, std::FILE* to) {
+  using curare::serve::kStatusDeadline, curare::serve::kStatusStall;
+  if (f.status == kStatusStall || f.status == kStatusDeadline) {
+    std::fprintf(stderr, "stall: %s\n%s", f.message.c_str(), f.dump.c_str());
+  } else {
+    std::fprintf(to, "%.*s: %s\n", static_cast<int>(f.status.size()),
+                 f.status.data(), f.message.c_str());
+  }
+  return curare::serve::status_exit_code(f.status);
 }
 
 /// A fresh per-run budget context (quota/fuel), or null when no
@@ -100,17 +105,6 @@ std::shared_ptr<curare::obs::RequestContext> fresh_budget(
   rc->mem_quota = mem_quota;
   rc->fuel_limit = fuel;
   return rc;
-}
-
-/// Deadline-killed runs exit 4, watchdog/cancel stalls exit 3 — the
-/// shared table in serve/exit_codes.hpp, so a local run and a served
-/// one report the same way. The cancel reason is the discriminator
-/// ("deadline exceeded" is minted only by CancelState's deadline path).
-int stall_exit_code(const curare::runtime::StallError& e) {
-  return std::string_view(e.what()).find("deadline exceeded") !=
-                 std::string_view::npos
-             ? curare::serve::kExitDeadline
-             : curare::serve::kExitStall;
 }
 
 void print_gc_stats(const curare::gc::GcHeap& gc, std::FILE* to) {
@@ -296,16 +290,11 @@ int repl(Curare& cur, std::uint64_t mem_quota, std::uint64_t fuel) {
         std::string out = cur.interp().take_output();
         if (!out.empty()) std::printf("%s", out.c_str());
       }
-    } catch (const curare::runtime::StallError& e) {
-      // The run died but the session survives: the CriRun drained its
-      // queues on abort and a fresh run mints a fresh token.
-      print_stall(e);
-    } catch (const curare::runtime::ResourceExhausted& e) {
-      // Same survival story as a stall: exactly this line was
-      // clipped; the next line gets a fresh budget.
-      std::printf("resource-exhausted: %s\n", e.what());
-    } catch (const std::exception& e) {
-      std::printf("error: %s\n", e.what());
+    } catch (...) {
+      // Only this line died: an aborted CriRun drained its queues and
+      // a fresh run mints a fresh token; the next line gets a fresh
+      // budget.
+      report_failure(curare::serve::classify_failure(), stdout);
     }
     // Each REPL line is a quiescent point: nothing typed so far holds
     // unrooted Values on this stack.
@@ -326,137 +315,30 @@ int main(int argc, char** argv) {
   std::string eval_expr;
   bool have_eval = false;
   std::string file;
-  std::int64_t deadline_ms = 0;
-  std::int64_t stall_ms = 0;
-  std::int64_t lock_budget_ms = 0;
-  std::uint64_t mem_quota = 0;
-  std::int64_t fuel = 0;
-  std::uint64_t heap_soft = 0;
-  std::uint64_t heap_hard = 0;
-  std::optional<curare::runtime::FaultInjector::Spec> chaos;
-  long long profile_period = 0;  // 0 = profiler off
+  curare::tools::RuntimeFlags rt;
 
-  // Every value flag accepts both "--flag VALUE" and "--flag=VALUE"
-  // spellings; take_value recognizes the flag and yields the value.
-  auto take_value = [&](int& i, const std::string& arg,
-                        const std::string& flag,
-                        std::string& out) -> bool {
-    if (arg.rfind(flag + "=", 0) == 0) {
-      out = arg.substr(flag.size() + 1);
-      return true;
-    }
-    if (arg != flag) return false;
-    if (i + 1 >= argc) {
-      std::fprintf(stderr, "%s requires an argument\n", flag.c_str());
-      std::exit(curare::serve::kExitUsage);
-    }
-    out = argv[++i];
-    return true;
-  };
-  auto parse_ms = [](const std::string& flag, const std::string& text,
-                     std::int64_t& out) -> bool {
-    char* end = nullptr;
-    const long long v = std::strtoll(text.c_str(), &end, 10);
-    if (end == text.c_str() || *end != '\0' || v < 0) {
-      std::fprintf(stderr, "%s: bad millisecond count '%s'\n",
-                   flag.c_str(), text.c_str());
-      return false;
-    }
-    out = v;
-    return true;
-  };
-
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    std::string v;
-    if (take_value(i, arg, "--gc-threshold", v)) {
-      if (!curare::runtime::parse_bytes(v, gc_threshold)) {
-        std::fprintf(stderr,
-                     "--gc-threshold requires a byte count (k/m/g "
-                     "suffixes accepted)\n");
-        return curare::serve::kExitUsage;
-      }
+  curare::tools::Args args(argc, argv);
+  while (args.next()) {
+    if (rt.parse(args) || args.value("--trace", trace_path)) continue;
+    if (args.bytes("--gc-threshold", gc_threshold)) {
       have_threshold = true;
-    } else if (arg == "--gc-stats") {
+    } else if (args.flag("--gc-stats")) {
       gc_stats = true;
-    } else if (take_value(i, arg, "--deadline-ms", v)) {
-      if (!parse_ms("--deadline-ms", v, deadline_ms))
-        return curare::serve::kExitUsage;
-    } else if (take_value(i, arg, "--stall-ms", v)) {
-      if (!parse_ms("--stall-ms", v, stall_ms))
-        return curare::serve::kExitUsage;
-    } else if (take_value(i, arg, "--lock-budget-ms", v)) {
-      if (!parse_ms("--lock-budget-ms", v, lock_budget_ms))
-        return curare::serve::kExitUsage;
-    } else if (take_value(i, arg, "--mem-quota", v)) {
-      if (!curare::runtime::parse_bytes(v, mem_quota)) {
-        std::fprintf(stderr, "--mem-quota: bad byte count '%s'\n",
-                     v.c_str());
-        return curare::serve::kExitUsage;
-      }
-    } else if (take_value(i, arg, "--fuel", v)) {
-      if (!parse_ms("--fuel", v, fuel))  // same nonneg-integer grammar
-        return curare::serve::kExitUsage;
-    } else if (take_value(i, arg, "--heap-soft", v)) {
-      if (!curare::runtime::parse_bytes(v, heap_soft)) {
-        std::fprintf(stderr, "--heap-soft: bad byte count '%s'\n",
-                     v.c_str());
-        return curare::serve::kExitUsage;
-      }
-    } else if (take_value(i, arg, "--heap-hard", v)) {
-      if (!curare::runtime::parse_bytes(v, heap_hard)) {
-        std::fprintf(stderr, "--heap-hard: bad byte count '%s'\n",
-                     v.c_str());
-        return curare::serve::kExitUsage;
-      }
-    } else if (take_value(i, arg, "--chaos", v)) {
-      chaos = curare::runtime::FaultInjector::parse_spec(v);
-      if (!chaos) {
-        std::fprintf(stderr,
-                     "--chaos requires SEED:RATE[:KINDS[:SITES]] with "
-                     "RATE in (0,1], KINDS from delay,throw,wake,all "
-                     "and SITES from lock.acquire,queue.push,"
-                     "future.spawn,task.run,gc.alloc,queue.steal,all\n");
-        return curare::serve::kExitUsage;
-      }
-    } else if (take_value(i, arg, "--trace", v)) {
-      trace_path = v;
-    } else if (take_value(i, arg, "-e", v)) {
-      eval_expr = v;
+    } else if (args.value("-e", eval_expr)) {
       have_eval = true;
-    } else if (arg == "--stats") {
+    } else if (args.flag("--stats")) {
       stats = true;
-    } else if (arg == "--profile") {
-      profile_period = curare::obs::Profiler::kDefaultPeriod;
-    } else if (arg.rfind("--profile=", 0) == 0) {
-      char* end = nullptr;
-      const std::string v2 = arg.substr(10);
-      profile_period = std::strtoll(v2.c_str(), &end, 10);
-      if (end == v2.c_str() || *end != '\0' || profile_period <= 0) {
-        std::fprintf(stderr, "--profile: bad period '%s'\n", v2.c_str());
-        return curare::serve::kExitUsage;
-      }
-    } else if (!arg.empty() && arg[0] == '-') {
-      std::fprintf(stderr,
-                   "unknown option %s\nusage: curare [--trace out.json] "
-                   "[--stats] [--profile[=N]] [--gc-threshold N] "
-                   "[--gc-stats] [--deadline-ms N] [--stall-ms N] "
-                   "[--lock-budget-ms N] "
-                   "[--mem-quota N] [--fuel N] "
-                   "[--heap-soft N] [--heap-hard N] "
-                   "[--chaos SEED:RATE[:KINDS[:SITES]]] "
-                   "[-e EXPR | program.lisp]\n",
-                   arg.c_str());
-      return curare::serve::kExitUsage;
-    } else if (!file.empty()) {
-      // A silently dropped first file is worse than an error: the user
-      // almost certainly misspelled a flag or forgot quoting.
-      std::fprintf(stderr,
-                   "multiple program files ('%s' and '%s'); pass one\n",
-                   file.c_str(), arg.c_str());
-      return curare::serve::kExitUsage;
-    } else {
-      file = arg;
+    } else if (!args.file(file)) {
+      curare::tools::usage_error(
+          "unknown option %s\nusage: curare [--trace out.json] "
+          "[--stats] [--profile[=N]] [--gc-threshold N] "
+          "[--gc-stats] [--deadline-ms N] [--stall-ms N] "
+          "[--lock-budget-ms N] "
+          "[--mem-quota N] [--fuel N] "
+          "[--heap-soft N] [--heap-hard N] "
+          "[--chaos SEED:RATE[:KINDS[:SITES]]] "
+          "[-e EXPR | program.lisp]\n",
+          args.arg().c_str());
     }
   }
 
@@ -464,39 +346,25 @@ int main(int argc, char** argv) {
   Curare cur(ctx);
   cur.interp().set_echo(false);
   if (have_threshold) ctx.heap.gc().set_threshold(gc_threshold);
-  if (heap_soft != 0 || heap_hard != 0)
-    ctx.heap.gc().set_heap_limits(heap_soft, heap_hard);
+  if (rt.heap_soft != 0 || rt.heap_hard != 0)
+    ctx.heap.gc().set_heap_limits(rt.heap_soft, rt.heap_hard);
   if (!trace_path.empty()) cur.runtime().obs().tracer.set_enabled(true);
-  cur.runtime().set_deadline_ms(deadline_ms);
-  cur.runtime().set_stall_ms(stall_ms);
-  cur.runtime().locks().set_wait_budget_ms(lock_budget_ms);
-  // Armed only now: chaos targets the user's program, and a fault
-  // thrown during interpreter bootstrap would escape every handler.
-  if (chaos) {
-    curare::runtime::FaultInjector::instance().configure(
-        chaos->seed, chaos->rate, chaos->kinds, chaos->sites);
-  }
-  if (profile_period > 0) {
-    auto& prof = curare::obs::Profiler::instance();
-    prof.set_period(static_cast<unsigned>(profile_period));
-    prof.set_enabled(true);
-  }
+  cur.runtime().set_deadline_ms(rt.deadline_ms);
+  rt.apply(cur.runtime());
 
   // Batch/-e evaluations get a top-level token too, so a deadline also
   // bounds Lisp that hangs *outside* any CRI run (top-level infinite
   // recursion, a lock wait on the main thread). CRI runs install their
   // own per-run token on their server threads; this one governs the
   // main thread only.
+  const bool batch = have_eval || !file.empty();
   curare::runtime::CancelState top_token;
   top_token.dump_fn = [&cur] {
     return cur.runtime().locks().dump_held();
   };
-  if (deadline_ms > 0 && (have_eval || !file.empty())) {
-    top_token.set_deadline_ms(deadline_ms);
-  }
+  if (rt.deadline_ms > 0 && batch) top_token.set_deadline_ms(rt.deadline_ms);
   curare::runtime::CancelScope top_scope(
-      deadline_ms > 0 && (have_eval || !file.empty()) ? &top_token
-                                                      : nullptr);
+      rt.deadline_ms > 0 && batch ? &top_token : nullptr);
 
   // Deferred reporting so every mode (batch, -e, REPL) flushes the
   // trace and stats on the way out, including on error exits.
@@ -511,7 +379,7 @@ int main(int argc, char** argv) {
     }
     // --stats already embeds the profile via full_report; avoid
     // printing the same table twice.
-    if (profile_period > 0 && !stats) {
+    if (rt.profile_period > 0 && !stats) {
       std::printf("%s",
                   curare::obs::Profiler::instance().hot_report().c_str());
     }
@@ -519,28 +387,9 @@ int main(int argc, char** argv) {
     return code;
   };
 
-  if (have_eval) {
-    try {
-      curare::obs::RequestScope budget(
-          fresh_budget(mem_quota, static_cast<std::uint64_t>(fuel)));
-      Value v = cur.eval_program(eval_expr);
-      std::string out = cur.interp().take_output();
-      if (!out.empty()) std::printf("%s", out.c_str());
-      std::printf("%s\n", curare::sexpr::write_str(v).c_str());
-      return finish(curare::serve::kExitOk);
-    } catch (const curare::runtime::StallError& e) {
-      print_stall(e);
-      return finish(stall_exit_code(e));
-    } catch (const curare::runtime::ResourceExhausted& e) {
-      std::fprintf(stderr, "resource-exhausted: %s\n", e.what());
-      return finish(curare::serve::kExitResourceExhausted);
-    } catch (const std::exception& e) {
-      std::fprintf(stderr, "error: %s\n", e.what());
-      return finish(curare::serve::kExitError);
-    }
-  }
-
-  if (!file.empty()) {
+  if (!batch) return finish(repl(cur, rt.mem_quota, rt.fuel));
+  std::string source = eval_expr;
+  if (!have_eval) {
     std::ifstream in(file);
     if (!in) {
       std::fprintf(stderr, "cannot open %s\n", file.c_str());
@@ -548,23 +397,21 @@ int main(int argc, char** argv) {
     }
     std::stringstream ss;
     ss << in.rdbuf();
-    try {
-      curare::obs::RequestScope budget(
-          fresh_budget(mem_quota, static_cast<std::uint64_t>(fuel)));
-      batch_transform_all(cur, ss.str());
-      return finish(curare::serve::kExitOk);
-    } catch (const curare::runtime::StallError& e) {
-      print_stall(e);
-      return finish(stall_exit_code(e));
-    } catch (const curare::runtime::ResourceExhausted& e) {
-      std::fprintf(stderr, "resource-exhausted: %s\n", e.what());
-      return finish(curare::serve::kExitResourceExhausted);
-    } catch (const std::exception& e) {
-      std::fprintf(stderr, "error: %s\n", e.what());
-      return finish(curare::serve::kExitError);
-    }
+    source = ss.str();
   }
-
-  return finish(
-      repl(cur, mem_quota, static_cast<std::uint64_t>(fuel)));
+  try {
+    curare::obs::RequestScope budget(fresh_budget(rt.mem_quota, rt.fuel));
+    if (have_eval) {
+      Value v = cur.eval_program(source);
+      std::string out = cur.interp().take_output();
+      if (!out.empty()) std::printf("%s", out.c_str());
+      std::printf("%s\n", curare::sexpr::write_str(v).c_str());
+    } else {
+      batch_transform_all(cur, source);
+    }
+    return finish(curare::serve::kExitOk);
+  } catch (...) {
+    return finish(report_failure(
+        curare::serve::classify_failure(&top_token), stderr));
+  }
 }

@@ -40,12 +40,12 @@
 // exactly like a local `curare` invocation.
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
 #include <fstream>
 #include <sstream>
 #include <string>
 #include <thread>
 
+#include "args.hpp"
 #include "serve/client.hpp"
 #include "serve/exit_codes.hpp"
 
@@ -73,103 +73,37 @@ int main(int argc, char** argv) {
   req.op = "eval";
   std::string file;
   bool have_program = false;
-  long long retries = 0;
-  long long backoff_ms = 100;
-  unsigned long long retry_seed = 1;
+  unsigned retries = 0;
+  std::int64_t backoff_ms = 100;
+  std::uint64_t retry_seed = 1;
 
-  auto take_value = [&](int& i, const std::string& arg,
-                        const std::string& flag,
-                        std::string& out) -> bool {
-    if (arg.rfind(flag + "=", 0) == 0) {
-      out = arg.substr(flag.size() + 1);
-      return true;
-    }
-    if (arg != flag) return false;
-    if (i + 1 >= argc) {
-      std::fprintf(stderr, "%s requires a value\n", flag.c_str());
-      std::exit(kExitUsage);
-    }
-    out = argv[++i];
-    return true;
-  };
-
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    std::string v;
-    if (take_value(i, arg, "--port", v)) {
-      port = std::atoi(v.c_str());
-    } else if (take_value(i, arg, "--host", v)) {
-      host = v;
-    } else if (take_value(i, arg, "--deadline-ms", v)) {
-      char* end = nullptr;
-      const long long ms = std::strtoll(v.c_str(), &end, 10);
-      if (end == v.c_str() || *end != '\0' || ms < 0) {
-        std::fprintf(stderr, "--deadline-ms: bad value '%s'\n",
-                     v.c_str());
-        return kExitUsage;
-      }
-      req.deadline_ms = ms;
-    } else if (take_value(i, arg, "--op", v)) {
-      req.op = v;
-    } else if (take_value(i, arg, "--name", v)) {
-      req.name = v;
-    } else if (take_value(i, arg, "--request-id", v)) {
-      req.request_id = v;
-    } else if (take_value(i, arg, "--rid", v)) {
-      char* end = nullptr;
-      const long long rid = std::strtoll(v.c_str(), &end, 10);
-      if (end == v.c_str() || *end != '\0' || rid <= 0) {
-        std::fprintf(stderr, "--rid: bad value '%s'\n", v.c_str());
-        return kExitUsage;
-      }
-      req.rid = rid;
-    } else if (take_value(i, arg, "--retries", v)) {
-      char* end = nullptr;
-      retries = std::strtoll(v.c_str(), &end, 10);
-      if (end == v.c_str() || *end != '\0' || retries < 0) {
-        std::fprintf(stderr, "--retries: bad value '%s'\n", v.c_str());
-        return kExitUsage;
-      }
-    } else if (take_value(i, arg, "--backoff-ms", v)) {
-      char* end = nullptr;
-      backoff_ms = std::strtoll(v.c_str(), &end, 10);
-      if (end == v.c_str() || *end != '\0' || backoff_ms < 0) {
-        std::fprintf(stderr, "--backoff-ms: bad value '%s'\n", v.c_str());
-        return kExitUsage;
-      }
-    } else if (take_value(i, arg, "--retry-seed", v)) {
-      char* end = nullptr;
-      retry_seed = std::strtoull(v.c_str(), &end, 0);
-      if (end == v.c_str() || *end != '\0') {
-        std::fprintf(stderr, "--retry-seed: bad value '%s'\n", v.c_str());
-        return kExitUsage;
-      }
-    } else if (take_value(i, arg, "--stats-format", v)) {
-      if (v != "prom" && v != "json") {
-        std::fprintf(stderr,
-                     "--stats-format: want prom or json, got '%s'\n",
-                     v.c_str());
-        return kExitUsage;
+  curare::tools::Args args(argc, argv);
+  while (args.next()) {
+    if (args.port("--port", port, 1) || args.value("--host", host) ||
+        args.count("--deadline-ms", req.deadline_ms) ||
+        args.value("--op", req.op) || args.value("--name", req.name) ||
+        args.value("--request-id", req.request_id) ||
+        args.count("--rid", req.rid, std::int64_t{1}) ||
+        args.count("--retries", retries) ||
+        args.count("--backoff-ms", backoff_ms) ||
+        args.count("--retry-seed", retry_seed))
+      continue;
+    if (args.value("--stats-format", req.format)) {
+      if (req.format != "prom" && req.format != "json") {
+        curare::tools::usage_error(
+            "--stats-format: want prom or json, got '%s'\n",
+            req.format.c_str());
       }
       req.op = "metrics";
-      req.format = v;
-    } else if (take_value(i, arg, "-e", v)) {
-      req.program = v;
+    } else if (args.value("-e", req.program)) {
       have_program = true;
-    } else if (!arg.empty() && arg[0] == '-') {
-      std::fprintf(stderr, "unknown option %s\n", arg.c_str());
+    } else if (!args.file(file)) {
+      std::fprintf(stderr, "unknown option %s\n", args.arg().c_str());
       return usage();
-    } else if (!file.empty()) {
-      std::fprintf(stderr,
-                   "multiple program files ('%s' and '%s'); pass one\n",
-                   file.c_str(), arg.c_str());
-      return kExitUsage;
-    } else {
-      file = arg;
     }
   }
 
-  if (port <= 0) {
+  if (port == 0) {
     std::fprintf(stderr, "--port is required\n");
     return usage();
   }
@@ -199,8 +133,7 @@ int main(int argc, char** argv) {
   // the request never executed, so trying again is always safe. A
   // torn connection mid-request is not retried — the daemon may have
   // run the program before the transport died.
-  const RetryPolicy policy(static_cast<unsigned>(retries), backoff_ms,
-                           retry_seed);
+  const RetryPolicy policy(retries, backoff_ms, retry_seed);
   auto backoff = [&](unsigned attempt, std::int64_t hint) {
     const std::int64_t ms = policy.delay_ms(attempt, hint);
     std::fprintf(stderr,

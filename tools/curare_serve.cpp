@@ -22,7 +22,6 @@
 //                       before cancelling them (default 2000)
 //   --stall-ms N        per-CRI-run watchdog window (default 0 = off)
 //   --lock-budget-ms N  cap any single blocked lock acquisition
-//   --workers N         future-pool threads (default hw concurrency)
 //   --mem-quota N       per-request GC-allocation quota in bytes
 //                       (k/m/g suffixes accepted; 0 = unlimited);
 //                       a crossing request answers
@@ -66,19 +65,14 @@
 #include <cerrno>
 #include <csignal>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <fstream>
 #include <iterator>
-#include <optional>
 #include <string>
 
 #include <unistd.h>
 
-#include "obs/profiler.hpp"
+#include "args.hpp"
 #include "obs/recorder.hpp"
-#include "runtime/fault_injector.hpp"
-#include "runtime/resource.hpp"
 #include "serve/exit_codes.hpp"
 #include "serve/server.hpp"
 #include "sexpr/ctx.hpp"
@@ -100,7 +94,6 @@ int usage() {
       "                    [--max-inflight N] [--queue-limit N]\n"
       "                    [--deadline-ms N] [--drain-grace-ms N]\n"
       "                    [--stall-ms N] [--lock-budget-ms N]\n"
-      "                    [--workers N]\n"
       "                    [--mem-quota N] [--heap-soft N] [--heap-hard N]\n"
       "                    [--fuel N] [--result-cap N] [--retry-after-ms N]\n"
       "                    [--chaos SEED:RATE[:KINDS[:SITES]]]\n"
@@ -118,138 +111,45 @@ int main(int argc, char** argv) {
   std::string port_file;
   bool stats = false;
   bool trace = false;
-  std::int64_t profile_period = 0;  // 0 = profiler off
-  std::int64_t stall_ms = 0;
-  std::int64_t lock_budget_ms = 0;
-  std::optional<curare::runtime::FaultInjector::Spec> chaos;
+  curare::tools::RuntimeFlags rt;
 
-  // Value flags accept both "--flag VALUE" and "--flag=VALUE".
-  auto take_value = [&](int& i, const std::string& arg,
-                        const std::string& flag,
-                        std::string& out) -> bool {
-    if (arg.rfind(flag + "=", 0) == 0) {
-      out = arg.substr(flag.size() + 1);
-      return true;
-    }
-    if (arg != flag) return false;
-    if (i + 1 >= argc) {
-      std::fprintf(stderr, "%s requires a value\n", flag.c_str());
-      std::exit(curare::serve::kExitUsage);
-    }
-    out = argv[++i];
-    return true;
-  };
-  auto parse_nonneg = [](const std::string& flag, const std::string& text,
-                         std::int64_t& out) {
-    char* end = nullptr;
-    const long long v = std::strtoll(text.c_str(), &end, 10);
-    if (end == text.c_str() || *end != '\0' || v < 0) {
-      std::fprintf(stderr, "%s: bad value '%s'\n", flag.c_str(),
-                   text.c_str());
-      std::exit(curare::serve::kExitUsage);
-    }
-    out = v;
-  };
-
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
+  curare::tools::Args args(argc, argv);
+  while (args.next()) {
+    if (rt.parse(args) || args.port("--port", opts.port, 0) ||
+        args.value("--port-file", port_file) ||
+        args.value("--host", opts.host) ||
+        args.count("--max-inflight", opts.max_inflight) ||
+        args.count("--queue-limit", opts.queue_limit) ||
+        args.count("--drain-grace-ms", opts.drain_grace_ms) ||
+        args.bytes("--result-cap", opts.result_cap) ||
+        args.count("--retry-after-ms", opts.retry_after_ms) ||
+        args.value("--image-save", opts.image_save) ||
+        args.value("--image-load", opts.image_load) ||
+        args.count("--restructure-cache", opts.restructure_cache_cap))
+      continue;
     std::string v;
-    std::int64_t n = 0;
-    if (take_value(i, arg, "--port", v)) {
-      parse_nonneg("--port", v, n);
-      opts.port = static_cast<int>(n);
-    } else if (take_value(i, arg, "--port-file", v)) {
-      port_file = v;
-    } else if (take_value(i, arg, "--host", v)) {
-      opts.host = v;
-    } else if (take_value(i, arg, "--max-inflight", v)) {
-      parse_nonneg("--max-inflight", v, n);
-      opts.max_inflight = static_cast<std::size_t>(n);
-    } else if (take_value(i, arg, "--queue-limit", v)) {
-      parse_nonneg("--queue-limit", v, n);
-      opts.queue_limit = static_cast<std::size_t>(n);
-    } else if (take_value(i, arg, "--deadline-ms", v)) {
-      parse_nonneg("--deadline-ms", v, opts.default_deadline_ms);
-    } else if (take_value(i, arg, "--drain-grace-ms", v)) {
-      parse_nonneg("--drain-grace-ms", v, opts.drain_grace_ms);
-    } else if (take_value(i, arg, "--stall-ms", v)) {
-      parse_nonneg("--stall-ms", v, stall_ms);
-    } else if (take_value(i, arg, "--lock-budget-ms", v)) {
-      parse_nonneg("--lock-budget-ms", v, lock_budget_ms);
-    } else if (take_value(i, arg, "--workers", v)) {
-      parse_nonneg("--workers", v, n);
-      opts.workers = static_cast<std::size_t>(n);
-    } else if (take_value(i, arg, "--mem-quota", v)) {
-      if (!curare::runtime::parse_bytes(v, opts.mem_quota)) {
-        std::fprintf(stderr, "--mem-quota: bad byte count '%s'\n",
-                     v.c_str());
-        return curare::serve::kExitUsage;
-      }
-    } else if (take_value(i, arg, "--heap-soft", v)) {
-      if (!curare::runtime::parse_bytes(v, opts.heap_soft)) {
-        std::fprintf(stderr, "--heap-soft: bad byte count '%s'\n",
-                     v.c_str());
-        return curare::serve::kExitUsage;
-      }
-    } else if (take_value(i, arg, "--heap-hard", v)) {
-      if (!curare::runtime::parse_bytes(v, opts.heap_hard)) {
-        std::fprintf(stderr, "--heap-hard: bad byte count '%s'\n",
-                     v.c_str());
-        return curare::serve::kExitUsage;
-      }
-    } else if (take_value(i, arg, "--fuel", v)) {
-      parse_nonneg("--fuel", v, n);
-      opts.fuel = static_cast<std::uint64_t>(n);
-    } else if (take_value(i, arg, "--result-cap", v)) {
-      std::uint64_t cap = 0;
-      if (!curare::runtime::parse_bytes(v, cap)) {
-        std::fprintf(stderr, "--result-cap: bad byte count '%s'\n",
-                     v.c_str());
-        return curare::serve::kExitUsage;
-      }
-      opts.result_cap = static_cast<std::size_t>(cap);
-    } else if (take_value(i, arg, "--retry-after-ms", v)) {
-      parse_nonneg("--retry-after-ms", v, opts.retry_after_ms);
-    } else if (take_value(i, arg, "--prelude", v)) {
+    if (args.value("--prelude", v)) {
       std::ifstream in(v, std::ios::binary);
       if (!in) {
-        std::fprintf(stderr, "--prelude: cannot read '%s'\n", v.c_str());
-        return curare::serve::kExitUsage;
+        curare::tools::usage_error("--prelude: cannot read '%s'\n",
+                                   v.c_str());
       }
       opts.prelude_src.assign(std::istreambuf_iterator<char>(in),
                               std::istreambuf_iterator<char>());
-    } else if (take_value(i, arg, "--image-save", v)) {
-      opts.image_save = v;
-    } else if (take_value(i, arg, "--image-load", v)) {
-      opts.image_load = v;
-    } else if (take_value(i, arg, "--restructure-cache", v)) {
-      parse_nonneg("--restructure-cache", v, n);
-      opts.restructure_cache_cap = static_cast<std::size_t>(n);
-    } else if (take_value(i, arg, "--chaos", v)) {
-      chaos = curare::runtime::FaultInjector::parse_spec(v);
-      if (!chaos) {
-        std::fprintf(stderr,
-                     "--chaos wants SEED:RATE[:KINDS[:SITES]] with "
-                     "RATE in (0,1]\n");
-        return curare::serve::kExitUsage;
-      }
-    } else if (arg == "--stats") {
+    } else if (args.flag("--stats")) {
       stats = true;
-    } else if (arg == "--trace") {
+    } else if (args.flag("--trace")) {
       trace = true;
-    } else if (arg == "--profile") {
-      profile_period = curare::obs::Profiler::kDefaultPeriod;
-    } else if (arg.rfind("--profile=", 0) == 0) {
-      parse_nonneg("--profile", arg.substr(10), profile_period);
-      if (profile_period == 0) {
-        std::fprintf(stderr, "--profile: period must be >= 1\n");
-        return curare::serve::kExitUsage;
-      }
     } else {
-      std::fprintf(stderr, "unknown option %s\n", arg.c_str());
+      std::fprintf(stderr, "unknown option %s\n", args.arg().c_str());
       return usage();
     }
   }
+  opts.default_deadline_ms = rt.deadline_ms;
+  opts.mem_quota = rt.mem_quota;
+  opts.fuel = rt.fuel;
+  opts.heap_soft = rt.heap_soft;
+  opts.heap_hard = rt.heap_hard;
 
   if (::pipe(g_signal_pipe) != 0) {
     std::perror("pipe");
@@ -261,18 +161,8 @@ int main(int argc, char** argv) {
 
   curare::sexpr::Ctx ctx;
   curare::serve::ServeDaemon daemon(ctx, opts);
-  daemon.runtime().set_stall_ms(stall_ms);
-  daemon.runtime().locks().set_wait_budget_ms(lock_budget_ms);
-  if (chaos) {
-    curare::runtime::FaultInjector::instance().configure(
-        chaos->seed, chaos->rate, chaos->kinds, chaos->sites);
-  }
+  rt.apply(daemon.runtime());
   if (trace) daemon.runtime().obs().tracer.set_enabled(true);
-  if (profile_period > 0) {
-    auto& prof = curare::obs::Profiler::instance();
-    prof.set_period(static_cast<unsigned>(profile_period));
-    prof.set_enabled(true);
-  }
 
   std::string err;
   if (!daemon.start(&err)) {

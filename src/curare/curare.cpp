@@ -8,7 +8,6 @@
 #include "sexpr/list_ops.hpp"
 #include "sexpr/printer.hpp"
 #include "sexpr/reader.hpp"
-#include "transform/build.hpp"
 #include "transform/cri.hpp"
 #include "transform/delay.hpp"
 #include "transform/dps.hpp"
@@ -369,59 +368,18 @@ TransformPlan Curare::transform(std::string_view fn_name) {
   }
 
   // ---- §3.1/§4 CRI codegen -------------------------------------------------------
-  transform::CriOptions cri_opts;
-  cri_opts.capture_result = !plan.used_dps;
-  auto cri = transform::make_cri(ctx_, info, cri_opts);
+  auto cri = transform::make_cri(ctx_, info);
   if (!cri.ok) {
     plan.failure = cri.failure;
     return plan;
   }
   for (const auto& n : cri.notes) plan.feedback.push_back(n);
   // Locks wrap the server body, whose return value the pool discards —
-  // so appending unlocks never disturbs the captured result.
-  Value server_defun =
-      transform::apply_lock_plan(ctx_, cri.server_defun, lock_plan);
-  plan.forms.push_back(server_defun);
-  // The generic wrapper targets the analyzed function directly; the DPS
-  // path emits its own destination-seeding wrapper below instead.
-  if (!plan.used_dps) plan.forms.push_back(cri.wrapper_defun);
-
-  if (plan.used_dps) {
-    // The DPS wrapper still calls f$dps recursively-sequentially; emit a
-    // parallel entry that seeds the destination and runs the pool.
-    //   (defun f$parallel (%servers params…)
-    //     (let ((%d (cons nil nil)))
-    //       (%cri-run f$dps$cri NSITES %servers %d params…)
-    //       (cdr %d)))
-    analysis::FunctionInfo dps_info = info;
-    Value d = transform::sym(ctx_, "%d");
-    std::vector<Value> run{transform::sym(ctx_, "%cri-run"),
-                           Value::object(cri.server_name),
-                           Value::fixnum(static_cast<std::int64_t>(
-                               cri.num_sites)),
-                           transform::sym(ctx_, "%servers"), d};
-    std::vector<Value> params{transform::sym(ctx_, "%servers")};
-    for (std::size_t i = 1; i < dps_info.params.size(); ++i) {
-      params.push_back(Value::object(dps_info.params[i]));
-      run.push_back(Value::object(dps_info.params[i]));
-    }
-    Symbol* pname = ctx_.symbols.intern(name->name + "$parallel");
-    Value body = transform::form(
-        ctx_,
-        {Value::object(ctx_.s_let),
-         ctx_.make_list(ctx_.make_list(
-             d, transform::form(ctx_, {transform::sym(ctx_, "cons"),
-                                       Value::nil(), Value::nil()}))),
-         transform::form(ctx_, run),
-         transform::form(ctx_, {Value::object(ctx_.s_cdr), d})});
-    Value pdefun = transform::form(
-        ctx_, {Value::object(ctx_.s_defun), Value::object(pname),
-               transform::form(ctx_, params), body});
-    plan.forms.push_back(pdefun);
-    plan.entry = pname;
-  } else {
-    plan.entry = cri.wrapper_name;
-  }
+  // so appending unlocks never disturbs the destination store.
+  plan.forms.push_back(
+      transform::apply_lock_plan(ctx_, cri.server_defun, lock_plan));
+  plan.forms.push_back(cri.wrapper_defun);
+  plan.entry = cri.wrapper_name;
   plan.server = cri.server_name;
   plan.num_sites = cri.num_sites;
   plan.final_headtail = analysis::partition_head_tail(ctx_, info);

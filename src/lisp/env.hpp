@@ -4,7 +4,7 @@
 // closures can outlive the activation that created them. The global frame
 // is shared by every server thread in the CRI runtime, and every CRI body
 // reads globals (function names, parameters like `work`) and many write
-// one (`(setq f$result …)`). So global reads and writes to an existing
+// one (`(setq total …)`). So global reads and writes to an existing
 // binding take no lock at all:
 //
 //  * Each global binding lives in a Cell that never moves (cells sit in
@@ -229,9 +229,9 @@ class Env {
     /// Bindings created holding a function: read on every call and
     /// rarely reassigned, so they pack four to a line.
     std::deque<Cell> fn_cells;
-    /// Every other binding may be written per task (`(setq total …)`,
-    /// `f$result`): one per line, so those writes never evict a
-    /// neighbouring function cell that every server is reading.
+    /// Every other binding may be written per task (`(setq total …)`):
+    /// one per line, so those writes never evict a neighbouring
+    /// function cell that every server is reading.
     std::deque<LineCell> var_cells;
     std::vector<std::unique_ptr<Table>> tables;  ///< every generation
   };

@@ -360,8 +360,8 @@ void Runtime::install_into(Interp& in) {
         CriStats stats = run_cri_in(i, fn, num_sites, servers,
                                     TaskArgs(a.begin() + 3, a.end()));
         // Any-result searches deliver their value through finish; plain
-        // recursions yield nil here (results come via result variables
-        // or DPS destinations).
+        // recursions yield nil here (their values come through the
+        // destination cell the f$parallel wrapper passes).
         return stats.result;
       });
 

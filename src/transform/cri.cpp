@@ -6,7 +6,6 @@
 
 namespace curare::transform {
 
-using sexpr::as_symbol;
 using sexpr::cadr;
 using sexpr::caddr;
 using sexpr::cddr;
@@ -18,9 +17,10 @@ namespace {
 
 class CriGen {
  public:
-  CriGen(sexpr::Ctx& ctx, const analysis::FunctionInfo& info,
-         const CriOptions& opts)
-      : ctx_(ctx), info_(info), opts_(opts) {}
+  /// `dest` is the %dest parameter this generator adds, or null when the
+  /// input is already in destination form and keeps its calls and stores.
+  CriGen(sexpr::Ctx& ctx, const analysis::FunctionInfo& info, Symbol* dest)
+      : ctx_(ctx), info_(info), dest_(dest) {}
 
   bool failed() const { return !failure_.empty(); }
   const std::string& failure() const { return failure_; }
@@ -44,16 +44,14 @@ class CriGen {
     if (!head.is(Kind::Symbol)) return tail ? capture(f) : f;
     Symbol* op = static_cast<Symbol*>(head.obj());
 
-    if (op == info_.name) return rewrite_call(f);
+    if (op == info_.name) return rewrite_call(f, tail);
 
     const std::string& name = op->name;
     if (name == "quote") return tail ? capture(f) : f;
 
     if (name == "progn" || name == "when" || name == "unless") {
-      // when/unless: value is nil when the test fails — capturing only
-      // the body's last form is fine for effect-style recursions; the
-      // base case of a when-style traversal is "test fails", whose nil
-      // value is the initial value of the result variable.
+      // when/unless: value is nil when the test fails, and nil is what
+      // the destination cell already holds.
       Value keep = (name == "progn") ? ctx_.make_list(Value::object(op))
                                      : ctx_.make_list(Value::object(op),
                                                       cadr(f));
@@ -80,7 +78,12 @@ class CriGen {
           failure_ = "recursive call inside a cond test";
           return f;
         }
-        std::vector<Value> nc{sexpr::car(clause)};
+        // A test-only clause's value is its test's: route it through
+        // the destination when it selects the clause.
+        const bool test_only = cdr(clause).is_nil();
+        std::vector<Value> nc{test_only && tail ? capture_test(
+                                                      sexpr::car(clause))
+                                                : sexpr::car(clause)};
         for (Value s : rewrite_seq(cdr(clause), tail)) nc.push_back(s);
         out.push_back(form(ctx_, nc));
       }
@@ -122,10 +125,14 @@ class CriGen {
   }
 
  private:
-  Value rewrite_call(Value f) {
+  /// A tail-position call hands its caller's destination on; a
+  /// statement-position call's value is discarded, so it passes nil.
+  Value rewrite_call(Value f, bool tail) {
     const int site = next_site_++;
     std::vector<Value> out{sym(ctx_, "%cri-enqueue"),
                            Value::fixnum(site)};
+    if (dest_ != nullptr)
+      out.push_back(tail ? Value::object(dest_) : Value::nil());
     for (Value a = cdr(f); !a.is_nil(); a = cdr(a)) {
       if (contains_call(sexpr::car(a))) {
         failure_ = "recursive call nested inside another call's "
@@ -137,23 +144,27 @@ class CriGen {
     return form(ctx_, out);
   }
 
-  /// Wrap a non-call tail expression so the wrapper can return the
-  /// sequential result: (setq f$result EXPR).
+  /// (if %dest (setf (cdr %dest) EXPR) EXPR): EXPR runs once either
+  /// way. A nil tail stores nothing — the cell starts out nil.
   Value capture(Value expr) {
-    if (!opts_.capture_result) return expr;
-    captured_ = true;
-    return form(ctx_, {Value::object(ctx_.s_setq), result_var_value(),
-                       expr});
+    if (dest_ == nullptr || expr.is_nil()) return expr;
+    Value store = form(ctx_, {Value::object(ctx_.s_setf),
+                              form(ctx_, {Value::object(ctx_.s_cdr),
+                                          Value::object(dest_)}),
+                              expr});
+    return form(ctx_, {Value::object(ctx_.s_if), Value::object(dest_),
+                       store, expr});
   }
 
- public:
-  Value result_var_value() {
-    if (result_var_ == nullptr)
-      result_var_ = ctx_.symbols.intern(info_.name->name + "$result");
-    return Value::object(result_var_);
+  /// (let ((%v TEST)) (and %v CAPTURE(%v))): stores only a test value
+  /// that selects the clause, so a failing test writes nothing.
+  Value capture_test(Value test) {
+    if (dest_ == nullptr) return test;
+    Value v = sym(ctx_, "%v");
+    return form(ctx_, {Value::object(ctx_.s_let),
+                       ctx_.make_list(ctx_.make_list(v, test)),
+                       form(ctx_, {sym(ctx_, "and"), v, capture(v)})});
   }
-  Symbol* result_var() const { return result_var_; }
-  bool captured() const { return captured_; }
 
  private:
   bool contains_call(Value f) const {
@@ -170,17 +181,14 @@ class CriGen {
 
   sexpr::Ctx& ctx_;
   const analysis::FunctionInfo& info_;
-  const CriOptions& opts_;
+  Symbol* dest_;
   int next_site_ = 0;
   std::string failure_;
-  Symbol* result_var_ = nullptr;
-  bool captured_ = false;
 };
 
 }  // namespace
 
-CriResult make_cri(sexpr::Ctx& ctx, const analysis::FunctionInfo& info,
-                   const CriOptions& opts) {
+CriResult make_cri(sexpr::Ctx& ctx, const analysis::FunctionInfo& info) {
   CriResult result;
   if (!info.is_recursive()) {
     result.failure = "function is not self-recursive";
@@ -196,52 +204,53 @@ CriResult make_cri(sexpr::Ctx& ctx, const analysis::FunctionInfo& info,
     }
   }
 
-  CriGen gen(ctx, info, opts);
+  // The DPS output already takes its destination first; every other
+  // input gains one.
+  Symbol* dest = ctx.symbols.intern("%dest");
+  const bool dest_form = !info.params.empty() && info.params[0] == dest;
+  CriGen gen(ctx, info, dest_form ? nullptr : dest);
   std::vector<Value> body = gen.rewrite_seq(info.body, true);
   if (gen.failed()) {
     result.failure = gen.failure();
     return result;
   }
 
+  std::string entry = info.name->name;
+  if (dest_form && entry.ends_with("$dps")) entry.resize(entry.size() - 4);
   Symbol* server_name = ctx.symbols.intern(info.name->name + "$cri");
-  Symbol* wrapper_name = ctx.symbols.intern(info.name->name + "$parallel");
+  Symbol* wrapper_name = ctx.symbols.intern(entry + "$parallel");
 
-  std::vector<Value> params;
-  for (Symbol* p : info.params) params.push_back(Value::object(p));
+  std::vector<Value> params;  // the caller's: no destination
+  for (std::size_t i = dest_form ? 1 : 0; i < info.params.size(); ++i)
+    params.push_back(Value::object(info.params[i]));
 
+  std::vector<Value> server_params{Value::object(dest)};
+  server_params.insert(server_params.end(), params.begin(), params.end());
   std::vector<Value> server{Value::object(ctx.s_defun),
                             Value::object(server_name),
-                            form(ctx, params)};
+                            form(ctx, server_params)};
   server.insert(server.end(), body.begin(), body.end());
   result.server_defun = form(ctx, server);
 
-  // Wrapper: (defun f$parallel (%servers params…)
-  //            [(setq f$result nil)]
-  //            (%cri-run f$cri NSITES %servers params…)
-  //            [f$result])
   Value servers_param = sym(ctx, "%servers");
+  Value d = sym(ctx, "%d");
   std::vector<Value> wrapper_params{servers_param};
   wrapper_params.insert(wrapper_params.end(), params.begin(),
                         params.end());
   std::vector<Value> run_call{
       sym(ctx, "%cri-run"), Value::object(server_name),
       Value::fixnum(static_cast<std::int64_t>(gen.sites())),
-      servers_param};
+      servers_param, d};
   run_call.insert(run_call.end(), params.begin(), params.end());
-
-  std::vector<Value> wrapper{Value::object(ctx.s_defun),
-                             Value::object(wrapper_name),
-                             form(ctx, wrapper_params)};
-  if (opts.capture_result && gen.captured()) {
-    wrapper.push_back(form(ctx, {Value::object(ctx.s_setq),
-                                 gen.result_var_value(), Value::nil()}));
-    wrapper.push_back(form(ctx, run_call));
-    wrapper.push_back(gen.result_var_value());
-    result.result_var = gen.result_var();
-  } else {
-    wrapper.push_back(form(ctx, run_call));
-  }
-  result.wrapper_defun = form(ctx, wrapper);
+  Value run = form(
+      ctx, {Value::object(ctx.s_let),
+            ctx.make_list(ctx.make_list(
+                d, form(ctx, {sym(ctx, "cons"), Value::nil(),
+                              Value::nil()}))),
+            form(ctx, run_call), form(ctx, {Value::object(ctx.s_cdr), d})});
+  result.wrapper_defun =
+      form(ctx, {Value::object(ctx.s_defun), Value::object(wrapper_name),
+                 form(ctx, wrapper_params), run});
 
   result.ok = true;
   result.server_name = server_name;

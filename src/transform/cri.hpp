@@ -6,17 +6,28 @@
 // "a recursive call is the creation of a new process to execute the
 // subsequent invocation asynchronously" — and a wrapper starts the pool:
 //
-//   (defun f$cri (params…) BODY-with-enqueues)
+//   (defun f$cri (%dest params…) BODY-with-enqueues)
 //   (defun f$parallel (%servers params…)
-//     [(setq f$result nil)]
-//     (%cri-run f$cri NSITES %servers params…)
-//     [f$result])
+//     (let ((%d (cons nil nil)))
+//       (%cri-run f$cri NSITES %servers %d params…)
+//       (cdr %d)))
+//
+// The function's value travels in one channel, the destination cell
+// (§5's destination-passing style made the general case). A tail-position
+// recursive call passes the caller's %dest; a statement-position call
+// passes nil. A value-producing tail expression is stored into
+// (cdr %dest) when %dest is non-nil — the paper's "changing the single
+// return that produces a value into an assignment". Only I_0's tail-call
+// chain holds the cell, so exactly one invocation writes it: the one
+// whose value the sequential program returns.
+//
+// An input whose first parameter is already %dest (the DPS output) is in
+// destination form: its calls and stores are kept as they are, and its
+// wrapper is named after the function DPS rewrote (f$dps → f$parallel).
 //
 // Functions that use a recursive call's result in an embedded position
 // are rejected here (the §5 enabling transformations — rec2iter, DPS —
-// must run first); tail-position results are captured by assigning the
-// base case's value to a result variable, the paper's "changing the
-// single return that produces a value into an assignment".
+// must run first).
 #pragma once
 
 #include <string>
@@ -34,19 +45,10 @@ struct CriResult {
   sexpr::Value wrapper_defun;
   sexpr::Symbol* server_name = nullptr;
   sexpr::Symbol* wrapper_name = nullptr;
-  sexpr::Symbol* result_var = nullptr;  ///< null when capture disabled
   std::size_t num_sites = 0;
   std::vector<std::string> notes;
 };
 
-struct CriOptions {
-  /// Capture the base case's value in a result variable so the wrapper
-  /// can return it (valid for linear recursions whose base case runs
-  /// once). When false the wrapper returns nil — call-for-effect.
-  bool capture_result = true;
-};
-
-CriResult make_cri(sexpr::Ctx& ctx, const analysis::FunctionInfo& info,
-                   const CriOptions& opts = {});
+CriResult make_cri(sexpr::Ctx& ctx, const analysis::FunctionInfo& info);
 
 }  // namespace curare::transform

@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include "oracle.hpp"
 #include "sexpr/equal.hpp"
 #include "sexpr/printer.hpp"
 #include "sexpr/reader.hpp"
@@ -27,6 +28,28 @@ class CurareTest : public ::testing::Test {
     std::string s = "(";
     for (int i = 1; i <= n; ++i) s += std::to_string(i) + " ";
     return s + ")";
+  }
+
+  /// Checks that the untransformed program returns `want` for `call`
+  /// (oracle.hpp), then loads `program`, restructures the function
+  /// `call` names, and checks the parallel entry returns the same at
+  /// S=1 and S=4. A multi-server-vs-one-server comparison cannot see a
+  /// wrong value that both produce.
+  void expect_original_value(std::string_view program,
+                             std::string_view call, std::string_view want) {
+    ASSERT_EQ(oracle::original_value(program, call), want) << call;
+    cur.load_program(program);
+    Value form = read(call);
+    const std::string fn = sexpr::as_symbol(sexpr::car(form))->name;
+    TransformPlan plan = cur.transform(fn);
+    ASSERT_TRUE(plan.ok) << plan.failure;
+    std::vector<Value> args;
+    for (Value a = sexpr::cdr(form); !a.is_nil(); a = sexpr::cdr(a))
+      args.push_back(cur.interp().eval_top(sexpr::car(a)));
+    for (std::size_t servers : {1, 4}) {
+      EXPECT_EQ(write_str(cur.run_parallel(fn, args, servers)), want)
+          << call << " at S=" << servers;
+    }
   }
 };
 
@@ -181,13 +204,45 @@ TEST_F(CurareTest, DpsParallelLargeListMatchesSequential) {
 }
 
 TEST_F(CurareTest, TailResultCaptured) {
-  cur.load_program(
+  expect_original_value(
       "(defun last-elt (l)"
-      "  (if (null (cdr l)) (car l) (last-elt (cdr l))))");
-  TransformPlan plan = cur.transform("last-elt");
-  ASSERT_TRUE(plan.ok) << plan.failure;
-  const Value args[] = {read("(1 2 3 99)")};
-  EXPECT_EQ(cur.run_parallel("last-elt", args, 3).as_fixnum(), 99);
+      "  (if (null (cdr l)) (car l) (last-elt (cdr l))))",
+      "(last-elt '(1 2 3 99))", "99");
+}
+
+// ---- the value the original program returns ----------------------------
+// Each program's sequential value comes from one invocation: I_0's, or,
+// when I_0 returns through a tail-position recursive call, its callee's,
+// and so on down the tail-call chain.
+
+constexpr const char* kWork = "(defun work (k) (dotimes (i k) nil))";
+
+TEST_F(CurareTest, FirstValueComesFromTheRootInvocation) {
+  // Every invocation evaluates (car l), and the deepest finishes last;
+  // the original returns I_0's value.
+  expect_original_value(
+      std::string(kWork) +
+          "(defun firstval (l k)"
+          "  (when l (firstval (cdr l) k) (work k) (car l)))",
+      "(firstval '" + build_list(20) + " 50)", "1");
+}
+
+TEST_F(CurareTest, LastValueComesFromTheTailCallChain) {
+  expect_original_value(
+      std::string(kWork) +
+          "(defun lastval (l k)"
+          "  (when l (work k) (if (cdr l) (lastval (cdr l) k) (car l))))",
+      "(lastval '" + build_list(20) + " 50)", "20");
+}
+
+TEST_F(CurareTest, TestOnlyCondClauseValueSurvives) {
+  // ((car l)) returns its test's value; a failing test stores nothing.
+  const char* cz =
+      "(defun cz (l)"
+      "  (cond ((null (cdr l)) (car l)) ((car l)) (t (cz (cdr l)))))";
+  expect_original_value(cz, "(cz '(1 2 3))", "1");
+  expect_original_value(cz, "(cz '(nil 2 3))", "2");
+  expect_original_value(cz, "(cz '(nil nil 3))", "3");
 }
 
 TEST_F(CurareTest, NotRecursiveRefused) {

@@ -9,7 +9,11 @@
 //       order — the paper's §3.1.1 criterion);
 //   P3  transformation failures always carry §6 feedback text;
 //   P4  head/tail sizes are consistent (every statement in exactly one
-//       side, sizes positive for nonempty bodies).
+//       side, sizes positive for nonempty bodies);
+//   P5  when the plan used no device (lock, delay, reorder), the value
+//       returned at S=1 and at S=4 is the untransformed program's
+//       (oracle.hpp). With a device, a captured tail value can depend on
+//       the order of updates, so P2's final-state check is the bar.
 //
 // The generator composes bodies from a fixed grammar of reads, writes at
 // bounded depths, counter updates, and a cdr-stepping recursive call —
@@ -20,6 +24,7 @@
 #include <sstream>
 
 #include "curare/curare.hpp"
+#include "oracle.hpp"
 #include "sexpr/equal.hpp"
 #include "sexpr/printer.hpp"
 #include "sexpr/reader.hpp"
@@ -110,15 +115,16 @@ TEST_P(PropertySweep, PipelineInvariantsHold) {
     cur.interp().eval_program("(setq gen-counter 0) (setq gen-acc 0)");
     Value list = sexpr::read_one(ctx, fixnum_list(24));
     const Value args[] = {list};
-    cur.run_parallel("gf", args, servers);
+    const std::string value =
+        sexpr::write_str(cur.run_parallel("gf", args, servers));
     (void)cur.interp().take_output();
-    return std::tuple<Value, std::int64_t, std::int64_t>(
+    return std::tuple<Value, std::int64_t, std::int64_t, std::string>(
         list, cur.interp().eval_program("gen-counter").as_fixnum(),
-        cur.interp().eval_program("gen-acc").as_fixnum());
+        cur.interp().eval_program("gen-acc").as_fixnum(), value);
   };
 
-  auto [serial_list, serial_counter, serial_acc] = run_with(1);
-  auto [par_list, par_counter, par_acc] = run_with(4);
+  auto [serial_list, serial_counter, serial_acc, serial_value] = run_with(1);
+  auto [par_list, par_counter, par_acc, par_value] = run_with(4);
 
   EXPECT_TRUE(sexpr::equal_values(serial_list, par_list))
       << "final structure diverged for: " << program
@@ -126,6 +132,14 @@ TEST_P(PropertySweep, PipelineInvariantsHold) {
       << "\n  parallel: " << sexpr::write_str(par_list);
   EXPECT_EQ(serial_counter, par_counter) << program;
   EXPECT_EQ(serial_acc, par_acc) << program;
+
+  // P5: against the untransformed program.
+  if (plan.locks_inserted == 0 && plan.delayed == 0 && plan.reordered == 0) {
+    const std::string want = oracle::original_value(
+        program, "(gf '" + fixnum_list(24) + ")");
+    EXPECT_EQ(serial_value, want) << "S=1 value diverged for: " << program;
+    EXPECT_EQ(par_value, want) << "S=4 value diverged for: " << program;
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, PropertySweep,

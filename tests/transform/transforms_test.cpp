@@ -6,6 +6,7 @@
 #include "analysis/conflict.hpp"
 #include "analysis/extract.hpp"
 #include "lisp/interp.hpp"
+#include "runtime/runtime.hpp"
 #include "sexpr/printer.hpp"
 #include "sexpr/reader.hpp"
 #include "transform/cri.hpp"
@@ -286,14 +287,18 @@ TEST_F(TransformTest, CriRewritesCallToEnqueue) {
   ASSERT_TRUE(r.ok) << r.failure;
   EXPECT_EQ(r.num_sites, 1u);
   std::string server = sexpr::write_str(r.server_defun);
-  EXPECT_NE(server.find("(%cri-enqueue 0 (cdr l))"), std::string::npos)
+  EXPECT_NE(server.find("(defun f$cri (%dest l)"), std::string::npos)
+      << server;
+  // A tail-position call hands the caller's destination on.
+  EXPECT_NE(server.find("(%cri-enqueue 0 %dest (cdr l))"),
+            std::string::npos)
       << server;
   EXPECT_EQ(server.find("(f (cdr l))"), std::string::npos)
       << "no direct recursive call may remain";
   std::string wrapper = sexpr::write_str(r.wrapper_defun);
-  EXPECT_NE(wrapper.find("(%cri-run f$cri 1 %servers l)"),
-            std::string::npos)
-      << wrapper;
+  EXPECT_EQ(wrapper,
+            "(defun f$parallel (%servers l) (let ((%d (cons nil nil))) "
+            "(%cri-run f$cri 1 %servers %d l) (cdr %d)))");
 }
 
 TEST_F(TransformTest, CriMultipleSitesNumbered) {
@@ -303,8 +308,12 @@ TEST_F(TransformTest, CriMultipleSitesNumbered) {
   ASSERT_TRUE(r.ok) << r.failure;
   EXPECT_EQ(r.num_sites, 2u);
   std::string server = sexpr::write_str(r.server_defun);
-  EXPECT_NE(server.find("(%cri-enqueue 0 (car x))"), std::string::npos);
-  EXPECT_NE(server.find("(%cri-enqueue 1 (cdr x))"), std::string::npos);
+  // Only the tail call's invocation can produce the function's value.
+  EXPECT_NE(server.find("(%cri-enqueue 0 nil (car x))"), std::string::npos)
+      << server;
+  EXPECT_NE(server.find("(%cri-enqueue 1 %dest (cdr x))"),
+            std::string::npos)
+      << server;
 }
 
 TEST_F(TransformTest, CriCapturesTailResult) {
@@ -313,12 +322,41 @@ TEST_F(TransformTest, CriCapturesTailResult) {
       " (last-elt (cdr l))))");
   CriResult r = make_cri(ctx, info);
   ASSERT_TRUE(r.ok) << r.failure;
-  ASSERT_NE(r.result_var, nullptr);
-  EXPECT_EQ(r.result_var->name, "last-elt$result");
   std::string server = sexpr::write_str(r.server_defun);
-  EXPECT_NE(server.find("(setq last-elt$result (car l))"),
+  EXPECT_NE(server.find("(if %dest (setf (cdr %dest) (car l)) (car l))"),
             std::string::npos)
       << server;
+  EXPECT_EQ(server.find("$result"), std::string::npos) << server;
+
+  runtime::Runtime rt(in, 2);
+  rt.install();
+  eval_form(r.server_defun);
+  eval_form(r.wrapper_defun);
+  EXPECT_EQ(run("(last-elt$parallel 2 '(1 2 3 99))"), "99");
+  EXPECT_EQ(run("(last-elt$parallel 1 '(7))"), "7");
+}
+
+TEST_F(TransformTest, CriKeepsDestinationForm) {
+  // The DPS output already passes and stores its destination; CRI only
+  // turns its calls into enqueues and names the entry after remq.
+  FunctionInfo info = extract(
+      "(defun remq$dps (%dest obj lst)"
+      "  (cond ((null lst) (setf (cdr %dest) nil))"
+      "        (t (remq$dps %dest obj (cdr lst)))))");
+  CriResult r = make_cri(ctx, info);
+  ASSERT_TRUE(r.ok) << r.failure;
+  std::string server = sexpr::write_str(r.server_defun);
+  EXPECT_NE(server.find("(defun remq$dps$cri (%dest obj lst)"),
+            std::string::npos)
+      << server;
+  EXPECT_NE(server.find("(%cri-enqueue 0 %dest obj (cdr lst))"),
+            std::string::npos)
+      << server;
+  EXPECT_EQ(server.find("(if %dest"), std::string::npos) << server;
+  EXPECT_EQ(r.wrapper_name->name, "remq$parallel");
+  EXPECT_NE(sexpr::write_str(r.wrapper_defun)
+                .find("(%cri-run remq$dps$cri 1 %servers %d obj lst)"),
+            std::string::npos);
 }
 
 TEST_F(TransformTest, CriRejectsEmbeddedResultUse) {

@@ -178,9 +178,10 @@ int main() {
                      "{\"bench\":\"eval_ab\",\"workload\":\"%s\","
                      "\"engine\":\"%s\",\"n\":%d,\"iters\":%d,"
                      "\"reps\":%d,\"result\":\"%s\",\"wall_s\":%.6f,"
-                     "\"evals_per_s\":%.1f}\n",
+                     "\"evals_per_s\":%.1f,%s}\n",
                      w.name, kEngineNames[ei], w.n, w.iters, reps,
-                     p.result.c_str(), p.wall_s, p.evals_per_s);
+                     p.result.c_str(), p.wall_s, p.evals_per_s,
+                     host_facts_json().c_str());
       }
     }
   }

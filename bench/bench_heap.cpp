@@ -139,8 +139,9 @@ void emit_json(std::FILE* js, const AbRow& r) {
   if (js == nullptr) return;
   std::fprintf(js,
                "{\"bench\":\"heap_ab\",\"impl\":\"%s\",\"threads\":%zu,"
-               "\"conses\":%zu,\"secs\":%.6f,\"mcons\":%.3f}\n",
-               r.impl, r.threads, r.conses, r.secs, r.mcons);
+               "\"conses\":%zu,\"secs\":%.6f,\"mcons\":%.3f,%s}\n",
+               r.impl, r.threads, r.conses, r.secs, r.mcons,
+               host_facts_json().c_str());
 }
 
 void run_ab(std::FILE* js) {
@@ -213,9 +214,9 @@ void run_ab(std::FILE* js) {
     std::fprintf(js,
                  "{\"bench\":\"heap_model\",\"shard_serial_ns\":%.1f,"
                  "\"bump_serial_ns\":%.3f,\"cells_per_block\":%.0f,"
-                 "\"shard_1t_ns\":%.1f,\"bump_1t_ns\":%.1f}\n",
+                 "\"shard_1t_ns\":%.1f,\"bump_1t_ns\":%.1f,%s}\n",
                  shard_serial_ns, bump_serial_ns, cells_per_block,
-                 shard_1t_ns, bump_1t_ns);
+                 shard_1t_ns, bump_1t_ns, host_facts_json().c_str());
   }
 }
 
@@ -273,8 +274,8 @@ void run_quota_overhead(std::FILE* js) {
     std::fprintf(js,
                  "{\"bench\":\"heap_quota\",\"threads\":1,\"conses\":%zu,"
                  "\"mcons_off\":%.3f,\"mcons_on\":%.3f,"
-                 "\"overhead_ratio\":%.4f}\n",
-                 total, mcons_off, mcons_on, ratio);
+                 "\"overhead_ratio\":%.4f,%s}\n",
+                 total, mcons_off, mcons_on, ratio, host_facts_json().c_str());
   }
 }
 
@@ -353,7 +354,7 @@ void run_pause_distribution(std::FILE* js) {
         "\"garbage_conses\":%zu,\"survivors\":%zu,"
         "\"threshold_bytes\":%llu,\"min_ns\":%llu,\"p50_ns\":%llu,"
         "\"p95_ns\":%llu,\"max_ns\":%llu,\"reclaimed_objects\":%llu,"
-        "\"reclaimed_bytes\":%llu}\n",
+        "\"reclaimed_bytes\":%llu,%s}\n",
         pauses.size(), garbage, survivors,
         static_cast<unsigned long long>(threshold),
         static_cast<unsigned long long>(pauses.empty() ? 0
@@ -363,7 +364,8 @@ void run_pause_distribution(std::FILE* js) {
         static_cast<unsigned long long>(pauses.empty() ? 0
                                                        : pauses.back()),
         static_cast<unsigned long long>(st.reclaimed_objects),
-        static_cast<unsigned long long>(st.reclaimed_bytes));
+        static_cast<unsigned long long>(st.reclaimed_bytes),
+        host_facts_json().c_str());
   }
 }
 

@@ -226,10 +226,11 @@ int main() {
                    "\"iters\":%d,\"workload_n\":%d,\"reps\":%d,"
                    "\"wall_s\":%.6f,"
                    "\"evals_per_s\":%.1f,\"samples\":%llu,"
-                   "\"overhead_pct\":%.3f}\n",
+                   "\"overhead_pct\":%.3f,%s}\n",
                    m.name, eval_iters, workload_n, reps, r.wall_s,
                    r.evals_per_s,
-                   static_cast<unsigned long long>(r.samples), ov);
+                   static_cast<unsigned long long>(r.samples), ov,
+                   host_facts_json().c_str());
     }
   }
 
@@ -254,10 +255,11 @@ int main() {
                    "\"clients\":%d,\"requests\":%zu,\"reps\":%d,"
                    "\"wall_s\":%.6f,"
                    "\"throughput_rps\":%.1f,\"samples\":%llu,"
-                   "\"overhead_pct\":%.3f}\n",
+                   "\"overhead_pct\":%.3f,%s}\n",
                    m.name, clients, requests, reps, r.wall_s,
                    r.throughput_rps,
-                   static_cast<unsigned long long>(r.samples), ov);
+                   static_cast<unsigned long long>(r.samples), ov,
+                   host_facts_json().c_str());
     }
   }
 

@@ -513,10 +513,10 @@ int main() {
                    "\"requests\":%zu,\"wall_s\":%.6f,"
                    "\"throughput_rps\":%.1f,\"p50_ms\":%.4f,"
                    "\"p99_ms\":%.4f,\"mean_admission_ms\":%.4f,"
-                   "\"mean_eval_ms\":%.4f,\"rejected\":%zu}\n",
+                   "\"mean_eval_ms\":%.4f,\"rejected\":%zu,%s}\n",
                    r.clients, r.requests, r.wall_s, r.throughput_rps,
                    r.p50_ms, r.p99_ms, r.mean_admission_ms,
-                   r.mean_eval_ms, r.rejected);
+                   r.mean_eval_ms, r.rejected, host_facts_json().c_str());
     }
   }
   // Runaway mix (DESIGN.md §14): same closed loop, but with an 8 MiB
@@ -545,9 +545,10 @@ int main() {
                    "{\"bench\":\"serve_runaway\",\"clients\":%d,"
                    "\"requests\":%zu,\"wall_s\":%.6f,"
                    "\"throughput_rps\":%.1f,\"p50_ms\":%.4f,"
-                   "\"p99_ms\":%.4f,\"clipped\":%zu,\"rejected\":%zu}\n",
+                   "\"p99_ms\":%.4f,\"clipped\":%zu,\"rejected\":%zu,%s}\n",
                    r.clients, r.requests, r.wall_s, r.throughput_rps,
-                   r.p50_ms, r.p99_ms, r.clipped, r.rejected);
+                   r.p50_ms, r.p99_ms, r.clipped, r.rejected,
+                   host_facts_json().c_str());
     }
   }
   // Cold start A/B (DESIGN.md §15): the same heavy prelude evaluated by
@@ -577,12 +578,12 @@ int main() {
   if (js != nullptr) {
     std::fprintf(js,
                  "{\"bench\":\"serve_coldstart\",\"mode\":\"prelude\","
-                 "\"sessions\":%d,\"mean_setup_ms\":%.4f}\n",
-                 cold.sessions, cold.mean_setup_ms);
+                 "\"sessions\":%d,\"mean_setup_ms\":%.4f,%s}\n",
+                 cold.sessions, cold.mean_setup_ms, host_facts_json().c_str());
     std::fprintf(js,
                  "{\"bench\":\"serve_coldstart\",\"mode\":\"image\","
-                 "\"sessions\":%d,\"mean_setup_ms\":%.4f}\n",
-                 warm.sessions, warm.mean_setup_ms);
+                 "\"sessions\":%d,\"mean_setup_ms\":%.4f,%s}\n",
+                 warm.sessions, warm.mean_setup_ms, host_facts_json().c_str());
   }
 
   // Restructure cache: the first sweep pays analysis + transformation,
@@ -614,13 +615,15 @@ int main() {
     std::fprintf(js,
                  "{\"bench\":\"serve_restructure_cache\","
                  "\"mode\":\"miss\",\"requests\":%zu,"
-                 "\"mean_restructure_ms\":%.4f}\n",
-                 cache.miss_requests, cache.miss_mean_ms);
+                 "\"mean_restructure_ms\":%.4f,%s}\n",
+                 cache.miss_requests, cache.miss_mean_ms,
+                 host_facts_json().c_str());
     std::fprintf(js,
                  "{\"bench\":\"serve_restructure_cache\","
                  "\"mode\":\"hit\",\"requests\":%zu,"
-                 "\"mean_restructure_ms\":%.4f}\n",
-                 cache.hit_requests, cache.hit_mean_ms);
+                 "\"mean_restructure_ms\":%.4f,%s}\n",
+                 cache.hit_requests, cache.hit_mean_ms,
+                 host_facts_json().c_str());
   }
   if (js != nullptr) std::fclose(js);
   std::printf("\nset-up retries: %d\n", g_setup_retries);

@@ -81,8 +81,8 @@ class Curare : public gc::RootSource {
 
   /// Serving-layer construction: a driver with its own interpreter and
   /// global environment (session isolation) sharing an existing
-  /// process-wide Runtime — one lock manager, future pool, watchdog,
-  /// and recorder across all sessions. The shared runtime's primitives
+  /// process-wide Runtime — one lock manager, future pool, and
+  /// recorder across all sessions. The shared runtime's primitives
   /// are installed into this driver's interpreter; CRI runs started
   /// here execute against *this* interpreter's environment.
   Curare(sexpr::Ctx& ctx, runtime::Runtime& shared_runtime);

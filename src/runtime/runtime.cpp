@@ -101,7 +101,6 @@ Value update_global(LockManager& locks, Interp& i, Symbol* var,
 Runtime::Runtime(Interp& interp, std::size_t workers)
     : interp_(interp), futures_(workers, &recorder_) {
   locks_.set_recorder(&recorder_);
-  watchdog_.set_recorder(&recorder_);
   // Pre-register the resilience counters so clean runs report them as
   // explicit zeros in --stats (a BENCH run asserting "no stalls" needs
   // the row to exist).
@@ -168,13 +167,7 @@ CriStats Runtime::run_cri_in(Interp& in, Value fn, std::size_t num_sites,
   }
   CriRun run(in, fn, num_sites, servers, &recorder_, std::move(label));
   ResilienceConfig rc;
-  rc.deadline_ms = deadline_ms_.load(std::memory_order_relaxed);
   rc.stall_ms = stall_ms_.load(std::memory_order_relaxed);
-  rc.watchdog = &watchdog_;
-  // Chain the run under the caller's token (request deadline, CLI batch
-  // deadline, daemon drain): firing that token aborts this run too. The
-  // caller's frame encloses run() below, so the borrow is safe.
-  rc.parent = current_cancel();
   // The run can describe its own queues; the state only the Runtime
   // sees — held locks, future-pool backlog — rides in via extra_dump.
   rc.extra_dump = [this] {
@@ -192,18 +185,16 @@ CriStats Runtime::run_cri_in(Interp& in, Value fn, std::size_t num_sites,
 
 std::string Runtime::resilience_report() {
   std::ostringstream os;
-  const std::int64_t dl = deadline_ms_.load(std::memory_order_relaxed);
   const std::int64_t st = stall_ms_.load(std::memory_order_relaxed);
   const std::int64_t wb = locks_.wait_budget_ms();
   os << "resilience:\n";
-  os << "  deadline: "
-     << (dl > 0 ? std::to_string(dl) + " ms" : std::string("off"))
-     << ", stall watchdog: "
+  os << "  stall window: "
      << (st > 0 ? std::to_string(st) + " ms" : std::string("off"))
      << ", lock wait budget: "
      << (wb > 0 ? std::to_string(wb) + " ms" : std::string("off"))
      << "\n";
-  os << "  stalls detected: " << watchdog_.stalls_detected()
+  os << "  stalls detected: "
+     << recorder_.metrics.counter("cri.stalls").get()
      << ", runs aborted: "
      << recorder_.metrics.counter("cri.aborts").get() << "\n";
   os << "  eval cancel polls: " << eval_poll_count()

@@ -44,7 +44,7 @@ class Runtime : public gc::RootSource {
   void install();
 
   /// Register the primitives in an *additional* interpreter that shares
-  /// this Runtime's lock manager, future pool, watchdog, and recorder.
+  /// this Runtime's lock manager, future pool, and recorder.
   /// This is the serving layer's multi-session shape: one process-wide
   /// Runtime, one Interp per session (isolated globals), all sessions
   /// contending on the same locks and drawing from the same pools.
@@ -55,19 +55,10 @@ class Runtime : public gc::RootSource {
 
   LockManager& locks() { return locks_; }
   FuturePool& futures() { return futures_; }
-  Watchdog& watchdog() { return watchdog_; }
 
-  /// Whole-run wall-clock budget applied to every subsequent CRI run
-  /// (0 = unlimited). The CLI's --deadline-ms lands here.
-  void set_deadline_ms(std::int64_t ms) {
-    deadline_ms_.store(ms, std::memory_order_relaxed);
-  }
-  std::int64_t deadline_ms() const {
-    return deadline_ms_.load(std::memory_order_relaxed);
-  }
-
-  /// No-completion window before the watchdog aborts a CRI run
-  /// (0 = watchdog off). The CLI's --stall-ms lands here.
+  /// No-completion window before a CRI run's joining caller aborts it
+  /// (0 = no stall check). The CLI's --stall-ms lands here. Deadlines
+  /// are the caller's: install a CancelState with one around the call.
   void set_stall_ms(std::int64_t ms) {
     stall_ms_.store(ms, std::memory_order_relaxed);
   }
@@ -89,9 +80,10 @@ class Runtime : public gc::RootSource {
 
   /// Run a transformed server-body function under a CRI pool. `label`
   /// names the run in the speedup report (§4.1 T(S) comparison).
-  /// If the calling thread has a CancelState installed (a CLI batch
-  /// token or a serving-layer request token), the run's own token is
-  /// chained under it, so cancelling the request aborts the run.
+  /// If the calling thread has a CancelState installed (a CLI batch or
+  /// REPL-line token, a serving-layer request token), the run's own
+  /// token is chained under it, so cancelling the request aborts the
+  /// run.
   CriStats run_cri(sexpr::Value fn, std::size_t num_sites,
                    std::size_t servers, TaskArgs initial_args,
                    std::string label = {});
@@ -117,8 +109,6 @@ class Runtime : public gc::RootSource {
   obs::Recorder recorder_;  ///< before locks_/futures_: they point at it
   LockManager locks_;
   FuturePool futures_;
-  Watchdog watchdog_;
-  std::atomic<std::int64_t> deadline_ms_{0};
   std::atomic<std::int64_t> stall_ms_{0};
   /// Guards last_stats_.result against the collector's gc_roots
   /// (run_cri stores it outside any unsafe region).

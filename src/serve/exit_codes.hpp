@@ -5,7 +5,7 @@
 //   0  kExitOk          success
 //   1  kExitError       program or I/O error (Lisp error, bad file, …)
 //   2  kExitUsage       bad command line
-//   3  kExitStall       run aborted by the stall watchdog / cancelled
+//   3  kExitStall       run aborted by the stall check / cancelled
 //   4  kExitDeadline    run exceeded its deadline (CLI --deadline-ms,
 //                       or a request's deadline_ms in serving mode)
 //   5  kExitOverloaded  request rejected by the daemon's admission
@@ -76,8 +76,8 @@ struct Failure {
 
 /// Classify the exception being handled; call only from a catch block.
 /// A stall is a deadline when its message, or the reason `tok` fired
-/// with, says so: the watchdog, the daemon's drain and every deadline
-/// cancel through CancelState, and only its deadline path mints
+/// with, says so: the stall check, the daemon's drain and every
+/// deadline cancel through CancelState, and only its deadline path mints
 /// "deadline exceeded" (runtime/resilience.hpp).
 Failure classify_failure(const runtime::CancelState* tok = nullptr);
 

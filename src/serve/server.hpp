@@ -4,7 +4,7 @@
 // spawns a thread per connection, and gives each connection a Session
 // (own Interp + global Env) over the shared process infrastructure —
 // one sexpr::Ctx (heap + symbols), one runtime::Runtime (lock manager,
-// future pool, watchdog, recorder). Request flow per frame:
+// future pool, recorder). Request flow per frame:
 //
 //   read_frame → parse → mint CancelState (+deadline_ms)
 //     → AdmissionTicket (bounded in-flight + bounded wait queue;

@@ -30,11 +30,12 @@
 //                  trigger — explicit :gc still collects)
 //   --gc-stats     print collector statistics (pauses, reclaimed,
 //                  live) on exit
-//   --deadline-ms N    abort any CRI run (and batch/-e evaluation) that
-//                  exceeds N ms of wall clock with a StallError +
-//                  diagnostic dump (exit code 4)
-//   --stall-ms N   arm the per-run watchdog: abort a CRI run in which
-//                  no task completes for N ms (exit code 3)
+//   --deadline-ms N    bound the batch/-e evaluation, or each REPL
+//                  line, to N ms of wall clock; CRI runs inside it
+//                  abort with it — a StallError + diagnostic dump
+//                  (exit code 4; in the REPL only that line dies)
+//   --stall-ms N   abort a CRI run in which no task completes for N ms,
+//                  as seen by the caller waiting for it (exit code 3)
 //   --lock-budget-ms N  cap any single blocked lock acquisition
 //   --chaos SEED:RATE[:KINDS[:SITES]]  arm the deterministic fault
 //                  injector (grammar: FaultInjector::parse_spec); see
@@ -77,6 +78,8 @@ namespace {
 
 using curare::Curare;
 using curare::Value;
+using curare::runtime::CancelScope;
+using curare::runtime::CancelState;
 
 /// Report a failed run and return its exit code (the shared table in
 /// serve/exit_codes.hpp, so a local run and a served one report the
@@ -91,6 +94,17 @@ int report_failure(const curare::serve::Failure& f, std::FILE* to) {
                  f.status.data(), f.message.c_str());
   }
   return curare::serve::status_exit_code(f.status);
+}
+
+/// Arm `tok` with the --deadline-ms budget and a held-lock dump, and
+/// return it for a CancelScope — or null (a no-op scope) when no
+/// deadline is set. CRI runs under the scope chain their tokens to it.
+CancelState* deadline_token(CancelState& tok, Curare& cur,
+                            std::int64_t deadline_ms) {
+  if (deadline_ms <= 0) return nullptr;
+  tok.dump_fn = [&cur] { return cur.runtime().locks().dump_held(); };
+  tok.set_deadline_ms(deadline_ms);
+  return &tok;
 }
 
 /// A fresh per-run budget context (quota/fuel), or null when no
@@ -188,14 +202,17 @@ bool write_trace_file(const curare::obs::Recorder& rec,
   return true;
 }
 
-int repl(Curare& cur, std::uint64_t mem_quota, std::uint64_t fuel) {
+int repl(Curare& cur, const curare::tools::RuntimeFlags& rt) {
   curare::sexpr::Ctx& ctx = cur.interp().ctx();
   std::string line;
   std::printf("curare> ");
   while (std::getline(std::cin, line)) {
+    // Each line runs under its own deadline and budget, like each
+    // served request.
+    CancelState line_token;
     try {
-      // Each line runs under its own budget, like each served request.
-      curare::obs::RequestScope budget(fresh_budget(mem_quota, fuel));
+      CancelScope cancel(deadline_token(line_token, cur, rt.deadline_ms));
+      curare::obs::RequestScope budget(fresh_budget(rt.mem_quota, rt.fuel));
       if (line.empty()) {
         // fallthrough to the prompt
       } else if (line == ":quit" || line == ":q") {
@@ -286,15 +303,16 @@ int repl(Curare& cur, std::uint64_t mem_quota, std::uint64_t fuel) {
       } else {
         // Plain Lisp. Loading through the driver keeps defuns known to
         // the transformer.
-        cur.load_program(line);
+        Value v = cur.load_program(line);
         std::string out = cur.interp().take_output();
         if (!out.empty()) std::printf("%s", out.c_str());
+        std::printf("%s\n", curare::sexpr::write_str(v).c_str());
       }
     } catch (...) {
       // Only this line died: an aborted CriRun drained its queues and
       // a fresh run mints a fresh token; the next line gets a fresh
-      // budget.
-      report_failure(curare::serve::classify_failure(), stdout);
+      // deadline and budget.
+      report_failure(curare::serve::classify_failure(&line_token), stdout);
     }
     // Each REPL line is a quiescent point: nothing typed so far holds
     // unrooted Values on this stack.
@@ -349,22 +367,7 @@ int main(int argc, char** argv) {
   if (rt.heap_soft != 0 || rt.heap_hard != 0)
     ctx.heap.gc().set_heap_limits(rt.heap_soft, rt.heap_hard);
   if (!trace_path.empty()) cur.runtime().obs().tracer.set_enabled(true);
-  cur.runtime().set_deadline_ms(rt.deadline_ms);
   rt.apply(cur.runtime());
-
-  // Batch/-e evaluations get a top-level token too, so a deadline also
-  // bounds Lisp that hangs *outside* any CRI run (top-level infinite
-  // recursion, a lock wait on the main thread). CRI runs install their
-  // own per-run token on their server threads; this one governs the
-  // main thread only.
-  const bool batch = have_eval || !file.empty();
-  curare::runtime::CancelState top_token;
-  top_token.dump_fn = [&cur] {
-    return cur.runtime().locks().dump_held();
-  };
-  if (rt.deadline_ms > 0 && batch) top_token.set_deadline_ms(rt.deadline_ms);
-  curare::runtime::CancelScope top_scope(
-      rt.deadline_ms > 0 && batch ? &top_token : nullptr);
 
   // Deferred reporting so every mode (batch, -e, REPL) flushes the
   // trace and stats on the way out, including on error exits.
@@ -387,7 +390,7 @@ int main(int argc, char** argv) {
     return code;
   };
 
-  if (!batch) return finish(repl(cur, rt.mem_quota, rt.fuel));
+  if (!have_eval && file.empty()) return finish(repl(cur, rt));
   std::string source = eval_expr;
   if (!have_eval) {
     std::ifstream in(file);
@@ -399,7 +402,12 @@ int main(int argc, char** argv) {
     ss << in.rdbuf();
     source = ss.str();
   }
+  // One deadline bounds the whole evaluation: Lisp that hangs outside
+  // any CRI run (top-level infinite recursion, a lock wait on the main
+  // thread) and every CRI run inside it, whose tokens chain to this one.
+  CancelState top_token;
   try {
+    CancelScope cancel(deadline_token(top_token, cur, rt.deadline_ms));
     curare::obs::RequestScope budget(fresh_budget(rt.mem_quota, rt.fuel));
     if (have_eval) {
       Value v = cur.eval_program(source);

@@ -20,7 +20,9 @@
 //                       carries none (default 0 = unlimited)
 //   --drain-grace-ms N  how long SIGTERM waits for in-flight requests
 //                       before cancelling them (default 2000)
-//   --stall-ms N        per-CRI-run watchdog window (default 0 = off)
+//   --stall-ms N        abort a CRI run in which no task completes for
+//                       N ms, checked by the request thread joining
+//                       the run (default 0 = off)
 //   --lock-budget-ms N  cap any single blocked lock acquisition
 //   --mem-quota N       per-request GC-allocation quota in bytes
 //                       (k/m/g suffixes accepted; 0 = unlimited);

@@ -107,7 +107,20 @@ Value Curare::eval_program(std::string_view src) {
   return vm_->eval_program(src);
 }
 
-Curare::~Curare() { ctx_.heap.gc().remove_root_source(this); }
+Curare::~Curare() {
+  // Futures spawned by this driver's programs capture interp_ by
+  // reference. An owned runtime joins its pool before interp_ dies
+  // (member order); a shared pool outlives us, so drain it here.
+  if (!owned_runtime_) {
+    try {
+      runtime_->futures().wait_idle();
+    } catch (...) {
+      // Cancellation during teardown: the remaining tasks belong to
+      // other drivers or have already observed their own tokens.
+    }
+  }
+  ctx_.heap.gc().remove_root_source(this);
+}
 
 void Curare::gc_roots(std::vector<Value>& out) {
   out.insert(out.end(), program_forms_.begin(), program_forms_.end());

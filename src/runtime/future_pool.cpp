@@ -81,10 +81,13 @@ std::shared_ptr<FutureState> FuturePool::spawn(std::function<Value()> fn,
   auto state = std::make_shared<FutureState>();
   const std::uint64_t id =
       spawned_.fetch_add(1, std::memory_order_relaxed);
+  const CancelState* tok = current_cancel();
+  const std::int64_t deadline_ns =
+      tok != nullptr ? tok->chain_deadline_ns() : 0;
   {
     std::lock_guard<std::mutex> g(mu_);
-    queue_.push_back(
-        Task{std::move(fn), state, id, root, obs::current_request()});
+    queue_.push_back(Task{std::move(fn), state, id, root,
+                          obs::current_request(), deadline_ns});
     states_.push_back(state);
     // Lazy compaction keeps the registry proportional to live futures.
     if (states_.size() >= 1024) {
@@ -112,6 +115,15 @@ void FuturePool::run_task(Task& t) {
   // Attribute the body to the spawning request (helpers in touch()
   // temporarily adopt the task's request, restoring their own after).
   obs::RequestScope req_scope(t.req_ctx);
+  // Bound the body by its spawner's deadline. Chained under this
+  // thread's own token (a touch helper's), which outlives the body.
+  std::optional<CancelState> tok;
+  if (t.deadline_ns != 0) {
+    tok.emplace();
+    tok->set_deadline_ns(t.deadline_ns);
+    tok->set_parent(current_cancel());
+  }
+  CancelScope cancel_scope(tok ? &*tok : nullptr);
   Value v;
   std::exception_ptr err;
   try {

@@ -13,6 +13,7 @@
 #pragma once
 
 #include <condition_variable>
+#include <cstdint>
 #include <deque>
 #include <exception>
 #include <functional>
@@ -68,7 +69,8 @@ class FuturePool : public gc::RootSource {
   /// Submit a computation; returns its future state. `root` is a Value
   /// (typically the thunk closure) that must stay reachable until the
   /// task has run; the pool roots it while the task is queued or
-  /// executing.
+  /// executing. The task inherits the deadline of the calling thread's
+  /// CancelState, if any.
   std::shared_ptr<FutureState> spawn(std::function<Value()> fn,
                                      Value root = Value::nil());
 
@@ -118,6 +120,11 @@ class FuturePool : public gc::RootSource {
     /// worker installs it so the task's spans/lock waits attribute to
     /// that request even after its socket frame has been answered.
     std::shared_ptr<obs::RequestContext> req_ctx;
+    /// The spawner's deadline (CancelState::chain_deadline_ns), 0 for
+    /// none. The executing thread runs the task under a token armed
+    /// with it, so a run started inside a future stays bounded by the
+    /// deadline of the CLI line or request that spawned it.
+    std::int64_t deadline_ns = 0;
   };
 
   void worker_loop(std::size_t worker_index);

@@ -45,17 +45,6 @@ Session::Session(std::uint64_t id, sexpr::Ctx& ctx,
   }
 }
 
-Session::~Session() {
-  // Futures spawned by this session's programs capture driver_.interp()
-  // by reference; the shared pool outlives us, so drain it before the
-  // interpreter is destroyed.
-  try {
-    driver_.runtime().futures().wait_idle();
-  } catch (...) {
-    // Cancellation during teardown: the remaining tasks belong to other
-    // sessions or have already observed their own tokens.
-  }
-}
 
 Response Session::handle(const Request& req,
                          runtime::CancelState* tok) {

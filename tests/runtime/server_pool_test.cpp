@@ -5,8 +5,10 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <filesystem>
 #include <stdexcept>
+#include <thread>
 
 #include "runtime/runtime.hpp"
 #include "sexpr/printer.hpp"
@@ -347,6 +349,25 @@ TEST(ServerPoolLease, JobExceptionReachesCaller) {
                }),
                std::runtime_error);
   EXPECT_EQ(ran.load(), 3) << "every leased thread ran its job";
+}
+
+TEST(ServerPoolLease, TickExceptionWaitsForTheJobs) {
+  // A throwing tick must not leave run() while a job still runs: the
+  // jobs point into run()'s frame. The exception arrives after the join.
+  ServerPool::Lease lease = ServerPool::instance().lease(2);
+  std::atomic<int> finished{0};
+  EXPECT_THROW(
+      {
+        lease.run(
+            [&](std::size_t) {
+              std::this_thread::sleep_for(std::chrono::milliseconds(100));
+              finished.fetch_add(1);
+            },
+            std::chrono::milliseconds(5),
+            [] { throw std::runtime_error("tick"); });
+      },
+      std::runtime_error);
+  EXPECT_EQ(finished.load(), 2) << "run() returned before its jobs";
 }
 
 // ---- per-server counters stay exact ---------------------------------------

@@ -6,10 +6,12 @@
 // lock-manager traffic vs a CAS atomic update vs unsynchronized store,
 // single-threaded and contended.
 //
-// After the google-benchmark suite it runs an instrumented contention
-// sweep (LockManager + obs::Recorder) and prints one machine-readable
-// JSON line per thread count (prefix "JSON ") with the recorder's own
-// contention/wait aggregates — the same counters `--stats` reports.
+// Every LockManager reports into an obs::Recorder, so each price below
+// includes the lock's own metrics, as transformed code pays them. After
+// the google-benchmark suite it runs a contention sweep and prints one
+// machine-readable JSON line per thread count (prefix "JSON ") with the
+// recorder's contention/wait aggregates — the same counters `--stats`
+// reports.
 #include <benchmark/benchmark.h>
 
 #include <chrono>
@@ -30,7 +32,8 @@ namespace {
 
 void BM_LockUnlockUncontended(benchmark::State& state) {
   sexpr::Ctx ctx;
-  LockManager lm;
+  obs::Recorder rec;
+  LockManager lm(rec);
   auto* cell = ctx.heap.alloc<sexpr::Cons>(sexpr::Value::fixnum(0),
                                            sexpr::Value::nil());
   const LocKey key{cell, ctx.symbols.intern("car")};
@@ -43,7 +46,8 @@ BENCHMARK(BM_LockUnlockUncontended);
 
 void BM_LockUnlockReadShared(benchmark::State& state) {
   sexpr::Ctx ctx;
-  LockManager lm;
+  obs::Recorder rec;
+  LockManager lm(rec);
   auto* cell = ctx.heap.alloc<sexpr::Cons>(sexpr::Value::fixnum(0),
                                            sexpr::Value::nil());
   const LocKey key{cell, ctx.symbols.intern("car")};
@@ -89,7 +93,8 @@ BENCHMARK(BM_UnsynchronizedStore);
 
 // Contended: all benchmark threads fight over ONE location.
 void BM_LockUnlockContended(benchmark::State& state) {
-  static LockManager lm;
+  static obs::Recorder rec;
+  static LockManager lm(rec);
   static sexpr::Ctx ctx;
   static auto* cell = ctx.heap.alloc<sexpr::Cons>(sexpr::Value::fixnum(0),
                                                   sexpr::Value::nil());
@@ -104,7 +109,8 @@ BENCHMARK(BM_LockUnlockContended)->Threads(1)->Threads(4)->Threads(8);
 // Distinct locations per thread: sharding should keep this near the
 // uncontended cost.
 void BM_LockUnlockDistinctLocations(benchmark::State& state) {
-  static LockManager lm;
+  static obs::Recorder rec;
+  static LockManager lm(rec);
   static sexpr::Ctx ctx;
   auto* cell = ctx.heap.alloc<sexpr::Cons>(sexpr::Value::fixnum(0),
                                            sexpr::Value::nil());
@@ -116,18 +122,17 @@ void BM_LockUnlockDistinctLocations(benchmark::State& state) {
 }
 BENCHMARK(BM_LockUnlockDistinctLocations)->Threads(1)->Threads(4)->Threads(8);
 
-// Instrumented sweep: T threads hammer one location through a
-// recorder-attached LockManager; the recorder's aggregates quantify
+// Contention sweep: T threads hammer one location through a
+// LockManager; its recorder's aggregates quantify
 // both §3.2.1 costs at once (price paid per acquisition + how often a
 // thread had to wait and for how long).
 void contention_sweep() {
-  std::printf("\ninstrumented contention sweep (one shared location)\n");
+  std::printf("\ncontention sweep (one shared location)\n");
   const std::uint64_t per_thread = 20000;
   for (unsigned threads : {1u, 2u, 4u, 8u}) {
     sexpr::Ctx ctx;
-    LockManager lm;
     obs::Recorder rec;
-    lm.set_recorder(&rec);
+    LockManager lm(rec);
     auto* cell = ctx.heap.alloc<sexpr::Cons>(sexpr::Value::fixnum(0),
                                              sexpr::Value::nil());
     const LocKey key{cell, ctx.symbols.intern("car")};

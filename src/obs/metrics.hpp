@@ -2,7 +2,7 @@
 // histograms, all lock-free on the update path (relaxed atomics).
 //
 // Lookup by name takes the registry mutex, so hot paths resolve their
-// instruments once (e.g. at set_recorder time) and keep the reference —
+// instruments once (e.g. at construction) and keep the reference —
 // references returned by the registry are stable for its lifetime.
 //
 // Well-known instrument names used by the runtime:

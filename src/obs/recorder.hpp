@@ -1,10 +1,9 @@
 // The bundle the runtime threads through its components: one tracer,
-// one metrics registry, one speedup report. Components accept a
-// `Recorder*` and treat nullptr as "observability off" (the null-object
-// case — no clock reads, no atomics touched). The tracer inside a live
-// recorder is additionally toggleable at runtime; metrics are always on
-// when a recorder is present (their cost is a handful of relaxed
-// atomic adds on paths that already take a mutex or run a task body).
+// one metrics registry, one speedup report. Components take a
+// `Recorder&` at construction and always report into it. The tracer is
+// toggleable at runtime; metrics are always on (their cost is a handful
+// of relaxed atomic adds on paths that already take a mutex or run a
+// task body).
 #pragma once
 
 #include <string>

@@ -16,8 +16,7 @@
 // layer's `trace` op.
 //
 // The tracer is runtime-toggleable: emit() returns immediately while
-// disabled, so instrumented code can stay unconditionally wired
-// (null-object pattern: a null Recorder* skips even that check).
+// disabled, so instrumented code stays unconditionally wired.
 //
 // export: write_chrome_trace() produces the Chrome trace-event JSON
 // format (the "traceEvents" array form), loadable in Perfetto or

@@ -2,7 +2,7 @@
 //
 // The paper's correctness argument (§3.2) covers programs produced by
 // the transformations; the error paths the runtime grew around them —
-// abort-and-re-run after a body throw, mid-run collections, cancelled
+// draining a run after a body throw, mid-run collections, cancelled
 // waits — only get exercised when something goes wrong. The injector
 // makes "something goes wrong" reproducible: five named sites cover
 // every class of blocking or allocating step, and a seeded splitmix64

@@ -9,17 +9,15 @@
 
 namespace curare::runtime {
 
-FuturePool::FuturePool(std::size_t workers, obs::Recorder* rec)
-    : rec_(rec) {
+FuturePool::FuturePool(obs::Recorder& rec, std::size_t workers)
+    : rec_(rec),
+      spawned_ctr_(rec.metrics.counter("future.spawned")),
+      touches_(rec.metrics.counter("future.touches")),
+      touch_waits_(rec.metrics.counter("future.touch_waits")),
+      helped_(rec.metrics.counter("future.helped")),
+      wait_ns_(rec.metrics.histogram("future.wait_ns")) {
   if (workers == 0) {
     workers = std::max(2u, std::thread::hardware_concurrency());
-  }
-  if (rec_) {
-    spawned_ctr_ = &rec_->metrics.counter("future.spawned");
-    touches_ = &rec_->metrics.counter("future.touches");
-    touch_waits_ = &rec_->metrics.counter("future.touch_waits");
-    helped_ = &rec_->metrics.counter("future.helped");
-    wait_ns_ = &rec_->metrics.histogram("future.wait_ns");
   }
   threads_.reserve(workers);
   for (std::size_t i = 0; i < workers; ++i)
@@ -96,10 +94,8 @@ std::shared_ptr<FutureState> FuturePool::spawn(std::function<Value()> fn,
       });
     }
   }
-  if (rec_) {
-    spawned_ctr_->add();
-    rec_->tracer.instant(obs::EventKind::kFutureSpawn, id);
-  }
+  spawned_ctr_.add();
+  rec_.tracer.instant(obs::EventKind::kFutureSpawn, id);
   cv_.notify_one();
   return state;
 }
@@ -110,8 +106,7 @@ void FuturePool::run_task(Task& t) {
   std::optional<gc::MutatorScope> ms;
   if (gc::GcHeap* gc = gc_.load(std::memory_order_acquire))
     ms.emplace(*gc);
-  std::uint64_t t0 = 0;
-  if (rec_) t0 = rec_->tracer.now_ns();
+  const std::uint64_t t0 = rec_.tracer.now_ns();
   // Attribute the body to the spawning request (helpers in touch()
   // temporarily adopt the task's request, restoring their own after).
   obs::RequestScope req_scope(t.req_ctx);
@@ -132,7 +127,7 @@ void FuturePool::run_task(Task& t) {
   } catch (...) {
     err = std::current_exception();
   }
-  if (rec_) rec_->tracer.span(obs::EventKind::kFutureRun, t0, t.id);
+  rec_.tracer.span(obs::EventKind::kFutureRun, t0, t.id);
   {
     std::lock_guard<std::mutex> g(t.state->mu);
     t.state->value = v;
@@ -193,10 +188,7 @@ void FuturePool::wait_idle() {
 }
 
 void FuturePool::worker_loop(std::size_t worker_index) {
-  if (rec_) {
-    rec_->tracer.name_thread("future-worker-" +
-                             std::to_string(worker_index));
-  }
+  rec_.tracer.name_thread("future-worker-" + std::to_string(worker_index));
   for (;;) {
     // Between tasks is a quiescent point for this worker.
     if (gc::GcHeap* gc = gc_.load(std::memory_order_acquire))
@@ -214,7 +206,7 @@ void FuturePool::worker_loop(std::size_t worker_index) {
 }
 
 Value FuturePool::touch(const std::shared_ptr<FutureState>& f) {
-  if (rec_) touches_->add();
+  touches_.add();
   // Help-first waiting: executing queued tasks while the target is
   // unresolved keeps a bounded pool deadlock-free even when futures
   // depend on queued futures.
@@ -223,19 +215,19 @@ Value FuturePool::touch(const std::shared_ptr<FutureState>& f) {
   for (;;) {
     {
       std::unique_lock<std::mutex> g(f->mu);
-      if (!f->done && !waited && rec_) {
+      if (!f->done && !waited) {
         waited = true;
-        wait_start = rec_->tracer.now_ns();
-        touch_waits_->add();
+        wait_start = rec_.tracer.now_ns();
+        touch_waits_.add();
       }
       if (f->done) {
-        if (rec_ && waited) {
-          const std::uint64_t end = rec_->tracer.now_ns();
-          wait_ns_->observe(end > wait_start ? end - wait_start : 0);
-          helped_->add(helped);
-          rec_->tracer.emit(obs::EventKind::kFutureTouchWait, wait_start,
-                            end > wait_start ? end - wait_start : 0, 0,
-                            helped);
+        if (waited) {
+          const std::uint64_t end = rec_.tracer.now_ns();
+          wait_ns_.observe(end > wait_start ? end - wait_start : 0);
+          helped_.add(helped);
+          rec_.tracer.emit(obs::EventKind::kFutureTouchWait, wait_start,
+                           end > wait_start ? end - wait_start : 0, 0,
+                           helped);
         }
         if (f->error) std::rethrow_exception(f->error);
         return f->value;

@@ -58,10 +58,9 @@ struct FutureObj final : sexpr::Obj {
 
 class FuturePool : public gc::RootSource {
  public:
-  /// Starts `workers` threads (hardware concurrency if 0). A non-null
-  /// `rec` records spawn/run/touch-wait events and wait-time metrics.
-  explicit FuturePool(std::size_t workers = 0,
-                      obs::Recorder* rec = nullptr);
+  /// Starts `workers` threads (hardware concurrency if 0), recording
+  /// spawn/run/touch-wait events and wait-time metrics into `rec`.
+  explicit FuturePool(obs::Recorder& rec, std::size_t workers = 0);
   ~FuturePool() override;
   FuturePool(const FuturePool&) = delete;
   FuturePool& operator=(const FuturePool&) = delete;
@@ -154,14 +153,14 @@ class FuturePool : public gc::RootSource {
   /// Atomic because attach_gc runs after the constructor has already
   /// started the workers, which read this pointer between tasks.
   std::atomic<gc::GcHeap*> gc_{nullptr};
-  obs::Recorder* rec_;
+  obs::Recorder& rec_;
   // Resolved once at construction so touch()/spawn() never pay the
   // metrics-registry lookup.
-  obs::Counter* spawned_ctr_ = nullptr;
-  obs::Counter* touches_ = nullptr;
-  obs::Counter* touch_waits_ = nullptr;
-  obs::Counter* helped_ = nullptr;
-  obs::Histogram* wait_ns_ = nullptr;
+  obs::Counter& spawned_ctr_;
+  obs::Counter& touches_;
+  obs::Counter& touch_waits_;
+  obs::Counter& helped_;
+  obs::Histogram& wait_ns_;
 };
 
 }  // namespace curare::runtime

@@ -29,21 +29,15 @@ std::string describe_key(const LocKey& k) {
 
 }  // namespace
 
-void LockManager::set_recorder(obs::Recorder* rec) {
-  rec_ = rec;
-  if (rec == nullptr) {
-    acquisitions_ = contended_ = nullptr;
-    wait_ns_ = nullptr;
-    return;
-  }
-  acquisitions_ = &rec->metrics.counter("lock.acquisitions");
-  contended_ = &rec->metrics.counter("lock.contended");
-  wait_ns_ = &rec->metrics.histogram("lock.wait_ns");
-}
+LockManager::LockManager(obs::Recorder& rec)
+    : rec_(rec),
+      acquisitions_(rec.metrics.counter("lock.acquisitions")),
+      contended_(rec.metrics.counter("lock.contended")),
+      wait_ns_(rec.metrics.histogram("lock.wait_ns")) {}
 
 void LockManager::lock(const LocKey& key, bool exclusive) {
   ops_.fetch_add(1, std::memory_order_relaxed);
-  if (rec_) acquisitions_->add();
+  acquisitions_.add();
   FaultInjector& fi = FaultInjector::instance();
   if (fi.check(FaultInjector::Site::kLockAcquire)) {
     // Spurious-wakeup fault: poke this key's shard so its waiters get
@@ -58,7 +52,6 @@ void LockManager::lock(const LocKey& key, bool exclusive) {
   // attempt only, so a multi-wakeup wait counts once with its full span.
   bool waited = false;
   std::uint64_t wait_start = 0;
-  std::chrono::steady_clock::time_point budget_start{};
   const std::uint64_t key_id = LocKeyHash{}(key);
 
   // unlock() erases entries whose counts reach zero, so references into
@@ -109,74 +102,49 @@ void LockManager::lock(const LocKey& key, bool exclusive) {
     }
     if (acquired) {
       if (waited) {
+        const std::uint64_t end = rec_.tracer.now_ns();
+        const std::uint64_t span = end > wait_start ? end - wait_start : 0;
+        wait_ns_.observe(span);
+        rec_.tracer.emit(obs::EventKind::kLockWait, wait_start, span,
+                         key_id, exclusive);
         // Per-request attribution: the blocked span counts against the
-        // serving request this thread is working for (if any),
-        // independent of whether a recorder is attached.
-        obs::charge_request(
-            &obs::Breakdown::lock_wait_ns,
-            static_cast<std::uint64_t>(
-                std::chrono::duration_cast<std::chrono::nanoseconds>(
-                    std::chrono::steady_clock::now() - budget_start)
-                    .count()));
+        // serving request this thread is working for (if any).
+        obs::charge_request(&obs::Breakdown::lock_wait_ns, span);
       }
-      if (rec_) {
-        if (waited) {
-          const std::uint64_t end = rec_->tracer.now_ns();
-          wait_ns_->observe(end > wait_start ? end - wait_start : 0);
-          rec_->tracer.emit(obs::EventKind::kLockWait, wait_start,
-                            end > wait_start ? end - wait_start : 0,
-                            key_id, exclusive);
-        }
-        rec_->tracer.instant(obs::EventKind::kLockAcquire, key_id,
-                             exclusive);
-      }
+      rec_.tracer.instant(obs::EventKind::kLockAcquire, key_id, exclusive);
       return;
     }
     if (!waited) {
       waited = true;
-      budget_start = std::chrono::steady_clock::now();
-      if (rec_) {
-        wait_start = rec_->tracer.now_ns();
-        contended_->add();
-      }
+      wait_start = rec_.tracer.now_ns();
+      contended_.add();
     }
     // Bounded slice instead of an open-ended wait: a notify still wakes
-    // us immediately; the timeout is only the cancellation/budget
-    // backstop. Under fault injection the slice shrinks so injected
-    // spurious wakeups actually churn the predicate.
+    // us immediately; the timeout is only the cancellation backstop.
+    // Under fault injection the slice shrinks so injected spurious
+    // wakeups actually churn the predicate.
     s.cv.wait_for(g, fi.enabled() ? std::chrono::milliseconds(1)
                                   : std::chrono::milliseconds(10));
 
     // Only the cheap flag/clock reads run under the shard mutex.
     // should_abort() captures a diagnostic dump, and that dump walks
     // every shard — calling it with ours held would self-deadlock, so
-    // it (and raise, and dump_held) run after g is released.
-    const std::int64_t budget =
-        wait_budget_ms_.load(std::memory_order_relaxed);
-    const bool over_budget =
-        budget > 0 && std::chrono::steady_clock::now() - budget_start >=
-                          std::chrono::milliseconds(budget);
+    // it (and raise) run after g is released. The whole chain counts:
+    // a CRI server's run token has no deadline of its own, the
+    // caller's token above it does.
     CancelState* tok = current_cancel();
-    // The whole chain: a CRI server's run token has no deadline of its
-    // own, the caller's token above it does.
-    const bool tok_fired = tok != nullptr && tok->abort_due();
-    if (over_budget || tok_fired) {
+    if (tok != nullptr && tok->abort_due()) {
       g.unlock();
-      if (tok_fired && tok->should_abort()) tok->raise();
-      throw StallError("lock wait budget (" + std::to_string(budget) +
-                           " ms) exceeded waiting for " +
-                           describe_key(key),
-                       dump_held());
+      tok->should_abort();  // fires the token: abort_due implies it
+      tok->raise();
     }
   }
 }
 
 void LockManager::unlock(const LocKey& key, bool exclusive) {
   ops_.fetch_add(1, std::memory_order_relaxed);
-  if (rec_) {
-    rec_->tracer.instant(obs::EventKind::kLockRelease, LocKeyHash{}(key),
-                         exclusive);
-  }
+  rec_.tracer.instant(obs::EventKind::kLockRelease, LocKeyHash{}(key),
+                      exclusive);
   Shard& s = shard_for(key);
   std::lock_guard<std::mutex> g(s.mu);
   auto it = s.entries.find(key);
@@ -208,7 +176,7 @@ void LockManager::unlock(const LocKey& key, bool exclusive) {
     // at a thread that no longer holds anything. The count view errs
     // only the other way: with several concurrent readers plus
     // hand-offs, the retired record may belong to a thread that still
-    // holds, so its upgrade degrades from fail-fast to a budget- or
+    // holds, so its upgrade degrades from fail-fast to a deadline- or
     // stall-bounded wait.)
     bool dropped = false;
     for (auto hit = e.reader_holds.begin(); hit != e.reader_holds.end();

@@ -63,26 +63,19 @@ struct LocKeyHash {
 
 class LockManager {
  public:
-  LockManager() = default;
+  /// Every lock reports into `rec` (§3.2.1's lock-cost question made
+  /// measurable): acquisition and contention counts, a wait-time
+  /// histogram, and wait/acquire/release trace events.
+  explicit LockManager(obs::Recorder& rec);
   LockManager(const LockManager&) = delete;
   LockManager& operator=(const LockManager&) = delete;
 
   /// Acquire `key`. Throws LispError on a same-thread read→write
   /// upgrade (the thread would wait for its own shared hold to drain —
   /// a guaranteed self-deadlock, see DESIGN.md §10), StallError when
-  /// the caller's CancelState fires or the wait budget is exceeded.
+  /// the caller's CancelState (or a token on its chain) fires.
   void lock(const LocKey& key, bool exclusive);
   void unlock(const LocKey& key, bool exclusive);
-
-  /// Cap any single blocked acquisition at `ms` milliseconds (0 = no
-  /// budget, the default). On exceed, lock() throws a StallError whose
-  /// dump is the held-lock table.
-  void set_wait_budget_ms(std::int64_t ms) {
-    wait_budget_ms_.store(ms, std::memory_order_relaxed);
-  }
-  std::int64_t wait_budget_ms() const {
-    return wait_budget_ms_.load(std::memory_order_relaxed);
-  }
 
   /// Human-readable table of currently held entries — the lock half of
   /// every stall dump. Takes each shard mutex briefly; callers must not
@@ -94,13 +87,6 @@ class LockManager {
   /// unlock leaks the hold, and reset() is the documented way to
   /// recover the manager between chaos iterations.
   void reset();
-
-  /// Attach an observability recorder (§3.2.1's lock-cost question made
-  /// measurable: acquisition counts, contention counts, wait-time
-  /// histograms, plus wait/acquire/release trace events). Pass nullptr
-  /// to detach. Call before concurrent use — not thread-safe against
-  /// in-flight lock()/unlock().
-  void set_recorder(obs::Recorder* rec);
 
   /// Number of lock/unlock operations served (for benchmarks).
   std::uint64_t operations() const {
@@ -144,14 +130,13 @@ class LockManager {
 
   mutable std::array<Shard, kShards> shards_;
   std::atomic<std::uint64_t> ops_{0};
-  std::atomic<std::int64_t> wait_budget_ms_{0};
 
-  // Resolved once in set_recorder so lock() never touches the metrics
+  // Resolved once at construction so lock() never touches the metrics
   // registry's mutex.
-  obs::Recorder* rec_ = nullptr;
-  obs::Counter* acquisitions_ = nullptr;
-  obs::Counter* contended_ = nullptr;
-  obs::Histogram* wait_ns_ = nullptr;
+  obs::Recorder& rec_;
+  obs::Counter& acquisitions_;
+  obs::Counter& contended_;
+  obs::Histogram& wait_ns_;
 };
 
 }  // namespace curare::runtime

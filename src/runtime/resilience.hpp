@@ -54,10 +54,9 @@ class StallError : public sexpr::LispError {
   std::string dump_;
 };
 
-/// Shared cancellation token. One per CriRun::run invocation (a fresh
-/// token each run keeps aborted runs re-runnable), or constructed
-/// standalone by the CLI to bound a batch evaluation or one REPL line,
-/// or minted per request by the serving layer. Tokens can be *chained*:
+/// Shared cancellation token. One per CriRun (a run is single-shot),
+/// or constructed standalone by the CLI to bound a batch evaluation or
+/// one REPL line, or minted per request by the serving layer. Tokens can be *chained*:
 /// a run's token with a parent observes the parent's cancellation and
 /// deadline too, so a per-request token fired by the daemon (client
 /// deadline, graceful drain) aborts exactly the CRI run it admitted.

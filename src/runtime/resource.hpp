@@ -21,7 +21,7 @@
 //
 // Crossing a budget raises ResourceExhausted — a LispError subclass,
 // so every existing unwind path (session catch ladder, CRI abort-and-
-// rerun, future error propagation) treats it like a user-program
+// drain, future error propagation) treats it like a user-program
 // error: exactly that request dies, the session stays usable, and the
 // daemon answers with the structured `resource-exhausted` status.
 //

@@ -99,8 +99,7 @@ Value update_global(LockManager& locks, Interp& i, Symbol* var,
 }  // namespace
 
 Runtime::Runtime(Interp& interp, std::size_t workers)
-    : interp_(interp), futures_(workers, &recorder_) {
-  locks_.set_recorder(&recorder_);
+    : interp_(interp), locks_(recorder_), futures_(recorder_, workers) {
   // Pre-register the resilience counters so clean runs report them as
   // explicit zeros in --stats (a BENCH run asserting "no stalls" needs
   // the row to exist).
@@ -156,16 +155,10 @@ CriStats Runtime::run_cri(Value fn, std::size_t num_sites,
 CriStats Runtime::run_cri_in(Interp& in, Value fn, std::size_t num_sites,
                              std::size_t servers, TaskArgs initial_args,
                              std::string label) {
-  if (label.empty()) {
-    // Name the speedup-report row after the server function when it has
-    // a printable name.
-    if (fn.is(Kind::Symbol)) {
-      label = as_symbol(fn)->name;
-    } else if (fn.is(Kind::Closure)) {
-      label = static_cast<lisp::Closure*>(fn.obj())->name;
-    }
-  }
-  CriRun run(in, fn, num_sites, servers, &recorder_, std::move(label));
+  // Name the speedup-report row after the server function.
+  if (label.empty() && fn.is(Kind::Closure))
+    label = static_cast<lisp::Closure*>(fn.obj())->name;
+  CriRun run(in, fn, num_sites, servers, recorder_, std::move(label));
   ResilienceConfig rc;
   rc.stall_ms = stall_ms_.load(std::memory_order_relaxed);
   // The run can describe its own queues; the state only the Runtime
@@ -177,7 +170,7 @@ CriStats Runtime::run_cri_in(Interp& in, Value fn, std::size_t num_sites,
     return s;
   };
   run.set_resilience(std::move(rc));
-  CriStats stats = run.run(std::move(initial_args));
+  CriStats stats = std::move(run).run(std::move(initial_args));
   std::lock_guard<std::mutex> g(stats_mu_);
   last_stats_ = stats;
   return last_stats_;
@@ -186,12 +179,9 @@ CriStats Runtime::run_cri_in(Interp& in, Value fn, std::size_t num_sites,
 std::string Runtime::resilience_report() {
   std::ostringstream os;
   const std::int64_t st = stall_ms_.load(std::memory_order_relaxed);
-  const std::int64_t wb = locks_.wait_budget_ms();
   os << "resilience:\n";
   os << "  stall window: "
      << (st > 0 ? std::to_string(st) + " ms" : std::string("off"))
-     << ", lock wait budget: "
-     << (wb > 0 ? std::to_string(wb) + " ms" : std::string("off"))
      << "\n";
   os << "  stalls detected: "
      << recorder_.metrics.counter("cri.stalls").get()

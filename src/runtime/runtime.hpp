@@ -106,7 +106,7 @@ class Runtime : public gc::RootSource {
 
  private:
   lisp::Interp& interp_;
-  obs::Recorder recorder_;  ///< before locks_/futures_: they point at it
+  obs::Recorder recorder_;  ///< before locks_/futures_: they report into it
   LockManager locks_;
   FuturePool futures_;
   std::atomic<std::int64_t> stall_ms_{0};

@@ -174,7 +174,7 @@ void ServerPool::work(Lease::Worker* w) {
 
 CriRun::CriRun(lisp::Interp& interp, sexpr::Value fn,
                std::size_t num_sites, std::size_t servers,
-               obs::Recorder* rec, std::string label)
+               obs::Recorder& rec, std::string label)
     : interp_(interp),
       gc_(interp.ctx().heap.gc()),
       fn_(fn),
@@ -183,12 +183,12 @@ CriRun::CriRun(lisp::Interp& interp, sexpr::Value fn,
       queues_(num_sites, servers == 0 ? 1 : servers),
       servers_(servers == 0 ? 1 : servers),
       rec_(rec),
+      qdepth_(rec.metrics.histogram(
+          "cri.queue_depth", obs::Histogram::default_depth_bounds())),
       label_(std::move(label)) {
-  if (rec_) {
-    qdepth_ = &rec_->metrics.histogram(
-        "cri.queue_depth", obs::Histogram::default_depth_bounds());
-  }
+  token_.dump_fn = [this] { return dump_state(); };
   slots_ = std::make_unique<ServerSlot[]>(servers_);
+  for (std::size_t i = 0; i < servers_; ++i) slots_[i].qdepth.emplace(qdepth_);
   queues_.attach_gc(&gc_);
   gc_.add_root_source(this);
 }
@@ -219,13 +219,11 @@ void CriRun::enqueue(std::size_t site, TaskArgs args) {
     pending_.fetch_sub(1, std::memory_order_acq_rel);
     throw;
   }
-  if (rec_) {
-    g_last_enqueue_ns = rec_->tracer.now_ns();
-    ServerSlot& slot = slots_[g_server_index];
-    slot.enqueues.fetch_add(1, std::memory_order_relaxed);
-    slot.qdepth->observe(depth);
-    rec_->tracer.instant(obs::EventKind::kTaskEnqueue, site, depth);
-  }
+  g_last_enqueue_ns = rec_.tracer.now_ns();
+  ServerSlot& slot = slots_[g_server_index];
+  slot.enqueues.fetch_add(1, std::memory_order_relaxed);
+  slot.qdepth->observe(depth);
+  rec_.tracer.instant(obs::EventKind::kTaskEnqueue, site, depth);
 }
 
 void CriRun::finish(sexpr::Value result) {
@@ -238,7 +236,7 @@ void CriRun::finish(sexpr::Value result) {
   // Servers discard (rather than execute) anything still queued, while
   // keeping the pending-task accounting exact.
   stop_.store(true, std::memory_order_release);
-  if (rec_) rec_->tracer.instant(obs::EventKind::kEarlyFinish);
+  rec_.tracer.instant(obs::EventKind::kEarlyFinish);
   queues_.close();  // kill tokens for every server
 }
 
@@ -269,20 +267,17 @@ void CriRun::serve(std::size_t server_index) {
   ServerSlot& slot = slots_[server_index];
   // Make this run's token the thread's current one: every blocking
   // primitive the body reaches (eval loop, lock waits, touch) now
-  // polls it. Null-token scope when resilience is off.
-  CancelScope cancel_scope(token_.get());
+  // polls it.
+  CancelScope cancel_scope(&token_);
   // Work done here belongs to the request that started the run: spans
   // this server emits and lock waits it suffers attribute to it.
   obs::RequestScope req_scope(req_ctx_);
-  if (rec_) {
-    rec_->tracer.name_thread("cri-server-" +
-                             std::to_string(server_index));
-  }
+  rec_.tracer.name_thread("cri-server-" + std::to_string(server_index));
   std::uint64_t busy = 0, idle = 0, tasks = 0;
   // One timestamp carries across loop iterations: the end of a task is
   // the start of the next wait, so the steady state costs two clock
   // reads per task, not three.
-  std::uint64_t t_wait = rec_ ? rec_->tracer.now_ns() : 0;
+  std::uint64_t t_wait = rec_.tracer.now_ns();
   // One unsafe region spans the whole serve loop, so a task costs no
   // write to the heap's shared unsafe-thread count. It covers the pop —
   // popped arguments leave the queue's root set the instant they are
@@ -317,27 +312,23 @@ void CriRun::serve(std::size_t server_index) {
       queues_.close();
       continue;
     }
-    std::uint64_t t0 = 0;
-    if (rec_) {
-      t0 = rec_->tracer.now_ns();
-      idle += t0 - t_wait;
-      rec_->tracer.emit(obs::EventKind::kServerIdle, t_wait, t0 - t_wait,
-                        server_index);
-      t_wait = t0;
-    }
+    const std::uint64_t t0 = rec_.tracer.now_ns();
+    idle += t0 - t_wait;
+    rec_.tracer.emit(obs::EventKind::kServerIdle, t_wait, t0 - t_wait,
+                     server_index);
+    t_wait = t0;
     if (!task) break;  // kill token
 
     // Deadline/stall abort: record the StallError as the run's first
-    // error and switch to drain mode — exactly the body-throw path, so
-    // re-runnability follows for free. Busy servers reach the same
-    // state through the eval loop's poll_cancellation().
-    if (token_ && !stop_.load(std::memory_order_acquire) &&
-        token_->should_abort()) {
+    // error and switch to drain mode — exactly the body-throw path.
+    // Busy servers reach the same state through the eval loop's
+    // poll_cancellation().
+    if (!stop_.load(std::memory_order_acquire) && token_.should_abort()) {
       {
         std::lock_guard<std::mutex> g(err_mu_);
         if (!first_error_) {
           try {
-            token_->raise();
+            token_.raise();
           } catch (...) {
             first_error_ = std::current_exception();
           }
@@ -348,8 +339,7 @@ void CriRun::serve(std::size_t server_index) {
     }
     // After %cri-finish or a body error, drain without executing — but
     // every popped task still decrements pending_ exactly once, so the
-    // termination accounting stays consistent and the run can be
-    // retried on this same CriRun.
+    // count still reaches zero and the run terminates.
     if (!stop_.load(std::memory_order_acquire)) {
       const std::uint64_t inv =
           slot.invocations.fetch_add(1, std::memory_order_relaxed);
@@ -372,8 +362,8 @@ void CriRun::serve(std::size_t server_index) {
       // never ends; enqueues can't either — an infinite re-enqueue loop
       // "progresses" forever, and bounding that is the deadline's job.)
       slot.completions.fetch_add(1, std::memory_order_relaxed);
-      if (rec_ && !failed) {
-        const std::uint64_t t1 = rec_->tracer.now_ns();
+      if (!failed) {
+        const std::uint64_t t1 = rec_.tracer.now_ns();
         busy += t1 - t0;
         ++tasks;
         // Head runs until the last enqueue this invocation issued; a
@@ -384,8 +374,8 @@ void CriRun::serve(std::size_t server_index) {
                 : t1;
         slot.head_ns += head_end - t0;
         slot.tail_ns += t1 - head_end;
-        rec_->tracer.emit(obs::EventKind::kTaskRun, t0, t1 - t0,
-                          server_index, inv);
+        rec_.tracer.emit(obs::EventKind::kTaskRun, t0, t1 - t0,
+                         server_index, inv);
         t_wait = t1;
       }
     }
@@ -402,59 +392,23 @@ void CriRun::serve(std::size_t server_index) {
   detail::g_quota_reservation = detail::QuotaReservation{};
 }
 
-CriStats CriRun::run(TaskArgs initial_args) {
+CriStats CriRun::run(TaskArgs initial_args) && {
   // Take the server threads first: starting one can throw, and nothing
   // below has happened yet to undo.
   ServerPool::Lease lease = ServerPool::instance().lease(servers_);
-  // Reset termination accounting and reopen the queues, so a CriRun
-  // can be re-run after an aborted (thrown) or early-finished run.
-  queues_.reopen();
-  stop_.store(false, std::memory_order_relaxed);
-  for (std::size_t i = 0; i < servers_; ++i) {
-    ServerSlot& slot = slots_[i];
-    slot.invocations.store(0, std::memory_order_relaxed);
-    slot.completions.store(0, std::memory_order_relaxed);
-    slot.enqueues.store(0, std::memory_order_relaxed);
-    slot.head_ns = slot.tail_ns = slot.busy_ns = slot.idle_ns = 0;
-    slot.tasks = 0;
-    if (rec_) slot.qdepth.emplace(*qdepth_);
-  }
-  {
-    std::lock_guard<std::mutex> g(err_mu_);
-    first_error_ = nullptr;
-  }
-  {
-    std::lock_guard<std::mutex> g(result_mu_);
-    finished_early_ = false;
-    result_ = sexpr::Value::nil();
-  }
-
   // Carry the caller's request identity into the server threads (nil
   // outside a serving request).
   req_ctx_ = obs::current_request();
-  // A fresh token every run: a fired token from an aborted run must
-  // not poison the retry. Chained under the caller's token (request
-  // deadline, CLI batch or REPL-line deadline, daemon drain), so firing
-  // that one aborts this run too. Servers read token_ only between
-  // here and the join below, while the caller's frame — and with it
-  // the borrowed parent — is still alive.
-  token_ = std::make_unique<CancelState>();
-  token_->dump_fn = [this] { return dump_state(); };
-  token_->set_parent(current_cancel());
-
-  std::uint64_t t_start = 0;
-  if (rec_) t_start = rec_->tracer.now_ns();
+  const std::uint64_t t_start = rec_.tracer.now_ns();
 
   {
     // Keep the initial arguments alive across the hand-off into the
     // queue (they are rooted by the queue only once pushed). The seed
     // goes into lane 0 from this thread: lease.run() below hands the
     // lane to server 0 under the pool mutex, which orders this push
-    // before the server's first pop. Lane 0 has not been popped since
-    // reopen(), so it counts as a mailbox and any server may take the
-    // seed.
+    // before the server's first pop. Lane 0 has not been popped yet,
+    // so it counts as a mailbox and any server may take the seed.
     gc::MutatorScope gc_scope(gc_);
-    pending_.store(1, std::memory_order_relaxed);
     queues_.push(0, 0, std::move(initial_args));
   }
 
@@ -471,17 +425,17 @@ CriStats CriRun::run(TaskArgs initial_args) {
     tick = std::clamp(stall / 4, milliseconds(5), milliseconds(250));
     check_stall = [this, stall, last = completions(),
                    since = std::chrono::steady_clock::now()]() mutable {
-      if (token_->cancelled()) return;
+      if (token_.cancelled()) return;
       const std::uint64_t done = completions();
       const auto now = std::chrono::steady_clock::now();
       if (done != last) {
         last = done;
         since = now;
       } else if (now - since >= stall) {
-        token_->cancel("watchdog: no task completed in " +
-                       std::to_string(stall.count()) + " ms (" +
-                       (label_.empty() ? "cri-run" : label_) + ")");
-        if (rec_) rec_->metrics.counter("cri.stalls").add();
+        token_.cancel("watchdog: no task completed in " +
+                      std::to_string(stall.count()) + " ms (" +
+                      (label_.empty() ? "cri-run" : label_) + ")");
+        rec_.metrics.counter("cri.stalls").add();
       }
     };
   }
@@ -495,25 +449,28 @@ CriStats CriRun::run(TaskArgs initial_args) {
   // through their EvalFrame shadow-stack roots; this run's own state is
   // rooted by gc_roots() above.
   const std::size_t gc_depth = gc_.blocking_release();
+  // Chained under the caller's token (request deadline, CLI batch or
+  // REPL-line deadline, daemon drain), so firing that one aborts this
+  // run too. Servers read the chain only during the join below, while
+  // the caller's frame — and with it the borrowed parent — is alive.
+  token_.set_parent(current_cancel());
   try {
     lease.run([this](std::size_t i) { serve(i); }, tick, check_stall);
   } catch (...) {
     // A server let an exception escape serve(), or a stall check
     // threw; every server has returned by now.
-    token_->set_parent(nullptr);
+    token_.set_parent(nullptr);
     gc_.blocking_reacquire(gc_depth);
     throw;
   }
   // The servers are gone; unchain before the caller's token can die.
-  token_->set_parent(nullptr);
+  token_.set_parent(nullptr);
   gc_.blocking_reacquire(gc_depth);
-  if (rec_) {
-    for (std::size_t i = 0; i < servers_; ++i)
-      qdepth_->merge(*slots_[i].qdepth);
-  }
+  for (std::size_t i = 0; i < servers_; ++i)
+    qdepth_.merge(*slots_[i].qdepth);
 
   if (first_error_) {
-    if (rec_) rec_->metrics.counter("cri.aborts").add();
+    rec_.metrics.counter("cri.aborts").add();
     std::rethrow_exception(first_error_);
   }
 
@@ -527,43 +484,41 @@ CriStats CriRun::run(TaskArgs initial_args) {
     stats.result = result_;
     stats.finished_early = finished_early_;
   }
-  if (rec_) {
-    stats.wall_ns = rec_->tracer.now_ns() - t_start;
-    stats.enqueues = sum(&ServerSlot::enqueues);
-    for (std::size_t i = 0; i < servers_; ++i) {
-      const ServerSlot& slot = slots_[i];
-      stats.head_ns += slot.head_ns;
-      stats.tail_ns += slot.tail_ns;
-      stats.busy_ns.push_back(slot.busy_ns);
-      stats.idle_ns.push_back(slot.idle_ns);
-      stats.tasks_per_server.push_back(slot.tasks);
-    }
-
-    obs::Metrics& m = rec_->metrics;
-    m.counter("cri.invocations").add(stats.invocations);
-    m.counter("cri.enqueues").add(stats.enqueues);
-    m.counter("cri.head_ns").add(stats.head_ns);
-    m.counter("cri.tail_ns").add(stats.tail_ns);
-    m.counter("cri.busy_ns").add(stats.busy_ns_total());
-    m.counter("cri.idle_ns").add(stats.idle_ns_total());
-    m.counter("cri.queue.notify_sent").add(stats.queue.notify_sent);
-    m.counter("cri.queue.notify_suppressed")
-        .add(stats.queue.notify_suppressed);
-    m.counter("cri.queue.spill_pushes").add(stats.queue.spill_pushes);
-    m.counter("cri.queue.sleeps").add(stats.queue.sleeps);
-    m.counter("cri.queue.steals").add(stats.queue.steals);
-
-    obs::MeasuredRun mr;
-    mr.label = label_;
-    mr.servers = stats.servers;
-    mr.invocations = stats.invocations;
-    mr.wall_ns = stats.wall_ns;
-    mr.head_ns = stats.head_ns;
-    mr.tail_ns = stats.tail_ns;
-    mr.busy_ns = stats.busy_ns_total();
-    mr.idle_ns = stats.idle_ns_total();
-    rec_->speedup.add(std::move(mr));
+  stats.wall_ns = rec_.tracer.now_ns() - t_start;
+  stats.enqueues = sum(&ServerSlot::enqueues);
+  for (std::size_t i = 0; i < servers_; ++i) {
+    const ServerSlot& slot = slots_[i];
+    stats.head_ns += slot.head_ns;
+    stats.tail_ns += slot.tail_ns;
+    stats.busy_ns.push_back(slot.busy_ns);
+    stats.idle_ns.push_back(slot.idle_ns);
+    stats.tasks_per_server.push_back(slot.tasks);
   }
+
+  obs::Metrics& m = rec_.metrics;
+  m.counter("cri.invocations").add(stats.invocations);
+  m.counter("cri.enqueues").add(stats.enqueues);
+  m.counter("cri.head_ns").add(stats.head_ns);
+  m.counter("cri.tail_ns").add(stats.tail_ns);
+  m.counter("cri.busy_ns").add(stats.busy_ns_total());
+  m.counter("cri.idle_ns").add(stats.idle_ns_total());
+  m.counter("cri.queue.notify_sent").add(stats.queue.notify_sent);
+  m.counter("cri.queue.notify_suppressed")
+      .add(stats.queue.notify_suppressed);
+  m.counter("cri.queue.spill_pushes").add(stats.queue.spill_pushes);
+  m.counter("cri.queue.sleeps").add(stats.queue.sleeps);
+  m.counter("cri.queue.steals").add(stats.queue.steals);
+
+  obs::MeasuredRun mr;
+  mr.label = label_;
+  mr.servers = stats.servers;
+  mr.invocations = stats.invocations;
+  mr.wall_ns = stats.wall_ns;
+  mr.head_ns = stats.head_ns;
+  mr.tail_ns = stats.tail_ns;
+  mr.busy_ns = stats.busy_ns_total();
+  mr.idle_ns = stats.idle_ns_total();
+  rec_.speedup.add(std::move(mr));
   return stats;
 }
 

@@ -57,7 +57,7 @@ struct CriStats {
   /// notify throttling, ring overflow, actual sleeps, steals).
   QueueStats queue;
 
-  // ---- measured aggregates (filled when a Recorder is attached) ----
+  // ---- measured aggregates (from the run's Recorder) ----
   std::uint64_t wall_ns = 0;      ///< run() start → all servers joined
   std::uint64_t enqueues = 0;     ///< %cri-enqueue calls (excl. initial)
   /// Σ over invocations of measured head time (task begin → last
@@ -158,20 +158,18 @@ class CriRun : public gc::RootSource {
  public:
   /// `fn` is the transformed server-body function (a Closure value);
   /// `num_sites` the number of recursive call sites it enqueues to;
-  /// `servers` the number of server threads S. A non-null `rec` turns
-  /// on per-invocation timing, metrics, trace events, and a
-  /// SpeedupReport entry labelled `label`.
+  /// `servers` the number of server threads S. The run reports
+  /// per-invocation timing, metrics and trace events into `rec`, and
+  /// adds a SpeedupReport entry labelled `label`.
   CriRun(lisp::Interp& interp, sexpr::Value fn, std::size_t num_sites,
-         std::size_t servers, obs::Recorder* rec = nullptr,
-         std::string label = {});
+         std::size_t servers, obs::Recorder& rec, std::string label = {});
   ~CriRun() override;
 
   /// Execute the recursion started by `initial_args` to completion.
   /// Blocks; rethrows the first body error. Returns the statistics.
-  /// Re-runnable: run() resets all termination accounting and reopens
-  /// the queues, so the same CriRun can be run again after an aborted
-  /// (thrown) or early-finished run.
-  CriStats run(TaskArgs initial_args);
+  /// Single-shot (§4: one fork-join until the kill token): a CriRun
+  /// runs once, so run() takes it as an rvalue.
+  CriStats run(TaskArgs initial_args) &&;
 
   /// Called (via the %cri-enqueue builtin) from this run's server
   /// threads only; each pushes to its own lane.
@@ -184,10 +182,8 @@ class CriRun : public gc::RootSource {
   /// search").
   void finish(sexpr::Value result);
 
-  /// Install the abort policy for subsequent run() calls. A fresh
-  /// CancelState is minted per run and chained under the caller's
-  /// current token, so an aborted run leaves no fired token behind and
-  /// the CriRun stays re-runnable.
+  /// Install the abort policy for run(). The run's token is chained
+  /// under the caller's current token for the duration of the join.
   void set_resilience(ResilienceConfig cfg) { resil_ = std::move(cfg); }
 
   /// Diagnostic snapshot: servers, pending count, queue depths,
@@ -216,24 +212,23 @@ class CriRun : public gc::RootSource {
   sexpr::Value fn_;
   OrderedTaskQueues queues_;
   std::size_t servers_;
-  std::atomic<std::int64_t> pending_{0};
+  /// Tasks enqueued and not yet completed; the seed is the first.
+  std::atomic<std::int64_t> pending_{1};
   ResilienceConfig resil_;
-  /// This run's cancellation token; replaced at every run() start.
-  /// Server threads read the pointer only between run()'s reset and
-  /// join, where it is stable.
-  std::unique_ptr<CancelState> token_;
+  /// This run's cancellation token, chained under the caller's token
+  /// for the duration of the join.
+  CancelState token_;
   /// The serving request that started this run (run() captures the
   /// caller's context); servers install it so their spans and lock
-  /// waits attribute to that request. Same stability rules as token_.
+  /// waits attribute to that request.
   std::shared_ptr<obs::RequestContext> req_ctx_;
   /// Set by finish() and by the first body error: remaining queued
   /// tasks are discarded (with exact pending_ accounting) instead of
-  /// executed, so servers stop promptly and a later run() starts from
-  /// consistent state.
+  /// executed, so the servers stop promptly and the run terminates.
   std::atomic<bool> stop_{false};
 
-  obs::Recorder* rec_;
-  obs::Histogram* qdepth_ = nullptr;  ///< resolved once, merged at join
+  obs::Recorder& rec_;
+  obs::Histogram& qdepth_;  ///< resolved once, merged at join
   std::string label_;
 
   /// One server's counters, alone on its cache lines: the per-task path
@@ -248,7 +243,7 @@ class CriRun : public gc::RootSource {
     std::uint64_t busy_ns = 0;
     std::uint64_t idle_ns = 0;
     std::uint64_t tasks = 0;
-    std::optional<obs::Histogram::Shard> qdepth;  ///< set when rec_ is
+    std::optional<obs::Histogram::Shard> qdepth;  ///< set by the ctor
   };
   std::uint64_t sum(std::atomic<std::uint64_t> ServerSlot::*field) const {
     std::uint64_t n = 0;

@@ -65,8 +65,8 @@ namespace curare::runtime {
 
 using TaskArgs = std::vector<sexpr::Value>;
 
-/// Counters a queue accumulates between reopen()s; CriRun publishes
-/// them to the metrics registry after a run.
+/// Counters a queue accumulates over its life (one CRI run); CriRun
+/// publishes them to the metrics registry after the run.
 struct QueueStats {
   std::uint64_t pushes = 0;       ///< tasks enqueued
   std::uint64_t pops = 0;         ///< tasks dequeued
@@ -145,14 +145,6 @@ class SingleMutexTaskQueues {
       closed_ = true;
     }
     cv_.notify_all();
-  }
-
-  /// Reset to the open, empty state. Callers must be quiescent.
-  void reopen() {
-    std::lock_guard<std::mutex> g(mu_);
-    for (auto& q : queues_) q.clear();
-    closed_ = false;
-    max_len_ = 0;
   }
 
   bool closed() const {
@@ -387,8 +379,8 @@ class WorkStealingTaskQueues {
         // published before the closed_ store we just acquired, so one
         // more sweep after observing the flag either finds it or
         // proves the queue empty. (Pushes racing close() may be
-        // dropped — reopen() semantics — but nothing published
-        // happens-before close is ever abandoned.)
+        // dropped, but nothing published happens-before close is ever
+        // abandoned.)
         if (!sweep_nonempty()) return std::nullopt;
         continue;
       }
@@ -445,31 +437,6 @@ class WorkStealingTaskQueues {
     closed_.store(true, std::memory_order_seq_cst);
     std::lock_guard<std::mutex> g(wait_mu_);
     wait_cv_.notify_all();
-  }
-
-  /// Reset to the open, empty state, dropping leftover tasks and
-  /// zeroing the per-run stats. Callers must be quiescent.
-  void reopen() {
-    for (auto& lp : lanes_) {
-      lp->owner_consumes.store(false, std::memory_order_relaxed);
-      lp->pushed.store(0, std::memory_order_relaxed);
-      lp->popped_own.store(0, std::memory_order_relaxed);
-      lp->popped_stolen.store(0, std::memory_order_relaxed);
-      lp->max_depth.store(0, std::memory_order_relaxed);
-      for (auto& sp : lp->sites) {
-        std::lock_guard<std::mutex> g(sp->mu);
-        sp->spill.clear();
-        sp->spill_count.store(0, std::memory_order_relaxed);
-        TaskArgs t;
-        while (sp->ring.try_pop(t)) {
-        }
-      }
-    }
-    notify_sent_.store(0, std::memory_order_relaxed);
-    spill_pushes_.store(0, std::memory_order_relaxed);
-    sleeps_.store(0, std::memory_order_relaxed);
-    steals_.store(0, std::memory_order_relaxed);
-    closed_.store(false, std::memory_order_seq_cst);
   }
 
   bool closed() const { return closed_.load(std::memory_order_seq_cst); }
@@ -549,7 +516,7 @@ class WorkStealingTaskQueues {
         sites.push_back(std::make_unique<LaneSite>());
     }
     std::vector<std::unique_ptr<LaneSite>> sites;
-    /// Set by the first pop on this lane since reopen() — distinguishes
+    /// Set by the first pop on this lane — distinguishes
     /// a server (producer-is-next-consumer, wake throttle applies) from
     /// a lane nobody has popped yet, like lane 0 holding the seed
     /// (whose push always runs the sleeper handshake, and which any

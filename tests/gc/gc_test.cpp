@@ -1,7 +1,7 @@
 // Memory-management subsystem tests: exact live counters, reclamation
 // of unreachable objects, root precision (RootScope, future slots,
 // queued CRI task arguments), concurrent allocation under repeated
-// collections, and GC interaction with aborted/re-run server pools and
+// collections, and GC interaction with aborted server pools and
 // full transform pipelines.
 //
 // The multithreaded cases double as the TSan/ASan targets wired into
@@ -255,8 +255,8 @@ TEST(GcRootPrecisionTest, QueuedCriTaskArgumentSurvives) {
       "      (progn (collect-now) (%cri-enqueue 0 (cons 123 nil))"
       "             (collect-now))"
       "      (receive x)))");
-  runtime::CriRun run(in, in.global("body"), 1, 1);
-  run.run({ctx.sym("seed")});
+  runtime::CriRun run(in, in.global("body"), 1, 1, rt.obs());
+  std::move(run).run({ctx.sym("seed")});
 
   ASSERT_EQ(live.size(), 2u);
   EXPECT_EQ(live[1], live[0] + 1)
@@ -519,19 +519,19 @@ TEST_F(GcServerPoolTest, AbortedRunCanBeRerunUnderCollections) {
       "    (cons (car l) (car l))"  // garbage per task
       "    (%cri-enqueue 0 (cdr l))))");
   Value fn = in.global("f-cri");
-  runtime::CriRun run(in, fn, 1, 4);
+  runtime::CriRun run(in, fn, 1, 4, rt.obs());
 
   Value poisoned = sexpr::read_one(ctx, "(1 2 3 boom 5 6)");
-  EXPECT_THROW(run.run({poisoned}), sexpr::LispError);
+  EXPECT_THROW(std::move(run).run({poisoned}), sexpr::LispError);
 
-  // Same CriRun object, fresh input: termination accounting and the
-  // GC hand-off must both have been left consistent by the abort.
+  // A fresh run, fresh input: the abort must have left the runtime and
+  // the GC hand-off consistent.
   in.eval_program("(setq visited 0)");
   std::string big = "(";
   for (int i = 0; i < 400; ++i) big += std::to_string(i) + " ";
   big += ")";
   Value list = sexpr::read_one(ctx, big);
-  runtime::CriStats stats = run.run({list});
+  runtime::CriStats stats = rt.run_cri(fn, 1, 4, {list});
   EXPECT_EQ(stats.invocations, 401u);
   EXPECT_EQ(in.eval_program("visited").as_fixnum(), 400);
 }

@@ -13,20 +13,23 @@ namespace {
 using sexpr::Value;
 
 TEST(FuturePool, SpawnAndTouch) {
-  FuturePool pool(2);
+  obs::Recorder rec;
+  FuturePool pool(rec, 2);
   auto f = pool.spawn([] { return Value::fixnum(42); });
   EXPECT_EQ(pool.touch(f).as_fixnum(), 42);
 }
 
 TEST(FuturePool, TouchIsIdempotent) {
-  FuturePool pool(2);
+  obs::Recorder rec;
+  FuturePool pool(rec, 2);
   auto f = pool.spawn([] { return Value::fixnum(7); });
   EXPECT_EQ(pool.touch(f).as_fixnum(), 7);
   EXPECT_EQ(pool.touch(f).as_fixnum(), 7);
 }
 
 TEST(FuturePool, ManyFuturesAllResolve) {
-  FuturePool pool(4);
+  obs::Recorder rec;
+  FuturePool pool(rec, 4);
   std::vector<std::shared_ptr<FutureState>> fs;
   for (int i = 0; i < 500; ++i)
     fs.push_back(pool.spawn([i] { return Value::fixnum(i); }));
@@ -35,7 +38,8 @@ TEST(FuturePool, ManyFuturesAllResolve) {
 }
 
 TEST(FuturePool, ErrorsPropagateOnTouch) {
-  FuturePool pool(2);
+  obs::Recorder rec;
+  FuturePool pool(rec, 2);
   auto f = pool.spawn([]() -> Value {
     throw sexpr::LispError("task failed");
   });
@@ -45,7 +49,8 @@ TEST(FuturePool, ErrorsPropagateOnTouch) {
 TEST(FuturePool, HelpFirstTouchAvoidsDeadlockOnSingleWorker) {
   // One worker, and the worker's task spawns+touches a child future. A
   // blocking touch would deadlock; help-first touch must complete.
-  FuturePool pool(1);
+  obs::Recorder rec;
+  FuturePool pool(rec, 1);
   auto parent = pool.spawn([&pool]() -> Value {
     auto child = pool.spawn([] { return Value::fixnum(5); });
     return Value::fixnum(pool.touch(child).as_fixnum() + 1);
@@ -54,7 +59,8 @@ TEST(FuturePool, HelpFirstTouchAvoidsDeadlockOnSingleWorker) {
 }
 
 TEST(FuturePool, DeepFutureChainCompletes) {
-  FuturePool pool(2);
+  obs::Recorder rec;
+  FuturePool pool(rec, 2);
   std::function<Value(int)> chain = [&](int n) -> Value {
     if (n == 0) return Value::fixnum(0);
     auto f = pool.spawn([&chain, n] { return chain(n - 1); });
@@ -64,12 +70,14 @@ TEST(FuturePool, DeepFutureChainCompletes) {
 }
 
 TEST(FuturePool, WorkerCountDefaultsPositive) {
-  FuturePool pool;
+  obs::Recorder rec;
+  FuturePool pool(rec);
   EXPECT_GE(pool.workers(), 2u);
 }
 
 TEST(FuturePool, SpawnCountTracks) {
-  FuturePool pool(2);
+  obs::Recorder rec;
+  FuturePool pool(rec, 2);
   auto a = pool.spawn([] { return Value::nil(); });
   auto b = pool.spawn([] { return Value::nil(); });
   pool.touch(a);
@@ -79,7 +87,7 @@ TEST(FuturePool, SpawnCountTracks) {
 
 TEST(FuturePool, RecorderCountsSpawnsAndWaits) {
   obs::Recorder rec;
-  FuturePool pool(2, &rec);
+  FuturePool pool(rec, 2);
   auto slow = pool.spawn([]() -> Value {
     std::this_thread::sleep_for(std::chrono::milliseconds(10));
     return Value::fixnum(1);
@@ -100,7 +108,7 @@ TEST(FuturePool, RecorderCountsSpawnsAndWaits) {
 
 TEST(FuturePool, ResolvedTouchNeverCountsAsWait) {
   obs::Recorder rec;
-  FuturePool pool(2, &rec);
+  FuturePool pool(rec, 2);
   auto f = pool.spawn([] { return Value::fixnum(3); });
   std::this_thread::sleep_for(std::chrono::milliseconds(20));
   EXPECT_EQ(pool.touch(f).as_fixnum(), 3);
@@ -112,7 +120,7 @@ TEST(FuturePool, HelpedCounterTracksInlineRuns) {
   obs::Recorder rec;
   // One worker busy on a slow task; touching a queued future forces the
   // caller to help-run it inline.
-  FuturePool pool(1, &rec);
+  FuturePool pool(rec, 1);
   auto slow = pool.spawn([]() -> Value {
     std::this_thread::sleep_for(std::chrono::milliseconds(30));
     return Value::nil();
@@ -124,7 +132,8 @@ TEST(FuturePool, HelpedCounterTracksInlineRuns) {
 }
 
 TEST(FuturePool, ParallelExecutionActuallyOverlaps) {
-  FuturePool pool(4);
+  obs::Recorder rec;
+  FuturePool pool(rec, 4);
   std::atomic<int> running{0};
   std::atomic<int> peak{0};
   std::vector<std::shared_ptr<FutureState>> fs;

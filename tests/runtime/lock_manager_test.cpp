@@ -19,7 +19,8 @@ namespace {
 class LockManagerTest : public ::testing::Test {
  protected:
   sexpr::Ctx ctx;
-  LockManager lm;
+  obs::Recorder rec;
+  LockManager lm{rec};
 
   LocKey key(const char* field = "car") {
     return LocKey{cell_, ctx.symbols.intern(field)};

@@ -1,6 +1,7 @@
 // Resilience-layer tests (DESIGN.md §10): deadlines and cancellation,
-// the join-side stall check, abort-then-re-run, pool-shutdown touch
-// behavior, and the deterministic fault-injection soak.
+// the join-side stall check, a fresh run after an aborted one,
+// pool-shutdown touch behavior, and the deterministic fault-injection
+// soak.
 #include "runtime/resilience.hpp"
 
 #include <gtest/gtest.h>
@@ -63,14 +64,14 @@ TEST_F(ResilienceTest, DeadlineAbortsInfiniteReEnqueue) {
       "  (if (> stop-flag 0) nil (%cri-enqueue 0 i)))");
   Value fn = in.global("spin-cri");
 
-  CriRun run(in, fn, 1, 2);
+  CriRun run(in, fn, 1, 2, rt.obs());
   const auto t0 = std::chrono::steady_clock::now();
   try {
     // The deadline is the caller's: the run chains its token under it.
     CancelState deadline;
     deadline.set_deadline_ms(150);
     CancelScope scope(&deadline);
-    run.run({Value::fixnum(0)});
+    std::move(run).run({Value::fixnum(0)});
     FAIL() << "an infinite re-enqueue loop must not terminate normally";
   } catch (const StallError& e) {
     EXPECT_NE(std::string(e.what()).find("deadline"), std::string::npos)
@@ -82,9 +83,10 @@ TEST_F(ResilienceTest, DeadlineAbortsInfiniteReEnqueue) {
   EXPECT_LT(elapsed, std::chrono::seconds(10))
       << "abort must be prompt, not an eventual timeout";
 
-  // The aborted CriRun stays re-runnable, exactly like a body throw.
+  // The abort leaves nothing behind: a fresh run of the same function
+  // completes, exactly as after a body throw.
   run_src("(setq stop-flag 1)");
-  CriStats stats = run.run({Value::fixnum(0)});
+  CriStats stats = rt.run_cri(fn, 1, 2, {Value::fixnum(0)});
   EXPECT_EQ(stats.invocations, 1u);
 }
 
@@ -141,7 +143,7 @@ TEST_F(ResilienceTest, WatchdogFiresOnDeadlockedLockProgram) {
   Value fn = in.global("stuck-cri");
   run_src("(%lock-var 'wd-shared)");
 
-  CriRun run(in, fn, 1, 2, &rt.obs());
+  CriRun run(in, fn, 1, 2, rt.obs());
   ResilienceConfig rc;
   rc.stall_ms = 150;
   rc.extra_dump = [this] { return rt.locks().dump_held(); };
@@ -149,7 +151,7 @@ TEST_F(ResilienceTest, WatchdogFiresOnDeadlockedLockProgram) {
 
   const std::uint64_t stalls_before = stalls();
   try {
-    run.run({Value::fixnum(0)});
+    std::move(run).run({Value::fixnum(0)});
     FAIL() << "a deadlocked lock program must not terminate normally";
   } catch (const StallError& e) {
     EXPECT_NE(std::string(e.what()).find("watchdog"), std::string::npos)
@@ -161,9 +163,9 @@ TEST_F(ResilienceTest, WatchdogFiresOnDeadlockedLockProgram) {
   }
   EXPECT_EQ(stalls(), stalls_before + 1);
 
-  // Release the lock; the same CriRun object re-runs to completion.
+  // Release the lock; a fresh run of the same function completes.
   run_src("(%unlock-var 'wd-shared)");
-  CriStats stats = run.run({Value::fixnum(0)});
+  CriStats stats = rt.run_cri(fn, 1, 2, {Value::fixnum(0)});
   EXPECT_EQ(stats.invocations, 1u);
 }
 
@@ -175,12 +177,12 @@ TEST_F(ResilienceTest, WatchdogDisarmedWhenInitialPushThrows) {
   Value fn = in.global("noop-cri");
   const std::uint64_t stalls_before = stalls();
   {
-    CriRun run(in, fn, 1, 2, &rt.obs());
+    CriRun run(in, fn, 1, 2, rt.obs());
     ResilienceConfig rc;
     rc.stall_ms = 50;
     run.set_resilience(rc);
     FaultInjector::instance().configure(7, 1.0, FaultInjector::kThrow);
-    EXPECT_THROW(run.run({Value::fixnum(0)}), sexpr::LispError);
+    EXPECT_THROW(std::move(run).run({Value::fixnum(0)}), sexpr::LispError);
     FaultInjector::instance().disable();
   }
   std::this_thread::sleep_for(std::chrono::milliseconds(200));
@@ -220,11 +222,11 @@ TEST_F(ResilienceTest, StallCheckSparesARunThatKeepsCompleting) {
       "(defun paced-cri (n)"
       "  (spin-until (+ (get-internal-real-time) 60000000))"
       "  (when (> n 0) (%cri-enqueue 0 (- n 1))))");
-  CriRun run(in, in.global("paced-cri"), 1, 2, &rt.obs());
+  CriRun run(in, in.global("paced-cri"), 1, 2, rt.obs());
   ResilienceConfig rc;
   rc.stall_ms = 200;
   run.set_resilience(rc);
-  EXPECT_EQ(run.run({Value::fixnum(5)}).invocations, 6u);
+  EXPECT_EQ(std::move(run).run({Value::fixnum(5)}).invocations, 6u);
   EXPECT_EQ(stalls(), 0u);
 }
 
@@ -284,21 +286,25 @@ TEST_F(ResilienceTest, AbortWaitersWakesBlockedTouch) {
   aborter.join();
 }
 
-TEST_F(ResilienceTest, LockWaitBudgetProducesDiagnosticDump) {
+TEST_F(ResilienceTest, LockWaitDeadlineProducesDiagnosticDump) {
+  // A lock wait is bounded by the waiting thread's token alone: its
+  // deadline ends the wait with a StallError carrying the token's dump.
   run_src("(%lock-var 'budget-loc)");
-  rt.locks().set_wait_budget_ms(80);
   std::string dump;
   std::thread contender([this, &dump] {
+    CancelState deadline;
+    deadline.set_deadline_ms(80);
+    deadline.dump_fn = [this] { return rt.locks().dump_held(); };
+    CancelScope scope(&deadline);
     try {
       rt.locks().lock(
           LocKey{ctx.symbols.intern("budget-loc"), nullptr}, true);
-      ADD_FAILURE() << "the budgeted wait must throw, not acquire";
+      ADD_FAILURE() << "the wait past the deadline must throw, not acquire";
     } catch (const StallError& e) {
       dump = e.dump();
     }
   });
   contender.join();
-  rt.locks().set_wait_budget_ms(0);
   EXPECT_NE(dump.find("budget-loc"), std::string::npos)
       << "dump should name the held location, got: " << dump;
   run_src("(%unlock-var 'budget-loc)");

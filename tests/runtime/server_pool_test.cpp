@@ -9,6 +9,7 @@
 #include <filesystem>
 #include <stdexcept>
 #include <thread>
+#include <type_traits>
 
 #include "runtime/runtime.hpp"
 #include "sexpr/printer.hpp"
@@ -19,6 +20,22 @@ namespace curare::runtime {
 namespace {
 
 using sexpr::Value;
+
+// A CRI run always records: no constructor leaves out the Recorder.
+static_assert(!std::is_constructible_v<CriRun, lisp::Interp&, Value,
+                                       std::size_t, std::size_t>);
+static_assert(!std::is_constructible_v<FuturePool, std::size_t>);
+static_assert(!std::is_default_constructible_v<FuturePool>);
+static_assert(!std::is_default_constructible_v<LockManager>);
+
+// A CriRun is single-shot: run() exists only on an rvalue.
+template <typename R>
+concept RunnableAsLvalue = requires(R& r, TaskArgs a) { r.run(a); };
+template <typename R>
+concept RunnableAsRvalue =
+    requires(R&& r, TaskArgs a) { std::move(r).run(a); };
+static_assert(!RunnableAsLvalue<CriRun>);
+static_assert(RunnableAsRvalue<CriRun>);
 
 class ServerPoolTest : public ::testing::Test {
  protected:
@@ -113,44 +130,23 @@ TEST_F(ServerPoolTest, StatsCarryMeasuredAggregates) {
   EXPECT_LE(stats.utilization(), 1.0);
 }
 
-TEST_F(ServerPoolTest, BareCriRunWithoutRecorderStillWorks) {
-  // Direct CriRun construction (no Recorder): the old zero-overhead
-  // path — measured aggregates stay empty, counts stay exact.
+TEST_F(ServerPoolTest, DirectCriRunFillsMeasuredAggregates) {
+  // Direct CriRun construction, outside the Runtime facade: counts stay
+  // exact and the measured aggregates are filled, as every run records.
   run_src("(defun b-cri (l) (when l (%cri-enqueue 0 (cdr l))))");
   Value fn = in.global("b-cri");
-  CriRun run(in, fn, 1, 2);
-  CriStats stats = run.run({sexpr::read_one(ctx, "(1 2 3)")});
+  CriRun run(in, fn, 1, 2, rt.obs());
+  CriStats stats = std::move(run).run({sexpr::read_one(ctx, "(1 2 3)")});
   EXPECT_EQ(stats.invocations, 4u);
-  EXPECT_EQ(stats.wall_ns, 0u);
-  EXPECT_EQ(stats.head_ns, 0u);
+  EXPECT_EQ(stats.enqueues, 3u);
+  EXPECT_GT(stats.wall_ns, 0u);
+  EXPECT_EQ(stats.busy_ns.size(), stats.servers);
 }
 
 TEST_F(ServerPoolTest, ErrorsInBodyPropagate) {
   run_src("(defun bad-cri (l) (error \"boom\"))");
   Value fn = in.global("bad-cri");
   EXPECT_THROW(rt.run_cri(fn, 1, 3, {Value::nil()}), sexpr::LispError);
-}
-
-TEST_F(ServerPoolTest, RerunSameCriRunAfterAbortedRun) {
-  // Regression: a thrown body used to leave pending_ permanently
-  // elevated and the queues closed with leftovers; a retry on the same
-  // CriRun must start from consistent termination accounting.
-  run_src(
-      "(setq fail 1)(setq count 0)"
-      "(defun flaky-cri (l)"
-      "  (when (> fail 0) (error \"boom\"))"
-      "  (when l"
-      "    (%atomic-incf-var 'count 1)"
-      "    (%cri-enqueue 0 (cdr l))))");
-  Value fn = in.global("flaky-cri");
-  CriRun run(in, fn, 1, 3);
-  EXPECT_THROW(run.run({sexpr::read_one(ctx, "(1 2 3)")}),
-               sexpr::LispError);
-  run_src("(setq fail 0)");
-  CriStats stats = run.run({sexpr::read_one(ctx, "(1 2 3)")});
-  EXPECT_EQ(stats.invocations, 4u) << "3 elements + the nil base case";
-  EXPECT_EQ(run_src("count").as_fixnum(), 3);
-  EXPECT_FALSE(stats.finished_early);
 }
 
 TEST_F(ServerPoolTest, RunCriAfterAbortedRunCriStaysConsistent) {

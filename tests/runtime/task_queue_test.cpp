@@ -309,24 +309,6 @@ TEST(WorkStealingQueues, CloseWhilePushingTerminates) {
   }
 }
 
-TEST(WorkStealingQueues, ReopenServesAgainWithFreshStats) {
-  WorkStealingTaskQueues q(2, 1);
-  q.push(0, 0, task(1));
-  q.push(0, 1, task(2));
-  q.close();
-  EXPECT_TRUE(q.pop(0).has_value());
-  q.reopen();  // drops the un-popped leftover
-  EXPECT_FALSE(q.closed());
-  EXPECT_EQ(q.depth(), 0u);
-  EXPECT_EQ(q.stats().pushes, 0u);
-  EXPECT_EQ(q.stats().steals, 0u);
-  EXPECT_EQ(q.max_length(), 0u);
-  EXPECT_EQ(q.push(0, 0, task(7)), 1u);
-  EXPECT_EQ(val(*q.pop(0)), 7);
-  q.close();
-  EXPECT_FALSE(q.pop(0).has_value());
-}
-
 TEST(WorkStealingQueues, BadSiteThrows) {
   WorkStealingTaskQueues q(2, 1);
   EXPECT_THROW(q.push(0, 5, {}), sexpr::LispError);

@@ -132,11 +132,10 @@ class Args {
 
 /// The runtime flags curare and curare_serve share. Each tool routes
 /// the deadline, quota, fuel and heap limits its own way; apply() sets
-/// the four settings both apply alike.
+/// the three settings both apply alike.
 struct RuntimeFlags {
   std::int64_t deadline_ms = 0;
   std::int64_t stall_ms = 0;
-  std::int64_t lock_budget_ms = 0;
   std::uint64_t mem_quota = 0;
   std::uint64_t fuel = 0;
   std::uint64_t heap_soft = 0;
@@ -164,7 +163,6 @@ struct RuntimeFlags {
     }
     return args.count("--deadline-ms", deadline_ms) ||
            args.count("--stall-ms", stall_ms) ||
-           args.count("--lock-budget-ms", lock_budget_ms) ||
            args.bytes("--mem-quota", mem_quota) ||
            args.count("--fuel", fuel) ||
            args.bytes("--heap-soft", heap_soft) ||
@@ -173,12 +171,11 @@ struct RuntimeFlags {
                       std::numeric_limits<unsigned>::max(), "period");
   }
 
-  /// Set the stall window and lock budget on `rt`, and arm chaos and
-  /// the profiler. Call once the interpreter exists: a fault injected
-  /// during its bootstrap would escape every handler.
+  /// Set the stall window on `rt`, and arm chaos and the profiler.
+  /// Call once the interpreter exists: a fault injected during its
+  /// bootstrap would escape every handler.
   void apply(runtime::Runtime& rt) const {
     rt.set_stall_ms(stall_ms);
-    rt.locks().set_wait_budget_ms(lock_budget_ms);
     if (chaos) {
       runtime::FaultInjector::instance().configure(
           chaos->seed, chaos->rate, chaos->kinds, chaos->sites);

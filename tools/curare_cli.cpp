@@ -36,7 +36,6 @@
 //                  (exit code 4; in the REPL only that line dies)
 //   --stall-ms N   abort a CRI run in which no task completes for N ms,
 //                  as seen by the caller waiting for it (exit code 3)
-//   --lock-budget-ms N  cap any single blocked lock acquisition
 //   --chaos SEED:RATE[:KINDS[:SITES]]  arm the deterministic fault
 //                  injector (grammar: FaultInjector::parse_spec); see
 //                  :resilience for per-site counts
@@ -351,7 +350,6 @@ int main(int argc, char** argv) {
           "unknown option %s\nusage: curare [--trace out.json] "
           "[--stats] [--profile[=N]] [--gc-threshold N] "
           "[--gc-stats] [--deadline-ms N] [--stall-ms N] "
-          "[--lock-budget-ms N] "
           "[--mem-quota N] [--fuel N] "
           "[--heap-soft N] [--heap-hard N] "
           "[--chaos SEED:RATE[:KINDS[:SITES]]] "

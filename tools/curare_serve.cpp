@@ -23,7 +23,6 @@
 //   --stall-ms N        abort a CRI run in which no task completes for
 //                       N ms, checked by the request thread joining
 //                       the run (default 0 = off)
-//   --lock-budget-ms N  cap any single blocked lock acquisition
 //   --mem-quota N       per-request GC-allocation quota in bytes
 //                       (k/m/g suffixes accepted; 0 = unlimited);
 //                       a crossing request answers
@@ -95,7 +94,7 @@ int usage() {
       "usage: curare_serve [--port N] [--port-file PATH] [--host ADDR]\n"
       "                    [--max-inflight N] [--queue-limit N]\n"
       "                    [--deadline-ms N] [--drain-grace-ms N]\n"
-      "                    [--stall-ms N] [--lock-budget-ms N]\n"
+      "                    [--stall-ms N]\n"
       "                    [--mem-quota N] [--heap-soft N] [--heap-hard N]\n"
       "                    [--fuel N] [--result-cap N] [--retry-after-ms N]\n"
       "                    [--chaos SEED:RATE[:KINDS[:SITES]]]\n"

@@ -2,9 +2,11 @@
 // reach a steady state — live objects after each cycle's collection may
 // not creep upward (DESIGN.md §9 acceptance check).
 //
-// Each iteration builds a fresh 200-element list, runs the transformed
-// traversal on the 4-server pool twice, then collects and records the
-// exact live-object count. The list is rooted only for its iteration,
+// Each iteration builds a fresh 200-element list, runs two transformed
+// traversals on the 4-server pool — tally, whose call comes last (a
+// head loop that queues nothing), and tally-out, whose update follows
+// the call (its tails are queued in batches) — then collects and
+// records the exact live-object count. The list is rooted only for its iteration,
 // so everything it allocated — spine, CRI argument copies, scheduler
 // spill — must be reclaimed by the next collection. 120 iterations ×
 // 2 runs ≥ 240 CRI pool runs; the tight threshold keeps the automatic
@@ -42,11 +44,14 @@ int main() {
   cur.load_program(
       "(setq total 0)"
       "(defun tally (l)"
-      "  (when l (setq total (+ total (car l))) (tally (cdr l))))");
-  curare::TransformPlan plan = cur.transform("tally");
-  if (!plan.ok) {
-    std::printf("gc_soak: transform failed\n");
-    return 1;
+      "  (when l (setq total (+ total (car l))) (tally (cdr l))))"
+      "(defun tally-out (l)"
+      "  (when l (tally-out (cdr l)) (setq total (+ total (car l)))))");
+  for (const char* fn : {"tally", "tally-out"}) {
+    if (!cur.transform(fn).ok) {
+      std::printf("gc_soak: transform of %s failed\n", fn);
+      return 1;
+    }
   }
 
   using curare::runtime::FaultInjector;
@@ -85,7 +90,7 @@ int main() {
       cur.interp().eval_program("(setq total 0)");
       const curare::Value args[] = {list};
       cur.run_parallel("tally", args, 4);
-      cur.run_parallel("tally", args, 4);
+      cur.run_parallel("tally-out", args, 4);
       const long long got =
           cur.interp().eval_program("total").as_fixnum();
       if (got != kExpected) {

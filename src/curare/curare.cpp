@@ -61,6 +61,9 @@ std::string TransformPlan::to_string() const {
   if (server != nullptr) {
     out << ", server " << server->name << ", " << num_sites
         << " call site(s)";
+    if (work_first)
+      out << ", work-first"
+          << (tail != nullptr ? " (tails: " + tail->name + ")" : "");
   } else {
     out << " (iterative replacement; no server pool)";
   }
@@ -381,7 +384,7 @@ TransformPlan Curare::transform(std::string_view fn_name) {
   }
 
   // ---- §3.1/§4 CRI codegen -------------------------------------------------------
-  auto cri = transform::make_cri(ctx_, info);
+  auto cri = transform::make_cri(ctx_, info, !lock_plan.empty());
   if (!cri.ok) {
     plan.failure = cri.failure;
     return plan;
@@ -391,11 +394,15 @@ TransformPlan Curare::transform(std::string_view fn_name) {
   // so appending unlocks never disturbs the destination store.
   plan.forms.push_back(
       transform::apply_lock_plan(ctx_, cri.server_defun, lock_plan));
+  if (cri.tail_name != nullptr) plan.forms.push_back(cri.tail_defun);
   plan.forms.push_back(cri.wrapper_defun);
   plan.entry = cri.wrapper_name;
   plan.server = cri.server_name;
+  plan.tail = cri.tail_name;
+  plan.work_first = cri.work_first;
   plan.num_sites = cri.num_sites;
   plan.final_headtail = analysis::partition_head_tail(ctx_, info);
+  plan.forms = transform::lock_shared_increments(ctx_, std::move(plan.forms));
   plan.ok = true;
 
   for (Value f : plan.forms) interp_.eval_top(f);

@@ -64,7 +64,11 @@ struct TransformPlan {
   std::vector<Value> forms;           ///< defuns to install, in order
   Symbol* entry = nullptr;            ///< f$parallel
   Symbol* server = nullptr;           ///< f$cri
-  std::size_t num_sites = 0;
+  /// The server is a head loop whose tails are queued tasks (one call
+  /// site, no locks; transform/cri.hpp).
+  bool work_first = false;
+  Symbol* tail = nullptr;  ///< f$tail, when the head loop queues tails
+  std::size_t num_sites = 0;  ///< recursive call sites
   int locks_inserted = 0;
   int delayed = 0;
   int reordered = 0;

@@ -96,6 +96,14 @@ class Env {
     }
   }
 
+  /// The global frame's cell for `name`, first bound to `init` when the
+  /// name is unbound. Cells never move, so callers may CAS on the value
+  /// (%atomic-incf-var). Call on the global frame only.
+  std::atomic<Value>& global_cell(Symbol* name, Value init) {
+    Cell* c = globals_->find(name);
+    return (c != nullptr ? *c : globals_->insert(name, init)).value;
+  }
+
   bool is_global() const { return globals_ != nullptr; }
   const EnvPtr& parent() const { return parent_; }
 
@@ -177,15 +185,15 @@ class Env {
     /// Release-store into an existing cell; insert under the mutex
     /// only when the name is new.
     void store(Symbol* s, Value v) {
-      if (Cell* c = find(s)) {
-        c->value.store(v, std::memory_order_release);
-        return;
-      }
+      Cell* c = find(s);
+      if (c == nullptr) c = &insert(s, v);
+      c->value.store(v, std::memory_order_release);
+    }
+
+    /// The cell for `s`, created holding `v` if the name is new.
+    Cell& insert(Symbol* s, Value v) {
       std::lock_guard<std::mutex> lock(insert_mu);
-      if (Cell* c = find(s)) {
-        c->value.store(v, std::memory_order_release);
-        return;
-      }
+      if (Cell* c = find(s)) return *c;
       Cell* c = v.is(sexpr::Kind::Closure) || v.is(sexpr::Kind::Builtin)
                     ? &fn_cells.emplace_back(s, v)
                     : &var_cells.emplace_back(s, v).cell;
@@ -201,6 +209,7 @@ class Env {
       } else {
         place(*t, c);
       }
+      return *c;
     }
 
     std::size_t size() const { return fn_cells.size() + var_cells.size(); }

@@ -40,7 +40,8 @@ std::vector<SpeedupRow> SpeedupReport::rows() const {
     // A base-case-only run has h = whole body; keep the model total
     // positive so the error column stays defined.
     if (row.mean_h_ns <= 0) row.mean_h_ns = 1;
-    row.predicted_ns = runtime::predicted_time(
+    row.predicted_ns = (r.work_first ? runtime::predicted_time_work_first
+                                     : runtime::predicted_time)(
         static_cast<double>(r.servers), d > 0 ? d : 1, row.mean_h_ns,
         row.mean_t_ns);
     if (row.predicted_ns > 0) {
@@ -86,7 +87,9 @@ std::string SpeedupReport::table() const {
     ss << line;
   }
   ss << "T_pred = (ceil(d/S)-1)(h+t) + (S*h+t) with measured mean h, t "
-        "(paper 4.1);\nS* = sqrt(d(h+t)/h) unclamped.\n";
+        "(paper 4.1),\nor max(d*h, d*(h+t)/S) + t for a work-first run "
+        "(heads as a loop, tails as tasks);\nS* = sqrt(d(h+t)/h) "
+        "unclamped.\n";
   return ss.str();
 }
 
@@ -98,7 +101,9 @@ std::string SpeedupReport::json_lines() const {
        << ",\"wall_ns\":" << r.run.wall_ns << ",\"head_ns\":"
        << r.run.head_ns << ",\"tail_ns\":" << r.run.tail_ns
        << ",\"busy_ns\":" << r.run.busy_ns << ",\"idle_ns\":"
-       << r.run.idle_ns << ",\"predicted_ns\":" << r.predicted_ns
+       << r.run.idle_ns << ",\"work_first\":"
+       << (r.run.work_first ? "true" : "false")
+       << ",\"predicted_ns\":" << r.predicted_ns
        << ",\"error_pct\":" << r.error_pct << ",\"utilization\":"
        << r.utilization << ",\"s_star\":" << r.s_star << "}\n";
   }

@@ -4,7 +4,9 @@
 // recursion depth d (= invocations), wall time, and the measured head
 // and tail time the tracer's instrumentation attributed inside the
 // server loop. The report replays the paper's T(S) =
-// (⌈d/S⌉−1)(h+t) + (S·h+t) with the *measured* mean h and t and prints
+// (⌈d/S⌉−1)(h+t) + (S·h+t) — for a work-first run (heads as a loop,
+// tails as tasks) T_wf(S) = max(d·h, d·(h+t)/S) + t — with the
+// *measured* mean h and t and prints
 // measured wall time against it — the error column is the gap between
 // the abstract machine of §4.1 and this implementation (queue cost,
 // scheduling jitter, interpreter variance).
@@ -26,6 +28,8 @@ struct MeasuredRun {
   std::uint64_t tail_ns = 0;    ///< Σ measured tail time (t·d)
   std::uint64_t busy_ns = 0;    ///< Σ over servers of in-body time
   std::uint64_t idle_ns = 0;    ///< Σ over servers of blocked-in-pop time
+  /// Heads ran as a loop, tails as tasks: predicted by T_wf(S).
+  bool work_first = false;
 };
 
 /// One computed table row.

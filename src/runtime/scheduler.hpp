@@ -27,6 +27,18 @@ inline double predicted_time(double servers, double depth, double h,
   return (groups - 1.0) * (h + t) + (servers * h + t);
 }
 
+/// The work-first form's time (transform/cri.hpp): one server runs the
+/// d heads as a loop while all S servers share the tails, so a run is
+/// bound by the head chain or by the total work spread over S, plus the
+/// last tail:
+///
+///     T_wf(S) = max(d·h, d·(h+t)/S) + t
+inline double predicted_time_work_first(double servers, double depth,
+                                        double h, double t) {
+  if (servers < 1) servers = 1;
+  return std::max(depth * h, depth * (h + t) / servers) + t;
+}
+
 /// S* = sqrt(d(h+t)/h) — the unconstrained optimum (continuous).
 inline double optimal_servers_continuous(double depth, double h, double t) {
   if (h <= 0) return depth;

@@ -59,6 +59,12 @@ class SpmcRing {
     return true;
   }
 
+  /// Producer-side: true when the next try_push_sp would fail.
+  bool full_sp() const {
+    const std::size_t pos = enq_.load(std::memory_order_relaxed);
+    return cells_[pos & mask_].seq.load(std::memory_order_acquire) != pos;
+  }
+
   /// False when the ring is empty (or every present item is still being
   /// published by its producer — callers retry off their own depth
   /// accounting).

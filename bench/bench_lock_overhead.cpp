@@ -102,7 +102,10 @@ struct IncfVarFixture {
   sexpr::Ctx ctx;
   lisp::Interp in{ctx};
   runtime::Runtime rt{in, 1};
-  IncfVarFixture() { rt.install(); }
+  IncfVarFixture() {
+    rt.install();
+    in.eval_program("(setq counter 0)");  // an unbound variable signals
+  }
 };
 
 IncfVarFixture& incf_fixture() {

@@ -57,6 +57,7 @@ struct ArrayRef {
   bool is_write = false;
   Value form;
   int stmt_index = -1;
+  bool after_call = false;  ///< as StructRef::after_call
 
   std::string to_string() const;
 };

@@ -15,6 +15,7 @@
 #include "analysis/extract.hpp"
 
 #include "analysis/effects.hpp"
+#include "analysis/headtail.hpp"
 
 #include <unordered_map>
 
@@ -151,13 +152,18 @@ class Extractor {
   }
 
   /// Walk a body sequence; all but the last form are statements, the
-  /// last inherits `last_pos`.
+  /// last inherits `last_pos`. The forms after one that holds a
+  /// recursive call run after that call.
   void walk_seq(Value forms, AliasMap& aliases, Pos last_pos) {
+    const bool outer = after_call_;
     for (Value rest = forms; !rest.is_nil(); rest = cdr(rest)) {
       const bool last = cdr(rest).is_nil();
       cur_stmt_ = next_stmt_++;
+      const std::size_t calls = info_.rec_calls.size();
       walk(car(rest), aliases, last ? last_pos : Pos::Stmt);
+      if (info_.rec_calls.size() != calls) after_call_ = true;
     }
+    after_call_ = outer;
   }
 
   void warn(std::string msg) { info_.warnings.push_back(std::move(msg)); }
@@ -176,6 +182,7 @@ class Extractor {
     r.deep = deep;
     r.form = form;
     r.stmt_index = cur_stmt_;
+    r.after_call = after_call_;
     info_.refs.push_back(std::move(r));
   }
 
@@ -188,6 +195,7 @@ class Extractor {
     r.deep = deep;
     r.form = form;
     r.stmt_index = cur_stmt_;
+    r.after_call = after_call_;
     r.update_op = update_op;
     info_.refs.push_back(std::move(r));
   }
@@ -220,6 +228,7 @@ class Extractor {
     r.is_write = is_write;
     r.form = aref_form;
     r.stmt_index = cur_stmt_;
+    r.after_call = after_call_;
     if (auto aff = parse_affine(ctx_, caddr(aref_form))) {
       r.index = *aff;
       r.affine = true;
@@ -254,6 +263,7 @@ class Extractor {
   bool pass2_ = false;
   int next_stmt_ = 0;
   int cur_stmt_ = -1;
+  bool after_call_ = false;  ///< the walk is past a recursive call
 };
 
 void Extractor::walk(Value form, AliasMap& aliases, Pos pos) {
@@ -268,6 +278,7 @@ void Extractor::walk(Value form, AliasMap& aliases, Pos pos) {
       r.is_write = false;
       r.form = form;
       r.stmt_index = cur_stmt_;
+      r.after_call = after_call_;
       info_.var_refs.push_back(r);
     }
     return;
@@ -419,6 +430,7 @@ void Extractor::walk_special(const std::string& op, Value form,
         r.is_write = true;
         r.form = form;
         r.stmt_index = cur_stmt_;
+        r.after_call = after_call_;
         if (val.is(Kind::Cons) && car(val).is(Kind::Symbol)) {
           for (Value a = cdr(val); !a.is_nil(); a = cdr(a)) {
             if (car(a).is(Kind::Symbol) &&
@@ -460,6 +472,7 @@ void Extractor::walk_special(const std::string& op, Value form,
           r.is_write = true;
           r.form = form;
           r.stmt_index = cur_stmt_;
+          r.after_call = after_call_;
           if (val.is(Kind::Cons) && car(val).is(Kind::Symbol)) {
             for (Value a = cdr(val); !a.is_nil(); a = cdr(a)) {
               if (car(a).is(Kind::Symbol) &&
@@ -535,10 +548,18 @@ void Extractor::walk_special(const std::string& op, Value form,
     return;
   }
 
+  // A loop that holds a recursive call runs its test and body again
+  // after the call.
+  const bool outer = after_call_;
+  if ((op == "while" || op == "dotimes" || op == "dolist") &&
+      contains_rec_call(ctx_, form, info_.name))
+    after_call_ = true;
+
   if (op == "while") {
     walk(cadr(form), aliases, Pos::Value);
     AliasMap scoped = aliases;
     walk_seq(cddr(form), scoped, Pos::Stmt);
+    after_call_ = outer;
     return;
   }
 
@@ -555,6 +576,7 @@ void Extractor::walk_special(const std::string& op, Value form,
         note_read(*rp, cadr(spec), /*deep=*/true);
     }
     walk_seq(cddr(form), inner, Pos::Stmt);
+    after_call_ = outer;
     return;
   }
 
@@ -593,6 +615,7 @@ void Extractor::walk_special(const std::string& op, Value form,
         read.var = var;
         read.form = form;
         read.stmt_index = cur_stmt_;
+        read.after_call = after_call_;
         info_.var_refs.push_back(read);
         VarRef write = read;
         write.is_write = true;
@@ -655,6 +678,7 @@ void Extractor::walk_call(Symbol* op, Value form, AliasMap& aliases,
       r.var = g;
       r.form = form;
       r.stmt_index = cur_stmt_;
+      r.after_call = after_call_;
       info_.var_refs.push_back(r);
     }
     for (Symbol* g : s->global_writes) {
@@ -663,6 +687,7 @@ void Extractor::walk_call(Symbol* op, Value form, AliasMap& aliases,
       r.is_write = true;
       r.form = form;
       r.stmt_index = cur_stmt_;
+      r.after_call = after_call_;
       info_.var_refs.push_back(r);
     }
     switch (s->effect) {

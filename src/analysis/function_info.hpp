@@ -36,6 +36,10 @@ struct StructRef {
   bool deep = false;       ///< touches the whole substructure below path
   Value form;              ///< source expression, for reporting
   int stmt_index = -1;     ///< pre-order statement id
+  /// May run after a recursive call of the same invocation: it follows
+  /// the call's form in an enclosing sequence, or shares a loop with it.
+  /// A work-first head loop runs such references in the tail.
+  bool after_call = false;
   /// When the write has the shape (setf P (op ... P ...)), the update
   /// operator — the candidate for the reordering transformation.
   Symbol* update_op = nullptr;
@@ -58,6 +62,7 @@ struct VarRef {
   bool is_write = false;
   Value form;
   int stmt_index = -1;
+  bool after_call = false;  ///< as StructRef::after_call
   /// For writes of the shape (setq v (op ... v ...)): the update
   /// operator (Fig. 8's reorderable increment).
   Symbol* update_op = nullptr;

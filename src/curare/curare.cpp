@@ -76,6 +76,9 @@ std::string TransformPlan::to_string() const {
   if (concurrency_cap)
     out << "  concurrency capped at " << *concurrency_cap
         << " by conflict distance\n";
+  if (work_first && locks_inserted > 0)
+    out << "  the head loop orders the locked accesses; tails run on any "
+           "server\n";
   for (const auto& f : feedback) out << "  " << f << "\n";
   return out.str();
 }
@@ -372,8 +375,9 @@ TransformPlan Curare::transform(std::string_view fn_name) {
     }
   }
 
-  // ---- §3.2.1 locks: plan now, insert into the server body below --------
+  // ---- §3.2.1 locks: plan now, placed by the CRI codegen below --------
   transform::LockPlan lock_plan;
+  bool locks_in_head = false;
   if (!conflicts.conflicts.empty()) {
     lock_plan = transform::plan_locks(ctx_, info, conflicts);
     for (const auto& n : lock_plan.notes) plan.feedback.push_back(n);
@@ -381,19 +385,17 @@ TransformPlan Curare::transform(std::string_view fn_name) {
     plan.concurrency_cap = conflicts.min_distance();
     for (const auto& c : conflicts.conflicts)
       plan.feedback.push_back("locked: " + c.describe());
+    locks_in_head = transform::locks_only_in_head(info, conflicts, lock_plan);
   }
 
   // ---- §3.1/§4 CRI codegen -------------------------------------------------------
-  auto cri = transform::make_cri(ctx_, info, !lock_plan.empty());
+  auto cri = transform::make_cri(ctx_, info, lock_plan, locks_in_head);
   if (!cri.ok) {
     plan.failure = cri.failure;
     return plan;
   }
   for (const auto& n : cri.notes) plan.feedback.push_back(n);
-  // Locks wrap the server body, whose return value the pool discards —
-  // so appending unlocks never disturbs the destination store.
-  plan.forms.push_back(
-      transform::apply_lock_plan(ctx_, cri.server_defun, lock_plan));
+  plan.forms.push_back(cri.server_defun);
   if (cri.tail_name != nullptr) plan.forms.push_back(cri.tail_defun);
   plan.forms.push_back(cri.wrapper_defun);
   plan.entry = cri.wrapper_name;
@@ -436,10 +438,13 @@ Value Curare::run_parallel(std::string_view fn_name,
   if (servers == 0) {
     const auto& ht = plan.final_headtail;
     // Depth is unknown statically; assume a mid-size recursion for the
-    // §4.1 estimate. Real callers pass an explicit S.
+    // §4.1 estimate. Real callers pass an explicit S. The conflict
+    // distance caps only the enqueue form: a head loop keeps its locked
+    // accesses on one server whatever S is.
     servers = runtime::choose_servers(
         1024.0, static_cast<double>(ht.head_size ? ht.head_size : 1),
-        static_cast<double>(ht.tail_size), plan.concurrency_cap,
+        static_cast<double>(ht.tail_size),
+        plan.work_first ? std::nullopt : plan.concurrency_cap,
         std::max(1u, std::thread::hardware_concurrency()));
   }
 

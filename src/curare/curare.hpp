@@ -65,7 +65,7 @@ struct TransformPlan {
   Symbol* entry = nullptr;            ///< f$parallel
   Symbol* server = nullptr;           ///< f$cri
   /// The server is a head loop whose tails are queued tasks (one call
-  /// site, no locks; transform/cri.hpp).
+  /// site, and no lock the tail reaches; transform/cri.hpp).
   bool work_first = false;
   Symbol* tail = nullptr;  ///< f$tail, when the head loop queues tails
   std::size_t num_sites = 0;  ///< recursive call sites
@@ -74,7 +74,9 @@ struct TransformPlan {
   int reordered = 0;
   bool used_dps = false;
   bool used_rec2iter = false;
-  std::optional<int> concurrency_cap;  ///< min conflict distance, if locked
+  /// Min conflict distance, if locked. It bounds S for the enqueue form
+  /// only: a head loop runs the locked heads on one server at any S.
+  std::optional<int> concurrency_cap;
   analysis::HeadTail final_headtail;   ///< of the server body source
   std::string to_string() const;
 };

@@ -96,12 +96,12 @@ class Env {
     }
   }
 
-  /// The global frame's cell for `name`, first bound to `init` when the
-  /// name is unbound. Cells never move, so callers may CAS on the value
+  /// The global frame's cell for `name`, or null when the name is
+  /// unbound. Cells never move, so callers may CAS on the value
   /// (%atomic-incf-var). Call on the global frame only.
-  std::atomic<Value>& global_cell(Symbol* name, Value init) {
+  std::atomic<Value>* global_cell(Symbol* name) {
     Cell* c = globals_->find(name);
-    return (c != nullptr ? *c : globals_->insert(name, init)).value;
+    return c != nullptr ? &c->value : nullptr;
   }
 
   bool is_global() const { return globals_ != nullptr; }

@@ -234,6 +234,39 @@ std::string LockManager::dump_held() const {
   return "held locks (" + std::to_string(n) + "):\n" + os.str();
 }
 
+void LockManager::release_thread_holds() {
+  const auto self = std::this_thread::get_id();
+  for (Shard& s : shards_) {
+    std::lock_guard<std::mutex> g(s.mu);
+    bool released = false;
+    for (auto it = s.entries.begin(); it != s.entries.end();) {
+      Entry& e = it->second;
+      if (e.writer_depth > 0 && e.writer == self) {
+        e.writer = std::thread::id{};
+        e.writer_depth = 0;
+        released = true;
+      }
+      for (auto h = e.reader_holds.begin(); h != e.reader_holds.end();) {
+        if (h->first != self) {
+          ++h;
+          continue;
+        }
+        e.readers -= h->second;
+        h = e.reader_holds.erase(h);
+        released = true;
+      }
+      // Waiters re-look-up their entry after every wake-up, so erasing
+      // an idle one is safe.
+      if (e.readers == 0 && e.writer_depth == 0) {
+        it = s.entries.erase(it);
+      } else {
+        ++it;
+      }
+    }
+    if (released) s.cv.notify_all();
+  }
+}
+
 void LockManager::reset() {
   for (Shard& s : shards_) {
     std::lock_guard<std::mutex> g(s.mu);

@@ -82,6 +82,12 @@ class LockManager {
   /// hold one (lock() drops its shard before building diagnostics).
   std::string dump_held() const;
 
+  /// Release every hold the calling thread has, shared and exclusive at
+  /// any depth, and wake the waiters. A CRI server calls it when a body
+  /// it ran failed: an aborted invocation never reaches its unlocks, and
+  /// the pooled thread would otherwise keep its locks into later runs.
+  void release_thread_holds();
+
   /// Drop every entry and wake all waiters. For tests and the chaos
   /// harness only: an injected throw between a Lisp-level lock and its
   /// unlock leaks the hold, and reset() is the documented way to

@@ -169,6 +169,7 @@ CriStats Runtime::run_cri_in(Interp& in, Value fn, std::size_t num_sites,
          " task(s) queued\n";
     return s;
   };
+  rc.release_locks = [this] { locks_.release_thread_holds(); };
   run.set_resilience(std::move(rc));
   CriStats stats = std::move(run).run(std::move(initial_args));
   std::lock_guard<std::mutex> g(stats_mu_);
@@ -264,20 +265,24 @@ void Runtime::install_into(Interp& in) {
       }
     }
   });
-  // A CAS loop on the variable's global cell (an unbound variable
-  // starts from 0). Where a plan's forms also lock the variable, the
-  // transform emits a %locked-update-var instead, which a held lock
-  // excludes (transform::lock_shared_increments).
+  // A CAS loop on the variable's global cell; an unbound variable is
+  // an error, as it is for the (setq v (+ v d)) it replaces. Where a
+  // plan's forms also lock the variable, the transform emits a
+  // %locked-update-var instead, which a held lock excludes
+  // (transform::lock_shared_increments).
   in.define_builtin("%atomic-incf-var", 2, 2,
                     [](Interp& i, std::span<const Value> a) {
                       const std::int64_t delta = lisp::as_int(a[1]);
-                      std::atomic<Value>& cell = i.global_env()->global_cell(
-                          as_symbol(a[0]), Value::fixnum(0));
-                      Value old = cell.load(std::memory_order_acquire);
+                      Symbol* var = as_symbol(a[0]);
+                      std::atomic<Value>* cell =
+                          i.global_env()->global_cell(var);
+                      if (cell == nullptr)
+                        throw LispError("unbound variable: " + var->name);
+                      Value old = cell->load(std::memory_order_acquire);
                       for (;;) {
                         const Value nv =
                             Value::fixnum(lisp::as_int(old) + delta);
-                        if (cell.compare_exchange_weak(
+                        if (cell->compare_exchange_weak(
                                 old, nv, std::memory_order_acq_rel,
                                 std::memory_order_acquire))
                           return nv;

@@ -433,6 +433,10 @@ void CriRun::serve(std::size_t server_index) {
     stop_.store(true, std::memory_order_release);
     queues_.close();
   };
+  // A failed body left its invocation's locks held by this thread.
+  const auto release_locks = [this] {
+    if (resil_.release_locks) resil_.release_locks();
+  };
   // One unsafe region spans the whole serve loop, so a task costs no
   // write to the heap's shared unsafe-thread count. It covers the pop —
   // popped arguments leave the queue's root set the instant they are
@@ -495,6 +499,7 @@ void CriRun::serve(std::size_t server_index) {
         ran = run_tails(slot);
       } catch (...) {
         fail(std::current_exception());
+        release_locks();
         failed = true;
       }
       slot.running.clear();
@@ -534,6 +539,7 @@ void CriRun::serve(std::size_t server_index) {
         fail(std::current_exception());
         failed = true;
       }
+      if (failed) release_locks();
       slot.batch.clear();  // a failed head loop's unpushed tails
       // The stall check's progress signal: bodies that *finish*, pass or
       // fail. (Starts can't be the signal — a wedged body starts and

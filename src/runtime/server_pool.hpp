@@ -116,6 +116,10 @@ struct ResilienceConfig {
   /// Appended to the run's diagnostic dump (held locks, future-pool
   /// backlog — state the run cannot see itself).
   std::function<std::string()> extra_dump;
+  /// Run on a server thread after a body it ran failed: releases the
+  /// locks that thread still holds (LockManager::release_thread_holds),
+  /// so waiters in this run finish and later runs do not stall.
+  std::function<void()> release_locks;
 };
 
 /// Process-wide server threads, reused across CRI runs: a run leases S

@@ -197,14 +197,33 @@ class HeadLoopGen {
   /// `gen` rewrites the statements without the call (captures and
   /// all); `server_params` is f$cri's lambda list.
   HeadLoopGen(CriGen& gen, std::vector<Symbol*> server_params,
-              Symbol* tail_name)
+              Symbol* tail_name, const LockPlan& locks)
       : ctx_(gen.ctx_),
         info_(gen.info_),
         gen_(gen),
         dest_(gen.dest_),
         server_params_(std::move(server_params)),
         tail_name_(tail_name),
-        next_(sym(ctx_, "%next")) {}
+        next_(sym(ctx_, "%next")) {
+    // A variable lock guards the same location in every iteration: it is
+    // taken once around the loop. A structure lock's location depends
+    // on the parameters, so each iteration takes its own and releases
+    // it at the call site, or at the end of an iteration that does not
+    // reach the site. Releases run in reverse order.
+    for (const LockSpec& s : locks.locks) {
+      if (s.variable) {
+        auto [lock, unlock] = lock_statements(ctx_, s);
+        hoisted_.push_back(lock);
+        hoisted_release_.insert(hoisted_release_.begin(), unlock);
+      } else {
+        Value temp = sym(ctx_, "%m" + std::to_string(lock_temps_.size()));
+        lock_temps_.push_back(temp);
+        auto [lock, unlock] = lock_statements(ctx_, s, temp);
+        take_.push_back(lock);
+        release_.insert(release_.begin(), unlock);
+      }
+    }
+  }
 
   bool build(Value body) {
     // The loop assigns the successor's arguments to the parameters, so
@@ -225,22 +244,34 @@ class HeadLoopGen {
   }
 
   Value server_defun(Symbol* name) const {
-    // (let ((%next t) (%a0 nil) …) (while %next (setq %next nil) HEAD…
-    //   (when %next (setq p0 %a0) …)))
+    // VAR-LOCKS… (let ((%next t) (%a0 nil) … (%m0 nil) …) (while %next
+    //   (setq %next nil) STRUCT-LOCKS… HEAD… (unless %next RELEASES…)
+    //   (when %next (setq p0 %a0) …))) VAR-UNLOCKS…
     std::vector<Value> binds{ctx_.make_list(next_, Value::object(ctx_.s_t))};
     std::vector<Value> step{sym(ctx_, "when"), next_};
     for (const auto& [param, temp] : moves_) {
       binds.push_back(ctx_.make_list(temp, Value::nil()));
       step.push_back(setq(Value::object(param), temp));
     }
+    for (Value temp : lock_temps_)
+      binds.push_back(ctx_.make_list(temp, Value::nil()));
     std::vector<Value> loop{sym(ctx_, "while"), next_,
                             setq(next_, Value::nil())};
+    loop.insert(loop.end(), take_.begin(), take_.end());
     loop.insert(loop.end(), head_.begin(), head_.end());
+    if (!release_.empty()) {
+      std::vector<Value> unreached{sym(ctx_, "unless"), next_};
+      unreached.insert(unreached.end(), release_.begin(), release_.end());
+      loop.push_back(form(ctx_, unreached));
+    }
     if (!moves_.empty()) loop.push_back(form(ctx_, step));
-    Value let = form(ctx_, {Value::object(ctx_.s_let), form(ctx_, binds),
-                            form(ctx_, loop)});
-    return form(ctx_, {Value::object(ctx_.s_defun), Value::object(name),
-                       params_form(server_params_), let});
+    std::vector<Value> out{Value::object(ctx_.s_defun), Value::object(name),
+                           params_form(server_params_)};
+    out.insert(out.end(), hoisted_.begin(), hoisted_.end());
+    out.push_back(form(ctx_, {Value::object(ctx_.s_let), form(ctx_, binds),
+                              form(ctx_, loop)}));
+    out.insert(out.end(), hoisted_release_.begin(), hoisted_release_.end());
+    return form(ctx_, out);
   }
 
   /// (defun f$tail (server-params… %b0 …) TAIL…), or nil when the loop
@@ -430,12 +461,13 @@ class HeadLoopGen {
     return Value::object(site_);
   }
 
-  /// (%cri-tail f$tail server-params… let-vars…) — or a bare (%cri-tail)
-  /// when there is no tail — then the successor's arguments through
-  /// temporaries (a parallel assignment), nil for the successor's
-  /// destination unless the call is in tail position, and %next.
+  /// The iteration's structure-lock releases, then (%cri-tail f$tail
+  /// server-params… let-vars…) — or a bare (%cri-tail) when there is no
+  /// tail — then the successor's arguments through temporaries (a
+  /// parallel assignment), nil for the successor's destination unless
+  /// the call is in tail position, and %next.
   void fill_site() {
-    std::vector<Value> body;
+    std::vector<Value> body = release_;
     std::vector<Value> mark{sym(ctx_, "%cri-tail")};
     if (!tail_.empty()) {
       mark.push_back(Value::object(tail_name_));
@@ -482,12 +514,17 @@ class HeadLoopGen {
   std::vector<Value> tail_;
   /// (parameter, temporary) for every argument the successor changes.
   std::vector<std::pair<Symbol*, Value>> moves_;
+
+  std::vector<Value> hoisted_, hoisted_release_;  ///< variable locks
+  /// Structure locks: taken at the top of each iteration into the
+  /// %m temporaries, released in reverse order.
+  std::vector<Value> take_, release_, lock_temps_;
 };
 
 }  // namespace
 
 CriResult make_cri(sexpr::Ctx& ctx, const analysis::FunctionInfo& info,
-                   bool locked) {
+                   const LockPlan& locks, bool locks_in_head) {
   CriResult result;
   if (!info.is_recursive()) {
     result.failure = "function is not self-recursive";
@@ -531,12 +568,12 @@ CriResult make_cri(sexpr::Ctx& ctx, const analysis::FunctionInfo& info,
   server.insert(server.end(), body.begin(), body.end());
   result.server_defun = form(ctx, server);
 
-  if (!locked && gen.sites() == 1) {
+  if ((locks.empty() || locks_in_head) && gen.sites() == 1) {
     std::vector<Symbol*> loop_params;
     for (Value p : server_params) loop_params.push_back(sexpr::as_symbol(p));
     Symbol* tail_name = ctx.symbols.intern(info.name->name + "$tail");
     CriGen statements(ctx, info, dest_form ? nullptr : dest);
-    HeadLoopGen loop(statements, std::move(loop_params), tail_name);
+    HeadLoopGen loop(statements, std::move(loop_params), tail_name, locks);
     if (loop.build(info.body)) {
       result.work_first = true;
       result.server_defun = loop.server_defun(server_name);
@@ -544,6 +581,10 @@ CriResult make_cri(sexpr::Ctx& ctx, const analysis::FunctionInfo& info,
       if (!result.tail_defun.is_nil()) result.tail_name = tail_name;
     }
   }
+  // The enqueue form: locks wrap the body, whose value the pool
+  // discards, so the unlocks never disturb the destination store.
+  if (!result.work_first)
+    result.server_defun = apply_lock_plan(ctx, result.server_defun, locks);
 
   Value servers_param = sym(ctx, "%servers");
   Value d = sym(ctx, "%d");

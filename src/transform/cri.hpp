@@ -25,20 +25,26 @@
 // destination form: its calls and stores are kept as they are, and its
 // wrapper is named after the function DPS rewrote (f$dps → f$parallel).
 //
-// Work-first form. A plan with exactly one recursive call site and no
-// %lock/%lock-var device runs its heads as a loop on one server instead
-// (Cilk's work-first principle; lazy task creation in Mul-T): the chain
-// of heads never crosses a thread, and only tails — which nothing waits
-// on — become tasks. f$cri then loops:
+// Work-first form. A plan with exactly one recursive call site, and
+// either no lock or only locks whose accesses all lie in the head, runs
+// its heads as a loop on one server instead (Cilk's work-first
+// principle; lazy task creation in Mul-T): the chain of heads never
+// crosses a thread, and only tails — which nothing waits on — become
+// tasks. f$cri then loops:
 //
 //   (defun f$cri (%dest params…)
-//     (let ((%next t) (%a0 nil) …)
+//     (%lock-var 'v) …          ; variable locks: once, around the loop
+//     (let ((%next t) (%a0 nil) … (%m0 nil) …)
 //       (while %next
 //         (setq %next nil)
+//         (%lock (setq %m0 CELL) 'field 'mode) …  ; structure locks
 //         HEAD…                 ; at the call site:
+//           (%unlock %m0 'field 'mode) …
 //           (%cri-tail f$tail %dest params… let-vars…)
 //           (setq %a0 ARG0) … (setq %dest nil) (setq %next t)
-//         (when %next (setq param0 %a0) …))))
+//         (unless %next (%unlock %m0 'field 'mode) …)
+//         (when %next (setq param0 %a0) …)))
+//     (%unlock-var 'v) …)
 //
 // (An argument that passes its parameter unchanged is not assigned; a
 // single changed one is assigned at the call site, without a temporary.)
@@ -57,6 +63,12 @@
 // parameter count, and a head that makes a closure (a lambda or future
 // outside the tail would share the loop's one frame).
 //
+// The loop runs the heads in invocation order on one thread, so it
+// orders their locked accesses by itself; the locks stay for other
+// threads. A structure lock's location is evaluated once, when taken:
+// the head may change what its expression reads, and the argument shift
+// does.
+//
 // Functions that use a recursive call's result in an embedded position
 // are rejected here (the §5 enabling transformations — rec2iter, DPS —
 // must run first).
@@ -67,6 +79,7 @@
 
 #include "analysis/extract.hpp"
 #include "sexpr/ctx.hpp"
+#include "transform/lock_insert.hpp"
 
 namespace curare::transform {
 
@@ -87,10 +100,12 @@ struct CriResult {
   std::vector<std::string> notes;
 };
 
-/// `locked`: the plan carries a %lock/%lock-var device, which keeps the
-/// enqueue form (its locks are owned by a thread, and a head would
-/// release them in a tail on another one).
+/// `locks`: the plan's §3.2.1 locks. The enqueue form takes them at the
+/// top of the body (apply_lock_plan). A lock plan gets the work-first
+/// form only when `locks_in_head` (locks_only_in_head, lock_insert.hpp):
+/// a lock is owned by a thread, so a lock the tail needs could not be
+/// released by a tail running on another server.
 CriResult make_cri(sexpr::Ctx& ctx, const analysis::FunctionInfo& info,
-                   bool locked = false);
+                   const LockPlan& locks = {}, bool locks_in_head = false);
 
 }  // namespace curare::transform

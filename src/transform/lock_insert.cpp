@@ -131,6 +131,64 @@ LockPlan plan_locks(sexpr::Ctx& ctx, const FunctionInfo& info,
   return plan;
 }
 
+std::pair<Value, Value> lock_statements(sexpr::Ctx& ctx, const LockSpec& s,
+                                        Value temp) {
+  if (s.variable) {
+    // Variable locks are always exclusive at the runtime level; a
+    // read-only variable never plans a lock (no conflict without a
+    // write), so the mode refinement is moot here.
+    Value var = quoted(ctx, Value::object(s.root));
+    return {form(ctx, {sym(ctx, "%lock-var"), var}),
+            form(ctx, {sym(ctx, "%unlock-var"), var})};
+  }
+  Value mode =
+      quoted(ctx, ctx.symbols.intern_value(s.exclusive ? "write" : "read"));
+  LocationExpr loc = location_expr(ctx, s.root, s.path);
+  Value fieldq = quoted(ctx, Value::object(loc.field));
+  Value taken = loc.cell;
+  Value released = loc.cell;
+  if (!temp.is_nil()) {
+    taken = form(ctx, {sym(ctx, "setq"), temp, loc.cell});
+    released = temp;
+  }
+  return {form(ctx, {sym(ctx, "%lock"), taken, fieldq, mode}),
+          form(ctx, {sym(ctx, "%unlock"), released, fieldq, mode})};
+}
+
+bool locks_only_in_head(const FunctionInfo& info,
+                        const ConflictReport& report, const LockPlan& plan) {
+  // A tail reference that takes part in a conflict races with some
+  // other invocation's access — locked, since every conflict left is.
+  for (const Conflict& c : report.conflicts) {
+    const bool tail_end =
+        c.is_variable_conflict()
+            ? c.var_earlier.after_call || c.var_later.after_call
+        : c.is_array_conflict()
+            ? c.arr_earlier.after_call || c.arr_later.after_call
+            : c.earlier.after_call || c.later.after_call;
+    if (tail_end) return false;
+  }
+  // And none touches a locked location of its own invocation. Under
+  // worst-case parameter aliasing any structure reference might.
+  for (const LockSpec& s : plan.locks) {
+    if (s.variable) {
+      for (const analysis::VarRef& v : info.var_refs)
+        if (v.after_call && v.var == s.root) return false;
+      for (const analysis::ArrayRef& a : info.array_refs)
+        if (a.after_call && a.array == s.root) return false;
+      continue;
+    }
+    for (const analysis::StructRef& r : info.refs) {
+      if (!r.after_call) continue;
+      if (report.cross_param_aliasing) return false;
+      if (r.root == s.root &&
+          (s.path.prefix_of(r.path) || (r.deep && r.path.prefix_of(s.path))))
+        return false;
+    }
+  }
+  return true;
+}
+
 Value apply_lock_plan(sexpr::Ctx& ctx, Value defun_form,
                       const LockPlan& plan) {
   if (plan.empty()) return defun_form;
@@ -143,23 +201,9 @@ Value apply_lock_plan(sexpr::Ctx& ctx, Value defun_form,
   std::vector<Value> locks;
   std::vector<Value> unlocks;
   for (const LockSpec& s : plan.locks) {
-    Value mode = quoted(
-        ctx, ctx.symbols.intern_value(s.exclusive ? "write" : "read"));
-    if (s.variable) {
-      // Variable locks are always exclusive at the runtime level; a
-      // read-only variable never plans a lock (no conflict without a
-      // write), so the mode refinement is moot here.
-      Value var = quoted(ctx, Value::object(s.root));
-      locks.push_back(form(ctx, {sym(ctx, "%lock-var"), var}));
-      unlocks.push_back(form(ctx, {sym(ctx, "%unlock-var"), var}));
-    } else {
-      LocationExpr loc = location_expr(ctx, s.root, s.path);
-      Value fieldq = quoted(ctx, Value::object(loc.field));
-      locks.push_back(
-          form(ctx, {sym(ctx, "%lock"), loc.cell, fieldq, mode}));
-      unlocks.push_back(
-          form(ctx, {sym(ctx, "%unlock"), loc.cell, fieldq, mode}));
-    }
+    auto [lock, unlock] = lock_statements(ctx, s);
+    locks.push_back(lock);
+    unlocks.push_back(unlock);
   }
   std::vector<Value> new_body = locks;
   const std::size_t locks_end = new_body.size();

@@ -12,13 +12,15 @@
 // l.car.cdr.car → lock l.car example).
 //
 // Code generation prepends the (%lock …) statements — in a fixed sorted
-// order, giving two-phase acquisition — and appends the matching
-// (%unlock …) statements to the function body. Unlocks at body end are
-// conservative (the paper suggests moving them earlier; see the ablation
-// benchmark for the cost).
+// order, giving two-phase acquisition — and places each (%unlock …)
+// after the last statement that mentions the lock's root (§3.2.1's
+// "as soon after … all uses of M"). A plan whose locked accesses all
+// lie in the head can instead ride a work-first head loop, which places
+// its locks itself (locks_only_in_head, transform/cri.hpp).
 #pragma once
 
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "analysis/conflict.hpp"
@@ -64,8 +66,26 @@ LockPlan plan_locks(sexpr::Ctx& ctx, const FunctionInfo& info,
                     const ConflictReport& report);
 
 /// Rewrite the defun to acquire every planned lock at the top of its
-/// body and release at the bottom. Returns the new defun form.
+/// body and release each after the last statement that mentions its
+/// root. Returns the new defun form.
 Value apply_lock_plan(sexpr::Ctx& ctx, Value defun_form,
                       const LockPlan& plan);
+
+/// The (%lock …) and (%unlock …) statements of one planned lock. With a
+/// `temp` variable, a structure lock's cell expression is evaluated
+/// once, when the lock is taken — (%lock (setq temp CELL) …) — and the
+/// unlock names temp, so it releases the cell that was locked even
+/// after the variables CELL reads have moved on.
+std::pair<Value, Value> lock_statements(sexpr::Ctx& ctx, const LockSpec& s,
+                                        Value temp = Value::nil());
+
+/// Whether a work-first head loop may carry the plan (transform/cri.hpp):
+/// no reference that may run after the recursive call (the tail) takes
+/// part in a conflict or touches a planned lock's location. Then every
+/// locked access lies in the head, the loop orders those by running the
+/// heads in invocation order on one server, and the tails conflict with
+/// nothing. Decided from `info`'s references, callee summaries included.
+bool locks_only_in_head(const FunctionInfo& info,
+                        const ConflictReport& report, const LockPlan& plan);
 
 }  // namespace curare::transform

@@ -357,7 +357,22 @@ INSTANTIATE_TEST_SUITE_P(
                       "    (let ((x (* 2 (car l))))"
                       "      (lv (cdr l) k) (work k)"
                       "      (setq acc (+ acc x)) (+ x 1))))",
-                      "(setq acc 0)", "(lv (iota 400) 300)", "acc"}),
+                      "(setq acc 0)", "(lv (iota 400) 300)", "acc"},
+        // A lock plan whose locked accesses all lie in the head: the
+        // variable lock is held around the loop...
+        WorkFirstCase{"drain",
+                      "(setq balance 0)"
+                      "(defun drain (l k)"
+                      "  (when l (setq balance (- (car l) balance))"
+                      "    (drain (cdr l) k) (work k) nil))",
+                      "(setq balance 0)", "(drain (iota 400) 300)",
+                      "balance"},
+        // ... and Fig 4's structure locks are taken per iteration.
+        WorkFirstCase{"shift",
+                      "(defun shift (l k)"
+                      "  (when (cdr l) (setf (cadr l) (car l))"
+                      "    (shift (cdr l) k) (work k) nil))",
+                      "(setq xs (iota 400))", "(shift xs 300)", "xs"}),
     [](const ::testing::TestParamInfo<WorkFirstCase>& i) {
       return std::string(i.param.fn);
     });
@@ -392,6 +407,51 @@ TEST_F(WorkFirst, ThrowingTailAbortsWithItsError) {
   ASSERT_TRUE(cur.transform("ok").work_first);
   cur.eval_program("(ok$parallel 4 (iota 300))");
   EXPECT_EQ(cur.eval_program("seen").as_fixnum(), 300);
+}
+
+/// Runs `call`, which must fail, then checks that the failed run left
+/// no lock behind: a following run of `again` and a bare lock of bal on
+/// this thread complete within a deadline instead of waiting forever.
+void expect_abort_releases_bal(Curare& cur, const std::string& call,
+                               const std::string& again) {
+  EXPECT_THROW(cur.eval_program(call), sexpr::LispError) << call;
+  runtime::CancelState deadline;
+  deadline.set_deadline_ms(5000);
+  runtime::CancelScope scope(&deadline);
+  EXPECT_NO_THROW(cur.eval_program(again)) << again;
+  EXPECT_NO_THROW(cur.eval_program("(progn (%lock-var 'bal)"
+                                   " (%unlock-var 'bal))"));
+}
+
+TEST_F(WorkFirst, ThrowingLockedHeadLoopReleasesItsLock) {
+  // The head loop holds bal's lock around the loop when (- 'x bal)
+  // throws.
+  cur.load_program("(setq bal 0)"
+                   "(defun dr (l) (when l (setq bal (- (car l) bal))"
+                   "  (dr (cdr l)) nil))");
+  TransformPlan plan = cur.transform("dr");
+  ASSERT_TRUE(plan.work_first) << plan.to_string();
+  ASSERT_GT(plan.locks_inserted, 0) << plan.to_string();
+  expect_abort_releases_bal(cur, "(dr$parallel 2 (list 1 2 'x 4))",
+                            "(dr$parallel 2 (list 1 2 3 4))");
+  EXPECT_EQ(write_str(cur.eval_program(
+                "(progn (setq bal 0) (dr$parallel 2 (list 1 2 3 4)) bal)")),
+            write_str(cur.eval_program(
+                "(progn (setq bal 0) (dr (list 1 2 3 4)) bal)")));
+}
+
+TEST_F(WorkFirst, ThrowingLockedEnqueueFormReleasesItsLock) {
+  // The tail reads bal, so the plan keeps the enqueue form; the failing
+  // invocation holds bal's lock from the top of its body.
+  cur.load_program("(setq bal 0)"
+                   "(defun dq (l) (when l (setq bal (- (car l) bal))"
+                   "  (dq (cdr l)) (list bal) nil))");
+  TransformPlan plan = cur.transform("dq");
+  ASSERT_TRUE(plan.ok) << plan.failure;
+  ASSERT_FALSE(plan.work_first) << plan.to_string();
+  ASSERT_GT(plan.locks_inserted, 0) << plan.to_string();
+  expect_abort_releases_bal(cur, "(dq$parallel 2 (list 1 2 'x 4))",
+                            "(dq$parallel 2 (list 1 2 3 4))");
 }
 
 TEST_F(WorkFirst, DeadlineEndsTheHeadLoop) {
@@ -508,6 +568,38 @@ TEST_F(CurareTest, IncrementOfALockedVariableTakesTheLock) {
             std::string::npos)
       << text;
   EXPECT_EQ(text.find("%atomic-incf-var"), std::string::npos) << text;
+}
+
+TEST_F(CurareTest, AtomicIncrementOfAnUnsetGlobalFailsLikeTheOriginal) {
+  // zz is never set: the original's (setq zz (+ zz 1)) signals, and so
+  // must the CAS increment the reorder turns it into.
+  const std::string program =
+      "(defun f (l) (when l (setq zz (+ zz 1)) (f (cdr l))))";
+  const auto expect_unbound = [](const std::string& what, auto&& call) {
+    try {
+      call();
+      ADD_FAILURE() << what << " succeeded";
+    } catch (const sexpr::LispError& e) {
+      EXPECT_NE(std::string(e.what()).find("unbound variable: zz"),
+                std::string::npos)
+          << what << ": " << e.what();
+    }
+  };
+  expect_unbound("the original", [&] {
+    oracle::original_value(program, "(f (list 1 2 3))");
+  });
+  cur.load_program(program);
+  TransformPlan plan = cur.transform("f");
+  ASSERT_TRUE(plan.ok) << plan.failure;
+  ASSERT_GT(plan.reordered, 0) << plan.to_string();
+  for (std::size_t servers : {1, 2}) {
+    const std::string call =
+        "(f$parallel " + std::to_string(servers) + " (list 1 2 3))";
+    expect_unbound(call, [&] { cur.eval_program(call); });
+  }
+  EXPECT_FALSE(
+      cur.interp().global_env()->lookup(ctx.symbols.intern("zz")).has_value())
+      << "the failed increments must not bind zz";
 }
 
 TEST_F(CurareTest, NotRecursiveRefused) {

@@ -141,6 +141,27 @@ TEST_F(LockManagerTest, DumpHeldNamesLocationsAndReset) {
   EXPECT_EQ(lm.live_entries(), 0u);
 }
 
+TEST_F(LockManagerTest, ReleaseThreadHoldsDropsOnlyTheCallersHolds) {
+  // A failed CRI body's thread drops what it holds — a reentrant write
+  // and a read — while another thread's read of the same location stays.
+  lm.lock(key("cdr"), false);  // this thread's hold, kept
+  std::thread failed([&] {
+    lm.lock(key("car"), true);
+    lm.lock(key("car"), true);
+    lm.lock(key("cdr"), false);
+    lm.release_thread_holds();
+  });
+  failed.join();
+  EXPECT_EQ(lm.live_entries(), 1u) << lm.dump_held();
+  std::thread later([&] {
+    lm.lock(key("car"), true);  // would wait forever on a leaked hold
+    lm.unlock(key("car"), true);
+  });
+  later.join();
+  lm.unlock(key("cdr"), false);
+  EXPECT_EQ(lm.live_entries(), 0u);
+}
+
 TEST_F(LockManagerTest, SharedReadersCoexist) {
   std::atomic<int> concurrent{0};
   std::atomic<int> peak{0};

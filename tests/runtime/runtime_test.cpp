@@ -79,8 +79,15 @@ TEST_F(RuntimeTest, AtomicAddRejectsNonFixnum) {
 
 TEST_F(RuntimeTest, AtomicIncfVar) {
   EXPECT_EQ(run("(progn (setq n 10) (%atomic-incf-var 'n 7) n)"), "17");
-  EXPECT_EQ(run("(progn (%atomic-incf-var 'fresh-var 3) fresh-var)"), "3")
-      << "unbound variables start from 0";
+  // An unbound variable is an error, as for (setq v (+ v 3)).
+  try {
+    run("(%atomic-incf-var 'fresh-var 3)");
+    ADD_FAILURE() << "an unbound variable must not start from 0";
+  } catch (const sexpr::LispError& e) {
+    EXPECT_NE(std::string(e.what()).find("unbound variable: fresh-var"),
+              std::string::npos)
+        << e.what();
+  }
 }
 
 TEST_F(RuntimeTest, LockedUpdateVarAppliesFunction) {

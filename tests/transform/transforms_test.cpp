@@ -5,6 +5,7 @@
 
 #include "analysis/conflict.hpp"
 #include "analysis/extract.hpp"
+#include "analysis/summary.hpp"
 #include "lisp/interp.hpp"
 #include "runtime/runtime.hpp"
 #include "sexpr/printer.hpp"
@@ -12,6 +13,7 @@
 #include "transform/cri.hpp"
 #include "transform/delay.hpp"
 #include "transform/dps.hpp"
+#include "transform/lock_insert.hpp"
 #include "transform/rec2iter.hpp"
 #include "transform/reorder.hpp"
 
@@ -37,6 +39,28 @@ class TransformTest : public ::testing::Test {
 
   std::string eval_form(sexpr::Value form) {
     return sexpr::write_str(in.eval_top(form));
+  }
+
+  /// A plan holding one lock on the variable v — as the pipeline plans
+  /// it for a conflict on v.
+  LockPlan var_lock() {
+    return LockPlan{{LockSpec{ctx.symbols.intern("v"), {}, true}}, {}};
+  }
+
+  /// The pipeline's lock step over `src`: extract with a summary of
+  /// (defun work (k) …), a pure callee; plan locks for the conflicts;
+  /// let make_cri place them in a head loop when locks_only_in_head.
+  CriResult make_locked(std::string_view src) {
+    const sexpr::Value work =
+        sexpr::read_one(ctx, "(defun work (k) (dotimes (i k) nil))");
+    const sexpr::Value fn = sexpr::read_one(ctx, src);
+    const analysis::SummaryMap summaries =
+        analysis::compute_summaries(ctx, decls, {work, fn});
+    FunctionInfo info = analysis::extract_function(ctx, decls, fn, &summaries);
+    auto report = analysis::detect_conflicts(ctx, decls, info);
+    LockPlan plan = plan_locks(ctx, info, report);
+    EXPECT_FALSE(plan.empty()) << src;
+    return make_cri(ctx, info, plan, locks_only_in_head(info, report, plan));
   }
 };
 
@@ -300,10 +324,10 @@ TEST_F(TransformTest, DpsRejectsNonConsUse) {
 // ---- CRI codegen (§3.1/§4) ---------------------------------------------------
 
 TEST_F(TransformTest, CriRewritesCallToEnqueue) {
-  // A plan with a lock device keeps the enqueue form.
+  // A lock plan that may not ride a head loop keeps the enqueue form.
   FunctionInfo info = extract(
       "(defun f (l) (when l (print (car l)) (f (cdr l))))");
-  CriResult r = make_cri(ctx, info, /*locked=*/true);
+  CriResult r = make_cri(ctx, info, var_lock());
   ASSERT_TRUE(r.ok) << r.failure;
   EXPECT_FALSE(r.work_first);
   EXPECT_EQ(r.num_sites, 1u);
@@ -479,7 +503,8 @@ TEST_F(TransformTest, CriShapesTheLoopCannotExpressKeepEnqueues) {
               std::string::npos);
   }
   CriResult locked = make_cri(
-      ctx, extract("(defun f (l) (when l (f (cdr l)) (print l)))"), true);
+      ctx, extract("(defun f (l) (when l (f (cdr l)) (print l)))"),
+      var_lock());
   EXPECT_FALSE(locked.work_first);
 }
 
@@ -493,6 +518,110 @@ TEST_F(TransformTest, CriClosuresNoHeadSharesKeepTheLoop) {
     CriResult r = make_cri(ctx, extract(src));
     ASSERT_TRUE(r.ok) << r.failure;
     EXPECT_TRUE(r.work_first) << src;
+  }
+}
+
+// ---- work-first form with locks: every locked access in the head ------
+
+TEST_F(TransformTest, CriLockedHeadLoopHoistsVariableLock) {
+  // balance is read and written only before the call: the lock is taken
+  // once around the loop, and the tail is the post-call statement.
+  const char* src =
+      "(defun drain (l k) (when l (setq balance (- (car l) balance))"
+      " (drain (cdr l) k) (work k) nil))";
+  CriResult r = make_locked(src);
+  ASSERT_TRUE(r.ok) << r.failure;
+  ASSERT_TRUE(r.work_first);
+  EXPECT_EQ(sexpr::write_str(r.server_defun),
+            "(defun drain$cri (%dest l k) (%lock-var (quote balance)) "
+            "(let ((%next t)) (while %next (setq %next nil) (when l "
+            "(setq balance (- (car l) balance)) (progn (%cri-tail "
+            "drain$tail %dest l k) (setq l (cdr l)) (setq %dest nil) "
+            "(setq %next t))))) (%unlock-var (quote balance)))");
+  EXPECT_EQ(sexpr::write_str(r.tail_defun),
+            "(defun drain$tail (%dest l k) (work k))");
+
+  runtime::Runtime rt(in, 2);
+  rt.install();
+  run("(defun work (k) (dotimes (i k) nil))");
+  run(src);
+  const std::string want =
+      run("(progn (setq balance 0) (drain '(5 1 4 2 3) 10) balance)");
+  eval_form(r.server_defun);
+  eval_form(r.tail_defun);
+  eval_form(r.wrapper_defun);
+  for (int s = 1; s <= 4; ++s) {
+    EXPECT_EQ(run("(progn (setq balance 0) (drain$parallel " +
+                  std::to_string(s) + " '(5 1 4 2 3) 10) balance)"),
+              want)
+        << "S=" << s;
+  }
+}
+
+TEST_F(TransformTest, CriLockedHeadLoopTakesStructureLocksPerIteration) {
+  // Fig 4's locks name cells that move with l: each iteration locks its
+  // own, evaluated once into %m0/%m1, and releases them before the tail
+  // is queued and before l moves on — or at the end of an iteration
+  // that does not reach the call.
+  const char* src =
+      "(defun shift (l k) (when (cdr l) (setf (cadr l) (car l))"
+      " (shift (cdr l) k) (work k) nil))";
+  CriResult r = make_locked(src);
+  ASSERT_TRUE(r.ok) << r.failure;
+  ASSERT_TRUE(r.work_first);
+  const std::string server = sexpr::write_str(r.server_defun);
+  EXPECT_EQ(server,
+            "(defun shift$cri (%dest l k) (let ((%next t) (%m0 nil) "
+            "(%m1 nil)) (while %next (setq %next nil) "
+            "(%lock (setq %m0 l) (quote car) (quote read)) "
+            "(%lock (setq %m1 (cdr l)) (quote car) (quote write)) "
+            "(when (cdr l) (setf (cadr l) (car l)) (progn "
+            "(%unlock %m1 (quote car) (quote write)) "
+            "(%unlock %m0 (quote car) (quote read)) "
+            "(%cri-tail shift$tail %dest l k) (setq l (cdr l)) "
+            "(setq %dest nil) (setq %next t))) (unless %next "
+            "(%unlock %m1 (quote car) (quote write)) "
+            "(%unlock %m0 (quote car) (quote read))))))");
+  EXPECT_LT(server.rfind("(%unlock %m0", server.find("%cri-tail")),
+            server.find("(unless %next"))
+      << "no release between the tail and the argument shift";
+  EXPECT_EQ(sexpr::write_str(r.tail_defun),
+            "(defun shift$tail (%dest l k) (work k))");
+
+  runtime::Runtime rt(in, 2);
+  rt.install();
+  run("(defun work (k) (dotimes (i k) nil))");
+  run(src);
+  const std::string want =
+      run("(let ((xs (list 4 8 15 16 23 42))) (shift xs 10) xs)");
+  eval_form(r.server_defun);
+  eval_form(r.tail_defun);
+  eval_form(r.wrapper_defun);
+  for (int s = 1; s <= 4; ++s) {
+    EXPECT_EQ(run("(let ((xs (list 4 8 15 16 23 42))) (shift$parallel " +
+                  std::to_string(s) + " xs 10) xs)"),
+              want)
+        << "S=" << s;
+  }
+}
+
+TEST_F(TransformTest, CriLockedTailKeepsEnqueues) {
+  // The tail reads or writes the locked variable: the lock would have to
+  // reach a tail on another server, so the plan keeps the enqueue form.
+  for (const char* src :
+       {"(defun dq (l k) (when l (setq balance (- (car l) balance))"
+        " (dq (cdr l) k) (work balance) nil))",
+        "(defun dq (l k) (when l (setq balance (- (car l) balance))"
+        " (dq (cdr l) k) (setq balance (* 2 balance)) nil))"}) {
+    CriResult r = make_locked(src);
+    ASSERT_TRUE(r.ok) << r.failure;
+    EXPECT_FALSE(r.work_first) << src;
+    const std::string server = sexpr::write_str(r.server_defun);
+    EXPECT_NE(server.find("(%cri-enqueue 0 nil (cdr l) k)"),
+              std::string::npos)
+        << server;
+    EXPECT_NE(server.find("(%lock-var (quote balance))"), std::string::npos)
+        << server;
   }
 }
 

@@ -6,7 +6,10 @@
 // traversals on the 4-server pool — tally, whose call comes last (a
 // head loop that queues nothing), and tally-out, whose update follows
 // the call (its tails are queued in batches) — then collects and
-// records the exact live-object count. The list is rooted only for its iteration,
+// records the exact live-object count. The runs go through
+// Runtime::run_cri, which always runs CRI: tally's head loop measures
+// no tail, so its f$parallel entry would run the original defun after
+// the first call (§4.1, runtime.hpp run_in_parallel). The list is rooted only for its iteration,
 // so everything it allocated — spine, CRI argument copies, scheduler
 // spill — must be reclaimed by the next collection. 120 iterations ×
 // 2 runs ≥ 240 CRI pool runs; the tight threshold keeps the automatic
@@ -88,9 +91,9 @@ int main() {
       }
 
       cur.interp().eval_program("(setq total 0)");
-      const curare::Value args[] = {list};
-      cur.run_parallel("tally", args, 4);
-      cur.run_parallel("tally-out", args, 4);
+      for (const char* server : {"tally$cri", "tally-out$cri"})
+        cur.runtime().run_cri(cur.interp().global(server), 1, 4,
+                              {curare::Value::nil(), list});
       const long long got =
           cur.interp().eval_program("total").as_fixnum();
       if (got != kExpected) {

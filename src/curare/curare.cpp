@@ -334,6 +334,11 @@ TransformPlan Curare::transform(std::string_view fn_name) {
   for (const auto& c : conflicts.conflicts)
     any_reorderable |= c.reorderable_op != nullptr;
   if (any_reorderable) {
+    if (std::string why = transform::mixed_update_conflict(decls_, conflicts);
+        !why.empty()) {
+      plan.failure = std::move(why);
+      return plan;
+    }
     auto ro = transform::apply_reorder(ctx_, decls_, info);
     if (ro.rewritten > 0) {
       plan.reordered = ro.rewritten;
@@ -389,7 +394,8 @@ TransformPlan Curare::transform(std::string_view fn_name) {
   }
 
   // ---- §3.1/§4 CRI codegen -------------------------------------------------------
-  auto cri = transform::make_cri(ctx_, info, lock_plan, locks_in_head);
+  auto cri = transform::make_cri(ctx_, info, lock_plan, locks_in_head,
+                                 plan.concurrency_cap);
   if (!cri.ok) {
     plan.failure = cri.failure;
     return plan;
@@ -436,14 +442,20 @@ Value Curare::run_parallel(std::string_view fn_name,
   }
 
   if (servers == 0) {
+    // §4.1's choice from the last CRI run's measured d, h and t. Before
+    // the first run, depth is unknown: assume a mid-size recursion and
+    // the static head and tail sizes. The conflict distance caps only
+    // the enqueue form: a head loop keeps its locked accesses on one
+    // server whatever S is. S = 1 makes the entry run the original
+    // defun (runtime.hpp run_in_parallel).
     const auto& ht = plan.final_headtail;
-    // Depth is unknown statically; assume a mid-size recursion for the
-    // §4.1 estimate. Real callers pass an explicit S. The conflict
-    // distance caps only the enqueue form: a head loop keeps its locked
-    // accesses on one server whatever S is.
-    servers = runtime::choose_servers(
+    runtime::Runtime::CriShape shape{
         1024.0, static_cast<double>(ht.head_size ? ht.head_size : 1),
-        static_cast<double>(ht.tail_size),
+        static_cast<double>(ht.tail_size)};
+    if (auto measured = runtime_->cri_shape(plan.server->name))
+      shape = *measured;
+    servers = runtime::choose_servers(
+        shape.depth, shape.head_ns, shape.tail_ns,
         plan.work_first ? std::nullopt : plan.concurrency_cap,
         std::max(1u, std::thread::hardware_concurrency()));
   }

@@ -143,9 +143,13 @@ class Curare : public gc::RootSource {
   Value run_sequential(std::string_view fn_name,
                        std::span<const Value> args);
 
-  /// Run the transformed version under S servers (0 = scheduler choice
-  /// using the §4.1 model with static size estimates). transform() must
-  /// have succeeded for this function.
+  /// Run the transformed version through its f$parallel entry under S
+  /// servers (0 = the §4.1 model's choice, from the last CRI run's
+  /// measured d, h and t, or static size estimates before the first
+  /// run). Where the model gives one server for the measured shape, the
+  /// entry runs the original defun instead (runtime.hpp
+  /// run_in_parallel). transform() must have succeeded for this
+  /// function.
   Value run_parallel(std::string_view fn_name, std::span<const Value> args,
                      std::size_t servers = 0);
 

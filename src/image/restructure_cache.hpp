@@ -48,7 +48,7 @@ namespace curare::image {
 
 /// Stamped into every cache key; bump when the transformation pipeline
 /// changes so stale verdicts can never be replayed.
-inline constexpr std::uint32_t kRestructurerVersion = 3;
+inline constexpr std::uint32_t kRestructurerVersion = 4;
 
 struct RestructureEntry {
   std::string text;           ///< exact reply chunk for this function

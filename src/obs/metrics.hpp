@@ -20,6 +20,9 @@
 //   cri.queue.spill_pushes  counter   pushes that overflowed a site ring
 //   cri.queue.sleeps        counter   times a server actually blocked
 //   cri.queue.steals        counter   tasks taken from another server's lane
+//   cri.sequential_fallback counter   f$parallel calls that ran the
+//                                     original defun (§4.1 gave S = 1)
+//   cri.sequential_fallback.c_f_milli gauge  the last such call's c_f·1000
 //   future.spawned          counter   futures created
 //   future.touches          counter   touch() calls
 //   future.touch_waits      counter   touches that blocked

@@ -40,6 +40,13 @@ std::vector<SpeedupRow> SpeedupReport::rows() const {
     // A base-case-only run has h = whole body; keep the model total
     // positive so the error column stays defined.
     if (row.mean_h_ns <= 0) row.mean_h_ns = 1;
+    row.s_star = runtime::optimal_servers_continuous(d > 0 ? d : 1,
+                                                     row.mean_h_ns,
+                                                     row.mean_t_ns);
+    if (r.sequential) {  // nothing ran under the model: no prediction
+      out.push_back(row);
+      continue;
+    }
     row.predicted_ns = (r.work_first ? runtime::predicted_time_work_first
                                      : runtime::predicted_time)(
         static_cast<double>(r.servers), d > 0 ? d : 1, row.mean_h_ns,
@@ -52,9 +59,6 @@ std::vector<SpeedupRow> SpeedupReport::rows() const {
         static_cast<double>(r.busy_ns) + static_cast<double>(r.idle_ns);
     row.utilization =
         occupied > 0 ? static_cast<double>(r.busy_ns) / occupied : 0.0;
-    row.s_star = runtime::optimal_servers_continuous(d > 0 ? d : 1,
-                                                     row.mean_h_ns,
-                                                     row.mean_t_ns);
     out.push_back(row);
   }
   return out;
@@ -75,6 +79,16 @@ std::string SpeedupReport::table() const {
   ss << line;
   for (const SpeedupRow& r : rws) {
     const double ht = r.mean_h_ns + r.mean_t_ns;
+    if (r.run.sequential) {
+      std::snprintf(
+          line, sizeof line,
+          "%-16s %4s %8llu %10s %10s %9s %7s %6.1f %7.3f  c_f %.2f\n",
+          r.run.label.empty() ? "(cri)" : r.run.label.c_str(), "seq",
+          static_cast<unsigned long long>(r.run.invocations), "-", "-",
+          "-", "-", r.s_star, ht > 0 ? r.mean_h_ns / ht : 0.0, r.run.c_f);
+      ss << line;
+      continue;
+    }
     std::snprintf(
         line, sizeof line,
         "%-16s %4zu %8llu %10.3f %10.3f %+9.1f %7.1f %6.1f %7.3f\n",
@@ -90,6 +104,12 @@ std::string SpeedupReport::table() const {
         "(paper 4.1),\nor max(d*h, d*(h+t)/S) + t for a work-first run "
         "(heads as a loop, tails as tasks);\nS* = sqrt(d(h+t)/h) "
         "unclamped.\n";
+  bool any_sequential = false;
+  for (const SpeedupRow& r : rws) any_sequential |= r.run.sequential;
+  if (any_sequential)
+    ss << "seq: the call ran the original defun, because the model gave "
+          "S = 1 for the\nlast CRI run's d, h and t (shown); c_f = "
+          "(h+t)/h, capped by the conflict distance.\n";
   return ss.str();
 }
 
@@ -102,7 +122,8 @@ std::string SpeedupReport::json_lines() const {
        << r.run.head_ns << ",\"tail_ns\":" << r.run.tail_ns
        << ",\"busy_ns\":" << r.run.busy_ns << ",\"idle_ns\":"
        << r.run.idle_ns << ",\"work_first\":"
-       << (r.run.work_first ? "true" : "false")
+       << (r.run.work_first ? "true" : "false") << ",\"sequential\":"
+       << (r.run.sequential ? "true" : "false") << ",\"c_f\":" << r.run.c_f
        << ",\"predicted_ns\":" << r.predicted_ns
        << ",\"error_pct\":" << r.error_pct << ",\"utilization\":"
        << r.utilization << ",\"s_star\":" << r.s_star << "}\n";

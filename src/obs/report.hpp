@@ -9,7 +9,9 @@
 // *measured* mean h and t and prints
 // measured wall time against it — the error column is the gap between
 // the abstract machine of §4.1 and this implementation (queue cost,
-// scheduling jitter, interpreter variance).
+// scheduling jitter, interpreter variance). A call that ran the
+// original defun because the model gave S = 1 adds a sequential row
+// with the measurement that decided it.
 #pragma once
 
 #include <cstdint>
@@ -30,6 +32,12 @@ struct MeasuredRun {
   std::uint64_t idle_ns = 0;    ///< Σ over servers of blocked-in-pop time
   /// Heads ran as a loop, tails as tasks: predicted by T_wf(S).
   bool work_first = false;
+  /// A call that ran the original defun instead of CRI: the model gave
+  /// S = 1. servers and wall_ns are 0; d, head_ns and tail_ns are the
+  /// last CRI run's, the measurement that decided, and c_f is its
+  /// concurrency bound (h+t)/h (capped by the conflict distance).
+  bool sequential = false;
+  double c_f = 0;
 };
 
 /// One computed table row.

@@ -1,14 +1,17 @@
 #include "runtime/runtime.hpp"
 
+#include <algorithm>
 #include <atomic>
 #include <optional>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "lisp/function.hpp"
 #include "runtime/eval_tick.hpp"
 #include "runtime/fault_injector.hpp"
+#include "runtime/scheduler.hpp"
 #include "sexpr/printer.hpp"
 
 namespace curare::runtime {
@@ -96,6 +99,13 @@ Value update_global(LockManager& locks, Interp& i, Symbol* var,
   });
 }
 
+/// The name a server function's runs are recorded under: a closure's
+/// name, or empty.
+std::string server_name(Value fn) {
+  return fn.is(Kind::Closure) ? static_cast<lisp::Closure*>(fn.obj())->name
+                              : std::string();
+}
+
 }  // namespace
 
 Runtime::Runtime(Interp& interp, std::size_t workers)
@@ -105,6 +115,8 @@ Runtime::Runtime(Interp& interp, std::size_t workers)
   // the row to exist).
   recorder_.metrics.counter("cri.stalls");
   recorder_.metrics.counter("cri.aborts");
+  recorder_.metrics.counter("cri.sequential_fallback");
+  recorder_.metrics.gauge("cri.sequential_fallback.c_f_milli");
   // Ring wrap-around drops trace events silently; count them into the
   // registry so a truncated Chrome trace is diagnosable from --stats.
   recorder_.tracer.set_drop_counter(
@@ -156,8 +168,8 @@ CriStats Runtime::run_cri_in(Interp& in, Value fn, std::size_t num_sites,
                              std::size_t servers, TaskArgs initial_args,
                              std::string label) {
   // Name the speedup-report row after the server function.
-  if (label.empty() && fn.is(Kind::Closure))
-    label = static_cast<lisp::Closure*>(fn.obj())->name;
+  const std::string name = server_name(fn);
+  if (label.empty()) label = name;
   CriRun run(in, fn, num_sites, servers, recorder_, std::move(label));
   ResilienceConfig rc;
   rc.stall_ms = stall_ms_.load(std::memory_order_relaxed);
@@ -172,9 +184,64 @@ CriStats Runtime::run_cri_in(Interp& in, Value fn, std::size_t num_sites,
   rc.release_locks = [this] { locks_.release_thread_holds(); };
   run.set_resilience(std::move(rc));
   CriStats stats = std::move(run).run(std::move(initial_args));
+  if (!name.empty() && stats.invocations > 0) {
+    const double d = static_cast<double>(stats.invocations);
+    std::lock_guard<std::mutex> g(history_mu_);
+    history_[name] = CriHistory{
+        CriShape{d, static_cast<double>(stats.head_ns) / d,
+                 static_cast<double>(stats.tail_ns) / d},
+        0};
+  }
   std::lock_guard<std::mutex> g(stats_mu_);
   last_stats_ = stats;
   return last_stats_;
+}
+
+std::optional<Runtime::CriShape> Runtime::cri_shape(
+    const std::string& server) const {
+  std::lock_guard<std::mutex> g(history_mu_);
+  const auto it = history_.find(server);
+  if (it == history_.end()) return std::nullopt;
+  return it->second.shape;
+}
+
+bool Runtime::run_in_parallel(Value fn, std::size_t requested,
+                              std::optional<int> cap) {
+  const std::string name = server_name(fn);
+  CriShape shape;
+  {
+    std::lock_guard<std::mutex> g(history_mu_);
+    const auto it = history_.find(name);
+    if (it == history_.end()) return true;  // nothing measured yet
+    shape = it->second.shape;
+    const std::size_t cores = std::max(1u, std::thread::hardware_concurrency());
+    if (choose_servers(shape.depth, shape.head_ns, shape.tail_ns, cap,
+                       std::min(requested, cores)) > 1)
+      return true;
+    if (++it->second.fallbacks == kReprobeEvery) {
+      it->second.fallbacks = 0;  // the re-probe's run records afresh
+      return true;
+    }
+  }
+  const double c_f = max_concurrency(shape.head_ns, shape.tail_ns, cap);
+  obs::Metrics& m = recorder_.metrics;
+  m.counter("cri.sequential_fallback").add();
+  m.gauge("cri.sequential_fallback.c_f_milli")
+      .set(static_cast<std::int64_t>(c_f * 1000.0 + 0.5));
+  obs::MeasuredRun row;
+  row.label = name;
+  row.servers = 0;
+  row.invocations = static_cast<std::uint64_t>(shape.depth);
+  row.head_ns = static_cast<std::uint64_t>(shape.head_ns * shape.depth);
+  row.tail_ns = static_cast<std::uint64_t>(shape.tail_ns * shape.depth);
+  row.sequential = true;
+  row.c_f = c_f;
+  recorder_.speedup.add(std::move(row));
+  CriStats none;
+  none.sequential = true;
+  std::lock_guard<std::mutex> g(stats_mu_);
+  last_stats_ = std::move(none);
+  return false;
 }
 
 std::string Runtime::resilience_report() {
@@ -369,6 +436,22 @@ void Runtime::install_into(Interp& in) {
         // recursions yield nil here (their values come through the
         // destination cell the f$parallel wrapper passes).
         return stats.result;
+      });
+
+  // (%cri-parallel-p f$cri servers [cap]): the f$parallel entry's
+  // choice between a CRI run and the original defun (run_in_parallel).
+  // cap is the plan's conflict distance, when it bounds S.
+  in.define_builtin(
+      "%cri-parallel-p", 2, 3, [this](Interp& i, std::span<const Value> a) {
+        const std::int64_t servers = lisp::as_int(a[1]);
+        std::optional<int> cap;
+        if (a.size() > 2) cap = static_cast<int>(lisp::as_int(a[2]));
+        return run_in_parallel(a[0],
+                               static_cast<std::size_t>(
+                                   std::max<std::int64_t>(servers, 1)),
+                               cap)
+                   ? Value::object(i.ctx().s_t)
+                   : Value::nil();
       });
 
   // ---- futures (§3.1) -----------------------------------------------------

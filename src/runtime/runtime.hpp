@@ -9,6 +9,7 @@
 //   (%cri-enqueue site args…)              §4 recursive call → enqueue
 //   (%cri-tail f$tail args…)               work-first: queue one tail
 //   (%cri-run fn num-sites servers args…)  §4 start a server pool
+//   (%cri-parallel-p fn servers [cap])      §4.1 CRI, or the original?
 //   (spawn thunk) / futures via the `future` special form; (touch x)
 //   (force-tree x)                          resolve futures inside a tree
 //
@@ -18,6 +19,9 @@
 
 #include <memory>
 #include <mutex>
+#include <optional>
+#include <string>
+#include <unordered_map>
 
 #include "gc/gc.hpp"
 #include "lisp/interp.hpp"
@@ -95,7 +99,37 @@ class Runtime : public gc::RootSource {
                       std::size_t num_sites, std::size_t servers,
                       TaskArgs initial_args, std::string label = {});
 
+  /// The last CRI run's stats, or, when the f$parallel entry last ran
+  /// the original defun, a record of that call (CriStats::sequential).
   const CriStats& last_cri_stats() const { return last_stats_; }
+
+  /// What a server function's last CRI run measured (§4.1): recursion
+  /// depth d, and the mean head and tail time of one invocation.
+  struct CriShape {
+    double depth = 0;
+    double head_ns = 0;
+    double tail_ns = 0;
+  };
+
+  /// A function whose calls fall back still runs CRI on every
+  /// kReprobeEvery-th call, so the decision follows its inputs.
+  static constexpr std::uint32_t kReprobeEvery = 32;
+
+  /// The last CRI run of the server function named `server` (every
+  /// run_cri_in records one), or nothing before its first.
+  std::optional<CriShape> cri_shape(const std::string& server) const;
+
+  /// The f$parallel entry's choice, made before any server is leased:
+  /// true runs CRI on the servers the caller asked for, false runs the
+  /// original defun. It is false when `fn` has a measured shape and
+  /// choose_servers(d, h, t, cap, min(requested, cores)) is 1, except
+  /// on every kReprobeEvery-th call in a row, which runs CRI again.
+  /// A call that falls back sets last_cri_stats() to a sequential
+  /// record, counts into cri.sequential_fallback, sets the gauge
+  /// cri.sequential_fallback.c_f_milli to its c_f · 1000, and adds a
+  /// sequential row to the speedup report.
+  bool run_in_parallel(sexpr::Value fn, std::size_t requested,
+                       std::optional<int> cap);
 
   /// Walk a cons tree, forcing every future found (destructively
   /// replacing it with its value). Returns the (possibly replaced) root.
@@ -115,6 +149,14 @@ class Runtime : public gc::RootSource {
   /// (run_cri stores it outside any unsafe region).
   std::mutex stats_mu_;
   CriStats last_stats_;
+  /// Per server function: its last CRI run's shape, and the calls that
+  /// have fallen back since.
+  struct CriHistory {
+    CriShape shape;
+    std::uint32_t fallbacks = 0;
+  };
+  mutable std::mutex history_mu_;
+  std::unordered_map<std::string, CriHistory> history_;
 };
 
 }  // namespace curare::runtime

@@ -85,6 +85,10 @@ struct CriStats {
   /// The run's heads ran as a loop (work-first form), whether or not
   /// it queued tails.
   bool work_first = false;
+  /// No CRI run happened: the f$parallel entry ran the original defun
+  /// because the §4.1 model gave one server (Runtime::run_in_parallel).
+  /// Every count is then zero.
+  bool sequential = false;
   /// Per-server time inside task bodies / blocked in pop().
   std::vector<std::uint64_t> busy_ns;
   std::vector<std::uint64_t> idle_ns;

@@ -524,7 +524,8 @@ class HeadLoopGen {
 }  // namespace
 
 CriResult make_cri(sexpr::Ctx& ctx, const analysis::FunctionInfo& info,
-                   const LockPlan& locks, bool locks_in_head) {
+                   const LockPlan& locks, bool locks_in_head,
+                   std::optional<int> concurrency_cap) {
   CriResult result;
   if (!info.is_recursive()) {
     result.failure = "function is not self-recursive";
@@ -602,9 +603,17 @@ CriResult make_cri(sexpr::Ctx& ctx, const analysis::FunctionInfo& info,
                 d, form(ctx, {sym(ctx, "cons"), Value::nil(),
                               Value::nil()}))),
             form(ctx, run_call), form(ctx, {Value::object(ctx.s_cdr), d})});
-  result.wrapper_defun =
-      form(ctx, {Value::object(ctx.s_defun), Value::object(wrapper_name),
-                 form(ctx, wrapper_params), run});
+  std::vector<Value> choice{sym(ctx, "%cri-parallel-p"),
+                            Value::object(server_name), servers_param};
+  if (concurrency_cap && !result.work_first)
+    choice.push_back(Value::fixnum(*concurrency_cap));
+  std::vector<Value> original{sym(ctx, entry)};
+  original.insert(original.end(), params.begin(), params.end());
+  result.wrapper_defun = form(
+      ctx, {Value::object(ctx.s_defun), Value::object(wrapper_name),
+            form(ctx, wrapper_params),
+            form(ctx, {sym(ctx, "if"), form(ctx, choice), run,
+                       form(ctx, original)})});
 
   result.ok = true;
   result.server_name = server_name;

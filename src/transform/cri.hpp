@@ -8,9 +8,16 @@
 //
 //   (defun f$cri (%dest params…) BODY-with-enqueues)
 //   (defun f$parallel (%servers params…)
-//     (let ((%d (cons nil nil)))
-//       (%cri-run f$cri NSITES %servers %d params…)
-//       (cdr %d)))
+//     (if (%cri-parallel-p f$cri %servers [CAP])
+//         (let ((%d (cons nil nil)))
+//           (%cri-run f$cri NSITES %servers %d params…)
+//           (cdr %d))
+//         (f params…)))
+//
+// %cri-parallel-p is the §4.1 choice (runtime.hpp run_in_parallel):
+// once f$cri has run, a call whose measured h and t give one server
+// runs the original defun f instead. CAP, the enqueue form's minimum
+// conflict distance, bounds S there; a head loop has none.
 //
 // The function's value travels in one channel, the destination cell
 // (§5's destination-passing style made the general case). A tail-position
@@ -74,6 +81,7 @@
 // must run first).
 #pragma once
 
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -104,8 +112,11 @@ struct CriResult {
 /// top of the body (apply_lock_plan). A lock plan gets the work-first
 /// form only when `locks_in_head` (locks_only_in_head, lock_insert.hpp):
 /// a lock is owned by a thread, so a lock the tail needs could not be
-/// released by a tail running on another server.
+/// released by a tail running on another server. `concurrency_cap`,
+/// the plan's minimum conflict distance, goes into the wrapper's choice
+/// of S for the enqueue form.
 CriResult make_cri(sexpr::Ctx& ctx, const analysis::FunctionInfo& info,
-                   const LockPlan& locks = {}, bool locks_in_head = false);
+                   const LockPlan& locks = {}, bool locks_in_head = false,
+                   std::optional<int> concurrency_cap = std::nullopt);
 
 }  // namespace curare::transform

@@ -231,6 +231,32 @@ ReorderResult apply_reorder(sexpr::Ctx& ctx,
   return result;
 }
 
+std::string mixed_update_conflict(const decl::Declarations& decls,
+                                  const analysis::ConflictReport& report) {
+  for (const analysis::Conflict& c : report.conflicts) {
+    if (c.is_array_conflict()) continue;
+    const bool var = c.is_variable_conflict();
+    const bool writes = var ? c.var_earlier.is_write && c.var_later.is_write
+                            : c.earlier.is_write && c.later.is_write;
+    Symbol* a = var ? c.var_earlier.update_op : c.earlier.update_op;
+    Symbol* b = var ? c.var_later.update_op : c.later.update_op;
+    if (!writes || a == nullptr || b == nullptr || a == b ||
+        !(decls.is_reorderable_op(a) || decls.is_reorderable_op(b)))
+      continue;
+    const std::string where =
+        var ? c.var->name
+            : c.earlier.root->name + "." + c.earlier.path.to_string();
+    return where + " is updated by both " +
+           sexpr::write_str(var ? c.var_earlier.form : c.earlier.form) +
+           " and " +
+           sexpr::write_str(var ? c.var_later.form : c.later.form) + "; " +
+           a->name + " and " + b->name +
+           " do not commute with each other, so neither update may be "
+           "reordered (§3.2.3)";
+  }
+  return {};
+}
+
 namespace {
 
 /// v when `f` is (OP (quote v) …) for one of `ops`.

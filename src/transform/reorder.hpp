@@ -22,6 +22,7 @@
 #include <string>
 #include <vector>
 
+#include "analysis/conflict.hpp"
 #include "analysis/extract.hpp"
 #include "decl/declarations.hpp"
 #include "sexpr/ctx.hpp"
@@ -37,6 +38,15 @@ struct ReorderResult {
 ReorderResult apply_reorder(sexpr::Ctx& ctx,
                             const decl::Declarations& decls,
                             const analysis::FunctionInfo& info);
+
+/// A reorderable update commutes only with updates by its own operator:
+/// (+ v 1) and (* v 2) give different values in either order. When the
+/// report pairs two updates of one location by different operators, at
+/// least one of them reorderable, returns feedback naming both
+/// statements, and the plan must be refused: reordering either one
+/// changes the result. Empty otherwise.
+std::string mixed_update_conflict(const decl::Declarations& decls,
+                                  const analysis::ConflictReport& report);
 
 /// (%atomic-incf-var 'v …) is a CAS on v's cell, which neither a held
 /// (%lock-var 'v) nor a (%locked-update-var 'v …) excludes. Where the

@@ -6,10 +6,12 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <chrono>
 #include <cstdlib>
 #include <thread>
 
+#include "forced_cri.hpp"
 #include "oracle.hpp"
 #include "runtime/fault_injector.hpp"
 #include "sexpr/equal.hpp"
@@ -37,9 +39,11 @@ class CurareTest : public ::testing::Test {
 
   /// Checks that the untransformed program returns `want` for `call`
   /// (oracle.hpp), then loads `program`, restructures the function
-  /// `call` names, and checks the parallel entry returns the same at
-  /// S=1 and S=4. A multi-server-vs-one-server comparison cannot see a
-  /// wrong value that both produce.
+  /// `call` names, and checks a CRI run returns the same at S=1 and
+  /// S=4 (forced_cri.hpp: the entry may run the original once the
+  /// first run is measured), and so does the entry at S=4. A
+  /// multi-server-vs-one-server comparison cannot see a wrong value
+  /// that both produce.
   void expect_original_value(std::string_view program,
                              std::string_view call, std::string_view want) {
     ASSERT_EQ(oracle::original_value(program, call), want) << call;
@@ -52,9 +56,11 @@ class CurareTest : public ::testing::Test {
     for (Value a = sexpr::cdr(form); !a.is_nil(); a = sexpr::cdr(a))
       args.push_back(cur.interp().eval_top(sexpr::car(a)));
     for (std::size_t servers : {1, 4}) {
-      EXPECT_EQ(write_str(cur.run_parallel(fn, args, servers)), want)
+      EXPECT_EQ(write_str(forced::cri(cur, plan, args, servers)), want)
           << call << " at S=" << servers;
     }
+    EXPECT_EQ(write_str(cur.run_parallel(fn, args, 4)), want)
+        << call << " through the entry";
   }
 };
 
@@ -434,8 +440,12 @@ TEST_F(WorkFirst, ThrowingLockedHeadLoopReleasesItsLock) {
   ASSERT_GT(plan.locks_inserted, 0) << plan.to_string();
   expect_abort_releases_bal(cur, "(dr$parallel 2 (list 1 2 'x 4))",
                             "(dr$parallel 2 (list 1 2 3 4))");
+  // dr has no tail: after the measured run above, its entry would run
+  // the original, so this run is forced (forced_cri.hpp).
+  forced::install(cur);
   EXPECT_EQ(write_str(cur.eval_program(
-                "(progn (setq bal 0) (dr$parallel 2 (list 1 2 3 4)) bal)")),
+                "(progn (setq bal 0) " +
+                forced::call(plan, 2, "(list 1 2 3 4)") + " bal)")),
             write_str(cur.eval_program(
                 "(progn (setq bal 0) (dr (list 1 2 3 4)) bal)")));
 }
@@ -534,6 +544,9 @@ TEST_F(WorkFirst, HeadClosuresSeeTheirOwnInvocation) {
     return "(progn (setq xs (list 1 2 3)) (setq os (list 0 0 0)) " + call +
            " (mapcar (lambda (f) (funcall f)) os))";
   };
+  // mk has no tail, so after its first run its entry would run the
+  // original: every S here is a forced CRI run (forced_cri.hpp).
+  forced::install(cur);
   for (const std::string fn : {"mk", "mv"}) {
     const std::string want =
         oracle::original_value(program, probe("(" + fn + " xs os)"));
@@ -541,9 +554,8 @@ TEST_F(WorkFirst, HeadClosuresSeeTheirOwnInvocation) {
     ASSERT_TRUE(plan.ok) << plan.failure;
     EXPECT_FALSE(plan.work_first) << plan.to_string();
     for (std::size_t servers : {1, 2, 4}) {
-      EXPECT_EQ(write_str(cur.eval_program(probe(
-                    "(" + fn + "$parallel " + std::to_string(servers) +
-                    " xs os)"))),
+      EXPECT_EQ(write_str(cur.eval_program(
+                    probe(forced::call(plan, servers, "xs os")))),
                 want)
           << fn << " at S=" << servers;
     }
@@ -551,13 +563,14 @@ TEST_F(WorkFirst, HeadClosuresSeeTheirOwnInvocation) {
 }
 
 TEST_F(CurareTest, IncrementOfALockedVariableTakesTheLock) {
-  // Both updates of v are reordered: + into the CAS increment, * into a
-  // locked update. A CAS between the locked update's read and store
-  // would be lost, so the increment takes v's lock too.
+  // Both updates of v are reordered into increments, and the plain
+  // write of v between them is ordered by v's lock. A CAS increment
+  // would not wait for that lock, so the increments take it too.
   cur.load_program(
       "(setq v 1)"
       "(defun mix (l)"
-      "  (when l (setq v (+ v 1)) (setq v (* 3 v)) (mix (cdr l))))");
+      "  (when l (setq v (+ v 1)) (setq v (car l)) (setq v (+ v 2))"
+      "    (mix (cdr l))))");
   TransformPlan plan = cur.transform("mix");
   ASSERT_TRUE(plan.ok) << plan.failure;
   EXPECT_EQ(plan.reordered, 2) << plan.to_string();
@@ -682,6 +695,225 @@ TEST_F(CurareTest, SchedulerPicksServersWhenZero) {
   const Value args[] = {read(build_list(50))};
   cur.run_parallel("f", args, 0);  // scheduler decides S
   EXPECT_EQ(cur.interp().eval_program("c").as_fixnum(), 50);
+}
+
+TEST_F(CurareTest, MixedOperatorsOnOneLocationAreRefused) {
+  // + in the head and * in the tail: reordered as if they commuted, the
+  // updates gave 1260 where the original gives 9472.
+  const std::string program =
+      "(setq v 1)"
+      "(defun mx (l) (when l (setq v (+ v (car l))) (mx (cdr l))"
+      "  (setq v (* v 2))))";
+  const std::string probe = "(progn (setq v 1) (mx '(1 2 3 4 5 6 7 8)) v)";
+  ASSERT_EQ(oracle::original_value(program, probe), "9472");
+  cur.load_program(program);
+  TransformPlan plan = cur.transform("mx");
+  EXPECT_FALSE(plan.ok) << plan.to_string();
+  EXPECT_EQ(plan.reordered, 0);
+  EXPECT_NE(plan.failure.find("(setq v (+ v (car l)))"), std::string::npos)
+      << plan.failure;
+  EXPECT_NE(plan.failure.find("(setq v (* v 2))"), std::string::npos)
+      << plan.failure;
+  EXPECT_EQ(write_str(cur.eval_program(probe)), "9472");
+
+  // Both operators in the head: still two operators on one variable.
+  cur.load_program(
+      "(defun mh (l) (when l (setq v (+ v 1)) (setq v (* 3 v))"
+      "  (mh (cdr l))))");
+  plan = cur.transform("mh");
+  EXPECT_FALSE(plan.ok) << plan.to_string();
+  EXPECT_NE(plan.failure.find("(setq v (* 3 v))"), std::string::npos)
+      << plan.failure;
+
+  // The same on a structure field every invocation shares.
+  const std::string fields =
+      "(curare-declare (noalias ms))"
+      "(defun ms (l b) (when l (setf (car b) (+ (car b) (car l)))"
+      "  (ms (cdr l) b) (setf (car b) (* (car b) 2))))";
+  ASSERT_EQ(oracle::original_value(
+                fields, "(let ((b (list 1))) (ms '(1 2 3 4 5 6 7 8) b) b)"),
+            "(9472)");
+  cur.load_program(fields);
+  plan = cur.transform("ms");
+  EXPECT_FALSE(plan.ok) << plan.to_string();
+  EXPECT_NE(plan.failure.find("(setf (car b) (* (car b) 2))"),
+            std::string::npos)
+      << plan.failure;
+}
+
+TEST_F(CurareTest, OneOperatorOnBothSidesOfTheCallIsReordered) {
+  // The same update before and after the call commutes with itself.
+  const std::string program =
+      std::string(kWorkFirstPrelude) +
+      "(setq v 1)"
+      "(defun pp (l) (when l (setq v (+ v (car l))) (pp (cdr l))"
+      "  (setq v (+ v 1))))";
+  const std::string want =
+      oracle::original_value(program, "(progn (setq v 1) (pp (iota 64)) v)");
+  ASSERT_EQ(want, "2145");
+  cur.load_program(program);
+  TransformPlan plan = cur.transform("pp");
+  ASSERT_TRUE(plan.ok) << plan.failure;
+  EXPECT_EQ(plan.reordered, 2) << plan.to_string();
+  forced::install(cur);
+  for (std::size_t servers : {1, 4}) {
+    EXPECT_EQ(write_str(cur.eval_program(
+                  "(progn (setq v 1) " +
+                  forced::call(plan, servers, "(iota 64)") + " v)")),
+              want)
+        << "S=" << servers;
+  }
+}
+
+// ---- §4.1: the entry runs CRI or the original defun ------------------
+
+TEST_F(CurareTest, HeadOnlyFunctionFallsBackAndReprobes) {
+  // dbl's recursive call is its last statement, so its head loop queues
+  // no tail: a run measures t = 0, so c_f = (h+t)/h = 1 and the model
+  // gives one server at any S. After the first run the entry runs the
+  // original defun, except on every kReprobeEvery-th call.
+  const std::string program =
+      "(defun dbl (l) (when l (setf (car l) (* 2 (car l))) (dbl (cdr l))))";
+  const auto probe = [](const std::string& fn) {
+    return "(progn (setq xs (list 1 2 3 4 5 6 7 8)) (list (" + fn +
+           " xs) xs))";
+  };
+  const std::string want = oracle::original_value(program, probe("dbl"));
+  ASSERT_EQ(want, "(nil (2 4 6 8 10 12 14 16))");
+  cur.load_program(program);
+  TransformPlan plan = cur.transform("dbl");
+  ASSERT_TRUE(plan.ok) << plan.failure;
+  ASSERT_TRUE(plan.work_first) << plan.to_string();
+  ASSERT_EQ(plan.tail, nullptr) << plan.to_string();
+  runtime::Runtime& rt = cur.runtime();
+  obs::Counter& fallbacks =
+      rt.obs().metrics.counter("cri.sequential_fallback");
+  const std::string par = probe("dbl$parallel 4");
+
+  // Nothing is measured before the first call: it runs CRI.
+  EXPECT_EQ(write_str(cur.eval_program(par)), want);
+  EXPECT_FALSE(rt.last_cri_stats().sequential);
+  EXPECT_EQ(rt.last_cri_stats().servers, 4u);
+  EXPECT_EQ(rt.last_cri_stats().invocations, 9u);
+  EXPECT_EQ(rt.last_cri_stats().tail_ns, 0u);
+  EXPECT_EQ(fallbacks.get(), 0u);
+
+  constexpr std::uint32_t kEvery = runtime::Runtime::kReprobeEvery;
+  for (std::uint32_t n = 1; n < kEvery; ++n) {
+    EXPECT_EQ(write_str(cur.eval_program(par)), want) << "call " << n + 1;
+    const runtime::CriStats& st = rt.last_cri_stats();
+    EXPECT_TRUE(st.sequential) << "call " << n + 1;
+    EXPECT_EQ(st.invocations, 0u);
+    EXPECT_EQ(st.servers, 0u);
+    EXPECT_EQ(fallbacks.get(), n);
+  }
+  const std::vector<obs::MeasuredRun> runs = rt.obs().speedup.runs();
+  ASSERT_FALSE(runs.empty());
+  EXPECT_TRUE(runs.back().sequential);
+  EXPECT_EQ(runs.back().label, "dbl$cri");
+  EXPECT_DOUBLE_EQ(runs.back().c_f, 1.0);
+  EXPECT_EQ(runs.back().invocations, 9u);
+  EXPECT_EQ(
+      rt.obs().metrics.gauge("cri.sequential_fallback.c_f_milli").get(),
+      1000);
+  EXPECT_NE(rt.obs().speedup.table().find("seq"), std::string::npos)
+      << rt.obs().speedup.table();
+
+  // The kEvery-th call after the run re-probes with CRI...
+  EXPECT_EQ(write_str(cur.eval_program(par)), want);
+  EXPECT_FALSE(rt.last_cri_stats().sequential);
+  EXPECT_EQ(rt.last_cri_stats().invocations, 9u);
+  EXPECT_EQ(fallbacks.get(), kEvery - 1);
+  // ... and its measurement starts the schedule again.
+  EXPECT_EQ(write_str(cur.eval_program(par)), want);
+  EXPECT_TRUE(rt.last_cri_stats().sequential);
+  EXPECT_EQ(fallbacks.get(), kEvery);
+
+  // S = 0 asks the model, which reads the same measurement.
+  const Value args[] = {read("(1 2 3)")};
+  EXPECT_EQ(write_str(cur.run_parallel("dbl", args, 0)), "nil");
+  EXPECT_TRUE(rt.last_cri_stats().sequential);
+  EXPECT_EQ(fallbacks.get(), kEvery + 1);
+  // %cri-run itself always runs CRI.
+  forced::install(cur);
+  EXPECT_EQ(write_str(cur.eval_program(
+                "(progn (setq xs (list 1 2 3)) " +
+                forced::call(plan, 4, "xs") + " xs)")),
+            "(2 4 6)");
+  EXPECT_FALSE(rt.last_cri_stats().sequential);
+  EXPECT_EQ(fallbacks.get(), kEvery + 1);
+}
+
+TEST_F(CurareTest, ConcurrentSessionsShareOneRecord) {
+  // Two Curare instances on one Runtime, as the serving layer runs its
+  // sessions, call the same head-only entry at once: both read and
+  // write the one record kept for dbl$cri.
+  const std::string program =
+      "(defun dbl (l) (when l (setf (car l) (* 2 (car l))) (dbl (cdr l))))";
+  Curare other(ctx, cur.runtime());
+  for (Curare* d : {&cur, &other}) {
+    d->load_program(program);
+    ASSERT_TRUE(d->transform("dbl").ok);
+  }
+  constexpr int kCalls = 40;
+  std::atomic<int> wrong{0};
+  auto caller = [&](Curare& d) {
+    gc::GcHeap& gc = ctx.heap.gc();
+    for (int i = 0; i < kCalls; ++i) {
+      gc::MutatorScope ms(gc);
+      const Value r = d.load_program(
+          "(progn (setq xs (list 1 2 3 4 5 6 7 8)) (dbl$parallel 2 xs) xs)");
+      if (write_str(r) != "(2 4 6 8 10 12 14 16)") ++wrong;
+    }
+  };
+  std::thread a(caller, std::ref(cur));
+  std::thread b(caller, std::ref(other));
+  a.join();
+  b.join();
+  EXPECT_EQ(wrong.load(), 0);
+  std::uint64_t runs = 0;
+  for (const obs::MeasuredRun& r : cur.runtime().obs().speedup.runs())
+    runs += r.label == "dbl$cri" && !r.sequential;
+  const std::uint64_t fallbacks =
+      cur.runtime().obs().metrics.counter("cri.sequential_fallback").get();
+  EXPECT_EQ(runs + fallbacks, 2u * kCalls);
+  // Each caller's first call may start before any run is recorded;
+  // after that only the re-probes run CRI.
+  EXPECT_GE(runs, 1u);
+  EXPECT_LE(runs, 2u + 2u * kCalls / runtime::Runtime::kReprobeEvery);
+}
+
+TEST_F(CurareTest, TailHeavyFunctionsKeepTheirRequestedServers) {
+  // tally's work is in its tail (h/(h+t) well under 0.1), and serve_mix's
+  // ptally measures about 0.5: c_f = 2, so S = 2 is kept.
+  cur.load_program(std::string(kWorkFirstPrelude) +
+                   "(setq total 0)"
+                   "(defun tally (l k)"
+                   "  (when l (tally (cdr l) k) (work k)"
+                   "    (setq total (+ total (car l))) nil))"
+                   "(setq ptotal 0)"
+                   "(defun ptally (l) (when l (ptally (cdr l))"
+                   "  (setq ptotal (+ ptotal (car l)))))");
+  ASSERT_TRUE(cur.transform("tally").ok);
+  ASSERT_TRUE(cur.transform("ptally").ok);
+  runtime::Runtime& rt = cur.runtime();
+  obs::Counter& fallbacks =
+      rt.obs().metrics.counter("cri.sequential_fallback");
+  for (int call = 0; call < 4; ++call) {
+    EXPECT_EQ(cur.eval_program("(progn (setq total 0)"
+                               " (tally$parallel 4 (iota 400) 200) total)")
+                  .as_fixnum(),
+              80200);
+    EXPECT_FALSE(rt.last_cri_stats().sequential) << "tally call " << call;
+    EXPECT_EQ(rt.last_cri_stats().servers, 4u);
+    EXPECT_EQ(cur.eval_program("(progn (setq ptotal 0)"
+                               " (ptally$parallel 2 (iota 2000)) ptotal)")
+                  .as_fixnum(),
+              2001000);
+    EXPECT_FALSE(rt.last_cri_stats().sequential) << "ptally call " << call;
+    EXPECT_EQ(rt.last_cri_stats().servers, 2u);
+  }
+  EXPECT_EQ(fallbacks.get(), 0u);
 }
 
 // Property sweep: Fig 4-style shift with varying list sizes and server

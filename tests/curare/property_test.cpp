@@ -15,6 +15,11 @@
 //       (oracle.hpp). With a device, a captured tail value can depend on
 //       the order of updates, so P2's final-state check is the bar.
 //
+// P2 and P5 run the restructured code through %cri-run (forced_cri.hpp):
+// once a function is measured, its f$parallel entry may run the original
+// defun instead (§4.1), and these properties are about the restructured
+// code at S=1 and S=4.
+//
 // The generator composes bodies from a fixed grammar of reads, writes at
 // bounded depths, counter updates, and a cdr-stepping recursive call —
 // the shape family of the paper's Figures 3–5.
@@ -24,6 +29,7 @@
 #include <sstream>
 
 #include "curare/curare.hpp"
+#include "forced_cri.hpp"
 #include "oracle.hpp"
 #include "sexpr/equal.hpp"
 #include "sexpr/printer.hpp"
@@ -116,7 +122,7 @@ TEST_P(PropertySweep, PipelineInvariantsHold) {
     Value list = sexpr::read_one(ctx, fixnum_list(24));
     const Value args[] = {list};
     const std::string value =
-        sexpr::write_str(cur.run_parallel("gf", args, servers));
+        sexpr::write_str(forced::cri(cur, plan, args, servers));
     (void)cur.interp().take_output();
     return std::tuple<Value, std::int64_t, std::int64_t, std::string>(
         list, cur.interp().eval_program("gen-counter").as_fixnum(),
@@ -176,10 +182,12 @@ TEST_P(StructPropertySweep, StructTraversalsStaySequentializable) {
   ASSERT_TRUE(plan.concurrency_cap.has_value());
   EXPECT_EQ(*plan.concurrency_cap, write_depth);
 
+  // walk has no tail, so after its first run its entry would run the
+  // original: both runs are forced CRI runs (forced_cri.hpp).
   auto run_with = [&](std::size_t servers) {
     Value chain = cur.interp().eval_program("(build 20)");
     const Value args[] = {chain};
-    cur.run_parallel("walk", args, servers);
+    forced::cri(cur, plan, args, servers);
     // Serialize payloads for comparison.
     std::string out;
     Value n = chain;

@@ -306,5 +306,29 @@ TEST(Scheduler, ChooseServersRespectsAllCaps) {
   EXPECT_GE(choose_servers(1, 1, 0, 1, 1), 1u) << "at least one server";
 }
 
+TEST(Scheduler, ChooseServersGivesOneToAHeadHeavyFunction) {
+  // remq's shape: the (wcar lst k) test runs before the call, so h/(h+t)
+  // is 0.84–0.96 and c_f = (h+t)/h rounds to 1 at any depth or S.
+  EXPECT_EQ(choose_servers(1000, 0.84, 0.16, std::nullopt, 4), 1u);
+  EXPECT_EQ(choose_servers(1000, 0.95, 0.05, std::nullopt, 4), 1u);
+  EXPECT_EQ(choose_servers(200, 950, 50, std::nullopt, 64), 1u);
+  // No tail at all: nothing for a second server to overlap.
+  EXPECT_EQ(choose_servers(1000, 1, 0, std::nullopt, 4), 1u);
+  // One processor, one requested server or a depth of one.
+  EXPECT_EQ(choose_servers(1000, 1, 99, std::nullopt, 1), 1u);
+  EXPECT_EQ(choose_servers(1, 1, 99, std::nullopt, 4), 1u);
+}
+
+TEST(Scheduler, ChooseServersKeepsServersForATailHeavyFunction) {
+  // tally's shape: the work is in the tail (h/(h+t) about 0.07–0.1).
+  EXPECT_EQ(choose_servers(1000, 0.07, 0.93, std::nullopt, 4), 4u);
+  EXPECT_EQ(choose_servers(200, 10, 90, std::nullopt, 4), 4u);
+  // ptally in serve_mix: h/(h+t) about 0.5, so c_f = 2 and S = 2.
+  EXPECT_EQ(choose_servers(500, 1, 1, std::nullopt, 2), 2u);
+  EXPECT_EQ(choose_servers(500, 1, 1, std::nullopt, 4), 2u);
+  // A conflict distance of 1 bounds the enqueue form to one server.
+  EXPECT_EQ(choose_servers(1000, 0.07, 0.93, 1, 4), 1u);
+}
+
 }  // namespace
 }  // namespace curare::runtime

@@ -341,9 +341,16 @@ TEST_F(TransformTest, CriRewritesCallToEnqueue) {
   EXPECT_EQ(server.find("(f (cdr l))"), std::string::npos)
       << "no direct recursive call may remain";
   std::string wrapper = sexpr::write_str(r.wrapper_defun);
+  // The original f runs when the measured shape gives one server.
   EXPECT_EQ(wrapper,
-            "(defun f$parallel (%servers l) (let ((%d (cons nil nil))) "
-            "(%cri-run f$cri 1 %servers %d l) (cdr %d)))");
+            "(defun f$parallel (%servers l) (if (%cri-parallel-p f$cri "
+            "%servers) (let ((%d (cons nil nil))) "
+            "(%cri-run f$cri 1 %servers %d l) (cdr %d)) (f l)))");
+  // The conflict distance bounds the enqueue form's S.
+  EXPECT_NE(sexpr::write_str(make_cri(ctx, info, var_lock(), false, 2)
+                                 .wrapper_defun)
+                .find("(%cri-parallel-p f$cri %servers 2)"),
+            std::string::npos);
 }
 
 TEST_F(TransformTest, CriMultipleSitesNumbered) {
@@ -378,7 +385,12 @@ TEST_F(TransformTest, CriCapturesTailResult) {
   eval_form(r.server_defun);
   eval_form(r.wrapper_defun);
   EXPECT_EQ(run("(last-elt$parallel 2 '(1 2 3 99))"), "99");
-  EXPECT_EQ(run("(last-elt$parallel 1 '(7))"), "7");
+  // The run above measured no tail, so the entry would now call the
+  // original last-elt; %cri-run runs the server as the entry's CRI
+  // branch does.
+  EXPECT_EQ(run("(let ((%d (cons nil nil)))"
+                " (%cri-run last-elt$cri 1 1 %d '(7)) (cdr %d))"),
+            "7");
 }
 
 TEST_F(TransformTest, CriKeepsDestinationForm) {
@@ -425,8 +437,10 @@ TEST_F(TransformTest, CriWorkFirstLoopsHeadsAndQueuesTails) {
             "(defun tally$tail (%dest l k) (work k) "
             "(%atomic-incf-var (quote total) (car l)))");
   EXPECT_EQ(sexpr::write_str(r.wrapper_defun),
-            "(defun tally$parallel (%servers l k) (let ((%d (cons nil nil)))"
-            " (%cri-run tally$cri 1 %servers %d l k) (cdr %d)))");
+            "(defun tally$parallel (%servers l k) (if (%cri-parallel-p "
+            "tally$cri %servers) (let ((%d (cons nil nil)))"
+            " (%cri-run tally$cri 1 %servers %d l k) (cdr %d)) "
+            "(tally l k)))");
 }
 
 TEST_F(TransformTest, CriWorkFirstPassesLetBindingsAndTailValue) {

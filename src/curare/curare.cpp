@@ -1,10 +1,12 @@
 #include "curare/curare.hpp"
 
+#include <algorithm>
 #include <chrono>
 #include <sstream>
 
 #include "obs/request.hpp"
 #include "runtime/scheduler.hpp"
+#include "sexpr/equal.hpp"
 #include "sexpr/list_ops.hpp"
 #include "sexpr/printer.hpp"
 #include "sexpr/reader.hpp"
@@ -109,10 +111,6 @@ Curare::Curare(sexpr::Ctx& ctx, runtime::Runtime& shared_runtime)
   ctx_.heap.gc().add_root_source(this);
 }
 
-Value Curare::eval_program(std::string_view src) {
-  return vm_->eval_program(src);
-}
-
 Curare::~Curare() {
   // Futures spawned by this driver's programs capture interp_ by
   // reference. An owned runtime joins its pool before interp_ dies
@@ -129,92 +127,132 @@ Curare::~Curare() {
 }
 
 void Curare::gc_roots(std::vector<Value>& out) {
-  out.insert(out.end(), program_forms_.begin(), program_forms_.end());
+  for (const auto& [name, form] : structs_) out.push_back(form);
   for (const auto& [name, form] : defuns_) out.push_back(form);
+  out.insert(out.end(), declares_.begin(), declares_.end());
   for (const auto& [name, plan] : plans_)
     out.insert(out.end(), plan.forms.begin(), plan.forms.end());
+  out.push_back(last_);
+}
+
+namespace {
+
+/// The head symbol's name of a (head ...) form, or "" for anything else.
+std::string_view form_head(Value form) {
+  if (!form.is(Kind::Cons) || !car(form).is(Kind::Symbol)) return {};
+  return as_symbol(car(form))->name;
+}
+
+std::uint64_t ns_since(std::chrono::steady_clock::time_point t0) {
+  return static_cast<std::uint64_t>(
+      std::chrono::duration_cast<std::chrono::nanoseconds>(
+          std::chrono::steady_clock::now() - t0)
+          .count());
+}
+
+}  // namespace
+
+void Curare::declare_from(Value form) {
+  if (form_head(form) == "defstruct") {
+    // Its field classes are the §6 structure declaration.
+    if (auto type = interp_.struct_type(as_symbol(cadr(form)))) {
+      decls_.declare_structure(type->name, type->pointer_fields,
+                               type->data_fields);
+    }
+  } else {
+    decls_.load_form(form);  // curare-declare, or a defun's inline clauses
+  }
+}
+
+bool Curare::record_definition(Value form) {
+  const std::string_view head = form_head(form);
+  if (head != "defun" && head != "defstruct" && head != "curare-declare")
+    return false;
+  declare_from(form);  // malformed advice throws before it is kept
+  if (head == "defun") {
+    defuns_[as_symbol(cadr(form))] = form;
+  } else if (head == "defstruct") {
+    structs_[as_symbol(cadr(form))] = form;
+  } else {
+    // Once each, in the order last sent: replaying the list leaves the
+    // same hints in force as loading every copy did.
+    std::erase_if(declares_,
+                  [&](Value d) { return sexpr::equal_values(d, form); });
+    declares_.push_back(form);
+  }
+  return true;
+}
+
+void Curare::refresh_analysis() {
+  gc::MutatorScope gc_scope(ctx_.heap.gc());
+  // The declarations are rebuilt from the definitions, so they are the
+  // same whatever order the forms came in (and the same in a clone,
+  // which replays definitions()); a redefined defun's old inline
+  // clauses go with it. Top-level declarations come last and win.
+  decls_ = decl::Declarations(ctx_);
+  for (Value form : definitions()) declare_from(form);
+  std::vector<Value> all_defuns;
+  all_defuns.reserve(defuns_.size());
+  for (const auto& [name, form] : defuns_) all_defuns.push_back(form);
+  summaries_ = analysis::compute_summaries(ctx_, decls_, all_defuns);
 }
 
 Value Curare::load_program(std::string_view src) {
-  // One unsafe region for the whole load: the freshly read forms and
-  // the containers under mutation stay out of the collector's sight.
-  gc::MutatorScope gc_scope(ctx_.heap.gc());
-  // Attribute reader vs. evaluator time to the current serving request
-  // (no-ops outside one): read_all is the whole parse phase, the rest
-  // of this function is eval.
-  const auto t_parse0 = std::chrono::steady_clock::now();
-  std::vector<Value> forms = sexpr::read_all(ctx_, src);
-  const auto t_parse1 = std::chrono::steady_clock::now();
-  obs::charge_request(
-      &obs::Breakdown::parse_ns,
-      static_cast<std::uint64_t>(
-          std::chrono::duration_cast<std::chrono::nanoseconds>(t_parse1 -
-                                                               t_parse0)
-              .count()));
-  struct EvalCharge {
-    std::chrono::steady_clock::time_point t0 =
-        std::chrono::steady_clock::now();
-    ~EvalCharge() {
-      obs::charge_request(
-          &obs::Breakdown::eval_ns,
-          static_cast<std::uint64_t>(
-              std::chrono::duration_cast<std::chrono::nanoseconds>(
-                  std::chrono::steady_clock::now() - t0)
-                  .count()));
-    }
-  } eval_charge;
-  decls_.load_program(forms);
-  Value last = Value::nil();
-  for (Value form : forms) {
-    program_forms_.push_back(form);
-    if (form.is(Kind::Cons) && car(form).is(Kind::Symbol)) {
-      const std::string& head = as_symbol(car(form))->name;
-      if (head == "curare-declare") continue;  // advice, not code
-      if (head == "defun") defuns_[as_symbol(cadr(form))] = form;
-    }
-    last = vm_->eval_top(form);
-    // defstruct feeds the analyzer too: its field classes ARE the §6
-    // structure declaration.
-    if (form.is(Kind::Cons) && car(form).is(Kind::Symbol) &&
-        as_symbol(car(form))->name == "defstruct") {
-      auto type = interp_.struct_type(as_symbol(cadr(form)));
-      if (type) {
-        decls_.declare_structure(type->name, type->pointer_fields,
-                                 type->data_fields);
-      }
-    }
+  // Like Vm::eval_program: the read forms are rooted, and a collection
+  // may run between top-level forms. Reading is charged to the current
+  // serving request's parse phase, the rest to eval (no-ops outside a
+  // request).
+  gc::GcHeap& gc = ctx_.heap.gc();
+  gc::RootScope roots(gc);
+  std::vector<Value> forms;
+  {
+    const auto t_parse = std::chrono::steady_clock::now();
+    gc::MutatorScope gc_scope(gc);
+    last_ = Value::nil();
+    forms = sexpr::read_all(ctx_, src);
+    for (Value f : forms) roots.add(f);
+    obs::charge_request(&obs::Breakdown::parse_ns, ns_since(t_parse));
   }
-
-  // Recompute interprocedural summaries over everything loaded so far.
-  std::vector<Value> all_defuns;
-  for (const auto& [name, form] : defuns_) all_defuns.push_back(form);
-  summaries_ = analysis::compute_summaries(ctx_, decls_, all_defuns);
-  return last;
+  const auto t_eval = std::chrono::steady_clock::now();
+  bool defined = false;
+  // Definitions loaded before a failing form stay loaded, so the
+  // declarations and summaries are rebuilt on the way out either way.
+  auto finish = [&] {
+    if (defined) refresh_analysis();
+    obs::charge_request(&obs::Breakdown::eval_ns, ns_since(t_eval));
+  };
+  try {
+    for (Value form : forms) {
+      gc.maybe_collect();
+      gc::MutatorScope gc_scope(gc);
+      if (form_head(form) != "curare-declare") last_ = vm_->eval_top(form);
+      defined |= record_definition(form);
+    }
+  } catch (...) {
+    finish();
+    throw;
+  }
+  finish();
+  return last_;
 }
 
-void Curare::adopt_program_forms(const std::vector<Value>& forms) {
-  // Mirrors load_program's bookkeeping minus every eval: the forms
-  // were evaluated once in the template session and the clone installed
-  // the resulting bindings wholesale.
+void Curare::adopt_definitions(const std::vector<Value>& forms) {
   gc::MutatorScope gc_scope(ctx_.heap.gc());
-  decls_.load_program(forms);
-  for (Value form : forms) {
-    program_forms_.push_back(form);
-    if (!form.is(Kind::Cons) || !car(form).is(Kind::Symbol)) continue;
-    const std::string& head = as_symbol(car(form))->name;
-    if (head == "defun") {
-      defuns_[as_symbol(cadr(form))] = form;
-    } else if (head == "defstruct") {
-      auto type = interp_.struct_type(as_symbol(cadr(form)));
-      if (type) {
-        decls_.declare_structure(type->name, type->pointer_fields,
-                                 type->data_fields);
-      }
-    }
+  for (Value form : forms) record_definition(form);
+  refresh_analysis();
+}
+
+std::vector<Value> Curare::definitions() const {
+  std::vector<Value> out;
+  for (const auto* defs : {&structs_, &defuns_}) {
+    std::vector<std::pair<Symbol*, Value>> named(defs->begin(), defs->end());
+    std::sort(named.begin(), named.end(), [](const auto& a, const auto& b) {
+      return a.first->name < b.first->name;
+    });
+    for (const auto& [name, form] : named) out.push_back(form);
   }
-  std::vector<Value> all_defuns;
-  for (const auto& [name, form] : defuns_) all_defuns.push_back(form);
-  summaries_ = analysis::compute_summaries(ctx_, decls_, all_defuns);
+  out.insert(out.end(), declares_.begin(), declares_.end());
+  return out;
 }
 
 Value Curare::source_of(std::string_view fn_name) const {
@@ -258,6 +296,15 @@ TransformPlan Curare::transform(std::string_view fn_name) {
   if (auto hint = decls_.restructure_hint(name);
       hint.has_value() && !*hint) {
     plan.failure = "declared (no-restructure " + name->name + ")";
+    return plan;
+  }
+  // The analyzed parameters stop at a lambda-list keyword, and CRI
+  // passes every invocation exactly those.
+  if (Value kw = sexpr::nth(sexpr::caddr(info.defun_form), info.params.size());
+      !kw.is_nil()) {
+    plan.failure = "lambda-list keyword " + as_symbol(kw)->name + " in " +
+                   name->name + "'s parameters; CRI passes every invocation "
+                   "a fixed argument list, so make each parameter required";
     return plan;
   }
   if (!info.is_recursive()) {

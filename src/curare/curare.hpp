@@ -95,36 +95,38 @@ class Curare : public gc::RootSource {
 
   ~Curare() override;
 
-  /// Read a program: defuns are evaluated (defining the sequential
-  /// versions), declarations are collected. Returns the value of the
-  /// last top-level form (nil for an empty program). The returned
-  /// Value is NOT rooted once the caller leaves its own MutatorScope /
-  /// RootScope — serving-mode callers must root it before the next
-  /// quiescent point.
+  /// Read a program and evaluate it form by form; returns the value of
+  /// the last evaluated form (nil for an empty program). The read
+  /// forms are rooted, and a collection may run between top-level
+  /// forms. Each form that defines something the analyzer reads — a
+  /// defun, a defstruct (its field classes are the §6 structure
+  /// declaration) or a curare-declare (advice, never evaluated) — joins
+  /// the definitions, and the declarations and summaries are rebuilt
+  /// once at the end of a load that had one. Other forms are not kept.
+  /// The returned Value stays rooted until this driver's next load.
   Value load_program(std::string_view src);
 
-  /// Every top-level form load_program has accepted so far, in order.
-  /// The image subsystem captures these alongside the environment so a
-  /// cloned session can replay the analyzer bookkeeping.
-  const std::vector<Value>& program_forms() const { return program_forms_; }
+  /// The same as load_program: the REPL and -e read through it too.
+  Value eval_program(std::string_view src) { return load_program(src); }
 
-  /// Warm-start support: replay the analyzer-side bookkeeping of
-  /// load_program (defun tracking, declarations, defstruct structure
-  /// declarations, interprocedural summaries) over forms that were
-  /// already *evaluated* in a template session — the image clone
-  /// installs the resulting bindings directly, so nothing here is
-  /// evaluated. defstruct forms are assumed re-registered with the
-  /// interpreter before this is called (clone_into does that first).
-  void adopt_program_forms(const std::vector<Value>& forms);
+  /// What the analyzer reads, in a canonical order: the latest defstruct
+  /// per struct name and the latest defun per function name, each by
+  /// name, then the curare-declare forms, each once, in the order last
+  /// sent. Replaying them through adopt_definitions rebuilds the same
+  /// declarations and summaries; equal definition sets give equal
+  /// lists whatever order or how often the forms were sent.
+  std::vector<Value> definitions() const;
 
-  /// Read and evaluate every form in `src` through the VM (forms it
-  /// refuses run on the tree-walker); returns the last value. Unlike
-  /// load_program this does NOT feed the analyzer — it is the REPL/-e
-  /// evaluation path.
-  Value eval_program(std::string_view src);
+  /// Warm-start support: record definitions that were already
+  /// *evaluated* in a template session (the image clone installs the
+  /// resulting bindings directly, so nothing here is evaluated), then
+  /// rebuild the declarations and summaries. defstruct types must be
+  /// registered with the interpreter first (clone_into does that).
+  void adopt_definitions(const std::vector<Value>& forms);
 
+  /// Rebuilt from the definitions after every load that defines
+  /// something.
   const decl::Declarations& declarations() const { return decls_; }
-  decl::Declarations& declarations() { return decls_; }
   lisp::Interp& interp() { return interp_; }
   vm::Vm& vm() { return *vm_; }
   runtime::Runtime& runtime() { return *runtime_; }
@@ -157,18 +159,25 @@ class Curare : public gc::RootSource {
   Value source_of(std::string_view fn_name) const;
 
   /// Interprocedural effect summaries of every loaded defun (recomputed
-  /// on each load_program).
+  /// after each load that defines something).
   const analysis::SummaryMap& summaries() const { return summaries_; }
 
-  /// Collector callback (world stopped): every loaded program form,
-  /// every (possibly rewritten) defun source, and every transform
-  /// plan's generated forms are live. The containers are mutated only
-  /// under a MutatorScope (load_program/transform), so the collector
-  /// never sees them mid-update.
+  /// Collector callback (world stopped): every definition, every
+  /// (possibly rewritten) defun source, every transform plan's
+  /// generated forms and the last load's value are live. The containers
+  /// are mutated only under a MutatorScope, so the collector never sees
+  /// them mid-update.
   void gc_roots(std::vector<Value>& out) override;
 
  private:
   analysis::FunctionInfo extract_named(std::string_view fn_name);
+  /// Load the §6 advice one definition carries into decls_.
+  void declare_from(Value form);
+  /// The bookkeeping step both loading paths share: if `form` is a
+  /// definition, record it and return true.
+  bool record_definition(Value form);
+  /// Rebuild the declarations and summaries from the definitions.
+  void refresh_analysis();
 
   sexpr::Ctx& ctx_;
   lisp::Interp interp_;
@@ -181,8 +190,10 @@ class Curare : public gc::RootSource {
   std::unique_ptr<runtime::Runtime> owned_runtime_;
   runtime::Runtime* runtime_;
   decl::Declarations decls_;
-  std::vector<Value> program_forms_;
+  std::unordered_map<Symbol*, Value> structs_;
   std::unordered_map<Symbol*, Value> defuns_;
+  std::vector<Value> declares_;
+  Value last_ = Value::nil();  ///< load_program's result, kept rooted
   std::unordered_map<Symbol*, TransformPlan> plans_;
   analysis::SummaryMap summaries_;
 };

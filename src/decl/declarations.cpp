@@ -12,7 +12,7 @@ using sexpr::cdr;
 using sexpr::Kind;
 using sexpr::LispError;
 
-Declarations::Declarations(sexpr::Ctx& ctx) : ctx_(ctx) {
+Declarations::Declarations(sexpr::Ctx& ctx) {
   // Default structure: the Lisp list cell, both fields pointers (§2.2).
   declare_structure(ctx.symbols.intern("list-cell"),
                     {ctx.s_car, ctx.s_cdr}, {});
@@ -172,32 +172,30 @@ void Declarations::load_clause(Value clause, Symbol* implied_fn) {
   }
 }
 
-void Declarations::load_program(const std::vector<Value>& forms) {
-  for (Value form : forms) {
-    if (!form.is(Kind::Cons)) continue;
-    Value head = car(form);
-    if (!head.is(Kind::Symbol)) continue;
-    const std::string& name = as_symbol(head)->name;
-    if (name == "curare-declare") {
-      load(form);
-    } else if (name == "defun") {
-      // (defun f (params) (declare (curare clause...)) body...)
-      Symbol* fn = as_symbol(cadr(form));
-      for (Value body = cdr(sexpr::cddr(form)); !body.is_nil();
-           body = cdr(body)) {
-        Value stmt = car(body);
-        if (!stmt.is(Kind::Cons)) break;
-        if (!car(stmt).is(Kind::Symbol) ||
-            as_symbol(car(stmt))->name != "declare") {
-          break;  // declares must lead the body
-        }
-        for (Value d = cdr(stmt); !d.is_nil(); d = cdr(d)) {
-          Value spec = car(d);
-          if (spec.is(Kind::Cons) && car(spec).is(Kind::Symbol) &&
-              as_symbol(car(spec))->name == "curare") {
-            for (Value c = cdr(spec); !c.is_nil(); c = cdr(c))
-              load_clause(car(c), fn);
-          }
+void Declarations::load_form(Value form) {
+  if (!form.is(Kind::Cons)) return;
+  Value head = car(form);
+  if (!head.is(Kind::Symbol)) return;
+  const std::string& name = as_symbol(head)->name;
+  if (name == "curare-declare") {
+    load(form);
+  } else if (name == "defun") {
+    // (defun f (params) (declare (curare clause...)) body...)
+    Symbol* fn = as_symbol(cadr(form));
+    for (Value body = cdr(sexpr::cddr(form)); !body.is_nil();
+         body = cdr(body)) {
+      Value stmt = car(body);
+      if (!stmt.is(Kind::Cons)) break;
+      if (!car(stmt).is(Kind::Symbol) ||
+          as_symbol(car(stmt))->name != "declare") {
+        break;  // declares must lead the body
+      }
+      for (Value d = cdr(stmt); !d.is_nil(); d = cdr(d)) {
+        Value spec = car(d);
+        if (spec.is(Kind::Cons) && car(spec).is(Kind::Symbol) &&
+            as_symbol(car(spec))->name == "curare") {
+          for (Value c = cdr(spec); !c.is_nil(); c = cdr(c))
+            load_clause(car(c), fn);
         }
       }
     }

@@ -116,12 +116,12 @@ class Declarations {
   /// Load one declaration clause, with `fn` as the implied function for
   /// fn-scoped clauses (used for inline (declare (curare ...)) forms).
   void load_clause(Value clause, Symbol* implied_fn);
-  /// Scan a whole program: top-level (curare-declare ...) forms and
-  /// (declare (curare ...)) forms at the head of defun bodies.
-  void load_program(const std::vector<Value>& forms);
+  /// Load one top-level form's declarations: a (curare-declare ...)
+  /// form, or the (declare (curare ...)) forms at the head of a defun
+  /// body. Any other form declares nothing.
+  void load_form(Value form);
 
  private:
-  sexpr::Ctx& ctx_;
   std::unordered_map<Symbol*, StructDecl> structures_;
   std::unordered_map<Symbol*, Symbol*> inverses_;
   std::unordered_set<Symbol*> commutative_;

@@ -229,9 +229,6 @@ class GcHeap {
   std::uint64_t soft_limit() const {
     return soft_limit_.load(std::memory_order_relaxed);
   }
-  std::uint64_t hard_limit() const {
-    return hard_limit_.load(std::memory_order_relaxed);
-  }
 
   /// Approximate bytes in use: live bytes at the end of the last
   /// collection plus bytes handed to bump blocks (64 KiB granules) and

@@ -171,7 +171,7 @@ struct SessionImage::Decoded {
   std::vector<StructRec> structs;
   std::vector<NodeRec> nodes;
   std::uint32_t global_env = kNoNode;
-  std::vector<EV> program_forms;
+  std::vector<EV> definitions;
 };
 
 std::size_t SessionImage::node_count() const {
@@ -458,8 +458,8 @@ std::vector<std::uint8_t> encode(const SessionImage::Decoded& d) {
     }
   }
   w.u32(d.global_env);
-  w.u32(static_cast<std::uint32_t>(d.program_forms.size()));
-  for (const EV& v : d.program_forms) w.ev(v);
+  w.u32(static_cast<std::uint32_t>(d.definitions.size()));
+  for (const EV& v : d.definitions) w.ev(v);
 
   // Prepend the header.
   std::vector<std::uint8_t> blob;
@@ -584,9 +584,9 @@ std::shared_ptr<SessionImage::Decoded> decode(
   }
   d->global_env = r.u32();
   const std::uint32_t nforms = r.u32();
-  d->program_forms.reserve(nforms);
+  d->definitions.reserve(nforms);
   for (std::uint32_t i = 0; i < nforms; ++i)
-    d->program_forms.push_back(r.ev());
+    d->definitions.push_back(r.ev());
   if (r.off != r.n)
     throw ImageError("image corrupt: " +
                      std::to_string(r.n - r.off) +
@@ -619,7 +619,7 @@ std::shared_ptr<SessionImage::Decoded> decode(
       check_node(nd.parent, NTag::kEnv);
   }
   if (d->global_env != kNoNode) check_node(d->global_env, NTag::kEnv);
-  for (const EV& v : d->program_forms) check_ev(v);
+  for (const EV& v : d->definitions) check_ev(v);
   return d;
 }
 
@@ -635,8 +635,8 @@ SessionImage SessionImage::capture(Curare& templ) {
   // before builtin references resolve.
   for (const auto& t : templ.interp().struct_types()) cap.struct_id(t.get());
   d->global_env = cap.env_id(templ.interp().global_env().get());
-  for (Value f : templ.program_forms())
-    d->program_forms.push_back(cap.ev(f));
+  for (Value f : templ.definitions())
+    d->definitions.push_back(cap.ev(f));
   cap.drain();
   img.bytes_ = encode(*d);
   img.decoded_ = std::move(d);
@@ -887,12 +887,12 @@ CloneStats SessionImage::clone_into(Curare& target) const {
     }
   }
 
-  // Roots: hand the program forms to the driver so analyzer state
+  // Roots: hand the definitions to the driver so analyzer state
   // (defuns, declarations, summaries) matches the template session.
   std::vector<Value> forms;
-  forms.reserve(d.program_forms.size());
-  for (const EV& v : d.program_forms) forms.push_back(decode_ev(v));
-  target.adopt_program_forms(forms);
+  forms.reserve(d.definitions.size());
+  for (const EV& v : d.definitions) forms.push_back(decode_ev(v));
+  target.adopt_definitions(forms);
 
   stats.ns = static_cast<std::uint64_t>(
       std::chrono::duration_cast<std::chrono::nanoseconds>(

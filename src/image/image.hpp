@@ -1,7 +1,7 @@
 // Warm-start session images (ROADMAP item 3b, after lispBM's lbm_image
 // idea): flatten a template session's reachable graph — the global Env,
 // every closure with its captured frames, struct instances, tables,
-// strings, and the loaded program forms — into a versioned, checksummed,
+// strings, and the driver's definitions — into a versioned, checksummed,
 // relocatable blob, then materialize new sessions from the blob with a
 // bulk bump-allocation + pointer-fixup pass instead of re-evaluating the
 // prelude.
@@ -25,7 +25,7 @@
 //   header  : magic "CURIMG01" | format u32 | flags u32
 //             | payload size u64 | FNV-1a-64 checksum u64
 //   payload : string table | struct-type table | node table
-//             | global-env root | program-form roots
+//             | global-env root | definition roots
 //
 // load/from_bytes reject magic mismatch, version skew, truncation, and
 // checksum corruption with distinct ImageError messages — a daemon
@@ -71,7 +71,7 @@ struct CloneStats {
 
 class SessionImage {
  public:
-  /// Flatten `templ`'s session state (global env + program forms +
+  /// Flatten `templ`'s session state (global env + definitions +
   /// registered struct types) into a blob. The template session must be
   /// idle; throws ImageError if the reachable graph holds an object
   /// that cannot relocate (Kind::Native).

@@ -140,24 +140,10 @@ RestructureCache::KeySeed RestructureCache::seed_state(Curare& driver) {
   KeySeed s = fresh_seed();
   fold(s, "curare-restructure-v" +
               std::to_string(kRestructurerVersion) + "\n");
-  // Defuns sorted by name: load order never changes the answer, so it
-  // must not change the key.
-  std::vector<std::string> names;
-  for (const auto& [sym, summary] : driver.summaries())
-    names.push_back(sym->name);
-  std::sort(names.begin(), names.end());
-  for (const std::string& n : names)
-    fold(s, n + "=" + sexpr::write_str(driver.source_of(n)) + "\n");
-  // Declaration-bearing forms, in program order (the declaration *set*
-  // is what matters; duplicates are harmless key noise).
-  for (Value f : driver.program_forms()) {
-    if (!f.is(sexpr::Kind::Cons) ||
-        !sexpr::car(f).is(sexpr::Kind::Symbol))
-      continue;
-    const std::string& head = sexpr::as_symbol(sexpr::car(f))->name;
-    if (head == "curare-declare" || head == "defstruct")
-      fold(s, sexpr::write_str(f) + "\n");
-  }
+  // The driver's definitions come in a canonical order (defstructs and
+  // defuns by name, each declaration once): load order and repeats
+  // never change the answer, so they must not change the key.
+  for (Value f : driver.definitions()) fold(s, sexpr::write_str(f) + "\n");
   return s;
 }
 

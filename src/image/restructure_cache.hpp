@@ -7,10 +7,10 @@
 // once per daemon lifetime and reuse.
 //
 // Key = hash of the normalized program state that the answer depends
-// on: the printed target defun, every loaded defun (sorted by name, so
-// load order is normalized away), every declaration-bearing form
-// (curare-declare / defstruct, which feed the analyzer), the request
-// mode (named vs. sweep — a sweep skips non-recursive functions before
+// on: the driver's definitions (Curare::definitions — every defstruct
+// and defun by name, each curare-declare once, so load order and
+// repeats are normalized away), the target's name, the request mode
+// (named vs. sweep — a sweep skips non-recursive functions before
 // transform, a named request reports them), and kRestructurerVersion.
 // Bumping the version constant invalidates every cached verdict, which
 // is the whole invalidation story: entries are immutable, keys are
@@ -48,7 +48,7 @@ namespace curare::image {
 
 /// Stamped into every cache key; bump when the transformation pipeline
 /// changes so stale verdicts can never be replayed.
-inline constexpr std::uint32_t kRestructurerVersion = 4;
+inline constexpr std::uint32_t kRestructurerVersion = 5;
 
 struct RestructureEntry {
   std::string text;           ///< exact reply chunk for this function
@@ -93,18 +93,18 @@ class RestructureCache : public gc::RootSource {
   /// Collector callback (world stopped): every cached form is live.
   void gc_roots(std::vector<sexpr::Value>& out) override;
 
-  /// Hash state of the program-state half of a key (every loaded
-  /// defun sorted by name, the declaration-bearing forms, and the
-  /// restructurer version), already folded in. A sweep over N
-  /// functions builds this once and mints N per-target keys from it —
-  /// reprinting and rehashing kilobytes of program text per name
-  /// would otherwise dominate the very hit path the cache speeds up.
+  /// Hash state of the program-state half of a key (the driver's
+  /// definitions and the restructurer version), already folded in. A
+  /// sweep over N functions builds this once and mints N per-target
+  /// keys from it — reprinting and rehashing kilobytes of program text
+  /// per name would otherwise dominate the very hit path the cache
+  /// speeds up.
   struct KeySeed {
     std::uint64_t h1 = 0;
     std::uint64_t h2 = 0;
   };
 
-  /// Fold the driver's loaded program state into a seed. Call inside
+  /// Fold the driver's definitions into a seed. Call inside
   /// a MutatorScope (prints live forms).
   static KeySeed seed_state(Curare& driver);
 

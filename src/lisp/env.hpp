@@ -130,14 +130,6 @@ class Env {
     }
   }
 
-  std::size_t binding_count() const {
-    if (globals_) {
-      std::lock_guard<std::mutex> lock(globals_->insert_mu);
-      return globals_->size();
-    }
-    return vars_.size();
-  }
-
  private:
   /// One global binding. Cells never move and are never freed before
   /// the frame, so a reader may hold a Cell* across calls.

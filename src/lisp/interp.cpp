@@ -125,6 +125,14 @@ Value Interp::eval_defstruct(Value form) {
       dst->push_back(as_symbol(car(f)));
   }
 
+  // Sending the same definition again (a client that resends its whole
+  // program) changes nothing.
+  if (auto old = struct_type(type->name);
+      old != nullptr && old->pointer_fields == type->pointer_fields &&
+      old->data_fields == type->data_fields) {
+    return Value::object(type->name);
+  }
+
   // Field (= accessor) names must be globally unique — the paper's §2.1
   // requirement that "structure accessors have unique names".
   for (Symbol* f : type->all_fields()) {

@@ -217,16 +217,6 @@ class FaultInjector {
                      wakes_[i].load(std::memory_order_relaxed)};
   }
 
-  std::uint64_t total_injected() const {
-    std::uint64_t n = 0;
-    for (unsigned i = 0; i < kNumSites; ++i) {
-      n += delays_[i].load(std::memory_order_relaxed) +
-           throws_[i].load(std::memory_order_relaxed) +
-           wakes_[i].load(std::memory_order_relaxed);
-    }
-    return n;
-  }
-
   /// Human-readable state (the :resilience REPL payload).
   std::string report() const {
     std::string out;

@@ -124,9 +124,6 @@ class ServeDaemon {
   void join();
 
   runtime::Runtime& runtime() { return runtime_; }
-  std::uint64_t connections_accepted() const {
-    return conn_ids_.load(std::memory_order_relaxed);
-  }
 
   /// The warm-start image sessions clone from (null when neither a
   /// prelude nor an image file was given).

@@ -48,7 +48,6 @@ Session::Session(std::uint64_t id, sexpr::Ctx& ctx,
 
 Response Session::handle(const Request& req,
                          runtime::CancelState* tok) {
-  ++requests_;
   const auto t0 = std::chrono::steady_clock::now();
   Response resp;
   try {
@@ -103,27 +102,17 @@ Response Session::handle(const Request& req,
 }
 
 Response Session::do_eval(const Request& req) {
-  sexpr::Ctx& ctx = driver_.interp().ctx();
-  gc::GcHeap& gc = ctx.heap.gc();
-  gc::RootScope roots(gc);
-  std::string printed;
-  {
-    gc::MutatorScope ms(gc);
-    sexpr::Value last = driver_.load_program(req.program);
-    roots.add(last);
-    printed = sexpr::write_str(last);
-  }
-  gc.maybe_collect();
+  // load_program collects between top-level forms and keeps its result
+  // rooted until the driver's next load.
+  std::string printed = sexpr::write_str(driver_.load_program(req.program));
+  driver_.interp().ctx().heap.gc().maybe_collect();
   return Response::ok(std::move(printed), driver_.interp().take_output());
 }
 
 Response Session::do_restructure(const Request& req) {
   sexpr::Ctx& ctx = driver_.interp().ctx();
   gc::GcHeap& gc = ctx.heap.gc();
-  if (!req.program.empty()) {
-    gc::MutatorScope ms(gc);
-    driver_.load_program(req.program);
-  }
+  if (!req.program.empty()) driver_.load_program(req.program);
 
   // Everything past program loading is the restructure phase of the
   // request's breakdown (loading charged itself as parse + eval).

@@ -42,7 +42,6 @@ class Session {
   Session& operator=(const Session&) = delete;
 
   std::uint64_t id() const { return id_; }
-  std::uint64_t requests_handled() const { return requests_; }
 
   /// Cap on a reply's result+output bytes (0 = unlimited). An ok
   /// response that exceeds it is converted into a structured
@@ -66,7 +65,6 @@ class Session {
   Curare driver_;
   image::RestructureCache* cache_ = nullptr;
   std::size_t result_cap_ = 0;
-  std::uint64_t requests_ = 0;
   /// rid of the previous request on this session — the default lane
   /// the `trace` op exports (the trace request has its own rid).
   std::uint64_t last_rid_ = 0;

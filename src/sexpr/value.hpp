@@ -86,10 +86,6 @@ class Value {
 
   Obj* obj() const { return reinterpret_cast<Obj*>(bits_); }
 
-  Kind kind_or(Kind fallback) const {
-    return is_object() ? obj()->kind : fallback;
-  }
-
   bool is(Kind k) const { return is_object() && obj()->kind == k; }
 
   /// Lisp truth: everything except nil is true.

@@ -226,10 +226,6 @@ class HeadLoopGen {
   }
 
   bool build(Value body) {
-    // The loop assigns the successor's arguments to the parameters, so
-    // the lambda list must be exactly the analyzed parameters.
-    if (sexpr::list_length(caddr(info_.defun_form)) != info_.params.size())
-      return false;
     std::vector<Value> cont;
     head_ = seq(body, true, cont);
     if (declined_ || site_ == nullptr) return false;

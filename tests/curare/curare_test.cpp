@@ -622,11 +622,46 @@ TEST_F(CurareTest, NotRecursiveRefused) {
   EXPECT_NE(plan.failure.find("not self-recursive"), std::string::npos);
 }
 
+TEST_F(CurareTest, LambdaListKeywordsAreRefused) {
+  // The analysis stops at a lambda-list keyword, so the parameters after
+  // it would reach the CRI forms unbound; the transform refuses instead.
+  cur.load_program(
+      "(defun rr (l &optional k) (when l (print (car l)) (rr (cdr l) k)))"
+      "(defun rs (l &rest ks) (when l (rs (cdr l))))");
+  for (const auto& [fn, keyword] :
+       {std::pair{"rr", "&optional"}, std::pair{"rs", "&rest"}}) {
+    TransformPlan plan = cur.transform(fn);
+    EXPECT_FALSE(plan.ok) << fn;
+    EXPECT_NE(plan.failure.find(keyword), std::string::npos) << plan.failure;
+    EXPECT_TRUE(cur.interp().global(std::string(fn) + "$parallel").is_nil())
+        << fn << " must install nothing";
+  }
+  EXPECT_EQ(write_str(cur.eval_program("(rs (list 1 2 3) 4 5)")), "nil");
+}
+
 TEST_F(CurareTest, NoRestructureDeclarationRespected) {
   cur.load_program(
       "(curare-declare (no-restructure f))"
       "(defun f (l) (when l (f (cdr l))))");
   TransformPlan plan = cur.transform("f");
+  EXPECT_FALSE(plan.ok);
+  EXPECT_NE(plan.failure.find("no-restructure"), std::string::npos);
+}
+
+TEST_F(CurareTest, DeclarationsFollowTheDefinitions) {
+  // The declarations are rebuilt from the definitions: an inline clause
+  // goes when its defun is redefined without it, and a top-level
+  // declaration wins over an inline one whichever came first.
+  cur.load_program(
+      "(defun f (l) (declare (curare (no-restructure))) (when l (f (cdr l))))");
+  EXPECT_FALSE(cur.transform("f").ok);
+  cur.load_program("(defun f (l) (when l (f (cdr l))))");
+  EXPECT_TRUE(cur.transform("f").ok);
+
+  cur.load_program(
+      "(curare-declare (no-restructure g))"
+      "(defun g (l) (declare (curare (restructure))) (when l (g (cdr l))))");
+  TransformPlan plan = cur.transform("g");
   EXPECT_FALSE(plan.ok);
   EXPECT_NE(plan.failure.find("no-restructure"), std::string::npos);
 }
@@ -914,6 +949,55 @@ TEST_F(CurareTest, TailHeavyFunctionsKeepTheirRequestedServers) {
     EXPECT_EQ(rt.last_cri_stats().servers, 2u);
   }
   EXPECT_EQ(fallbacks.get(), 0u);
+}
+
+TEST_F(CurareTest, RepeatedLoadsKeepOnlyTheDistinctDefinitions) {
+  // A served session may send its whole program with every request.
+  // The driver keeps the latest form of each definition, not every
+  // form it was sent, so its roots stop growing once the program is in.
+  const std::string program =
+      "(curare-declare (noalias walk))"
+      "(defun walk (l) (when l (setq hits (+ hits 1)) (walk (cdr l))))"
+      "(defstruct pt (pointers) (data px))"
+      "(defun len (l) (if (null l) 0 (+ 1 (len (cdr l)))))"
+      "(setq hits 0)";
+  std::vector<Value> first_roots;
+  for (int i = 0; i < 1000; ++i) {
+    cur.load_program(program);
+    EXPECT_EQ(write_str(cur.load_program("(walk (list 1 2 3)) (list hits)")),
+              "(3)");
+    if (i == 0) cur.gc_roots(first_roots);
+  }
+  std::vector<Value> roots;
+  cur.gc_roots(roots);
+  EXPECT_EQ(roots.size(), first_roots.size());
+
+  std::vector<std::string> defs;
+  for (Value d : cur.definitions()) defs.push_back(write_str(d));
+  ASSERT_EQ(defs.size(), 4u);
+  EXPECT_EQ(defs[0].rfind("(defstruct pt", 0), 0u) << defs[0];
+  EXPECT_EQ(defs[1].rfind("(defun len", 0), 0u) << defs[1];
+  EXPECT_EQ(defs[2].rfind("(defun walk", 0), 0u) << defs[2];
+  EXPECT_EQ(defs[3], "(curare-declare (noalias walk))");
+  EXPECT_EQ(cur.summaries().size(), 2u);
+}
+
+TEST(CurareLoad, CollectsBetweenTopLevelForms) {
+  // One load of many allocating forms reaches a safepoint between them:
+  // under a low threshold the heap collects during the call itself.
+  sexpr::Ctx ctx;
+  Curare cur(ctx, 1);
+  gc::GcHeap& gc = ctx.heap.gc();
+  std::string program =
+      "(defun junk (n)"
+      "  (let ((r nil)) (dotimes (i n) (setq r (cons i r))) r))";
+  for (int i = 0; i < 100; ++i) program += "(setq keep (junk 2000))";
+  program += "(length keep)";
+  gc.set_threshold(gc::kBlockSize);
+  const std::uint64_t before = gc.stats().collections;
+  EXPECT_EQ(cur.load_program(program).as_fixnum(), 2000);
+  EXPECT_GT(gc.stats().collections, before);
+  gc.set_threshold(0);
 }
 
 // Property sweep: Fig 4-style shift with varying list sizes and server

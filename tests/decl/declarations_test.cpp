@@ -107,7 +107,7 @@ TEST_F(DeclTest, LoadProgramPicksUpTopLevelAndInline) {
       "(defun f (l)"
       "  (declare (curare (sapp l) (noalias)))"
       "  (f (cdr l)))");
-  decls.load_program(forms);
+  for (auto f : forms) decls.load_form(f);
   EXPECT_TRUE(decls.is_commutative(sym("op1")));
   EXPECT_TRUE(decls.has_sapp(sym("f"), sym("l")));
   EXPECT_TRUE(decls.has_noalias(sym("f")));
@@ -117,7 +117,7 @@ TEST_F(DeclTest, InlineDeclareMustLeadBody) {
   auto forms = sexpr::read_all(
       ctx,
       "(defun f (l) (print l) (declare (curare (sapp l))) (f (cdr l)))");
-  decls.load_program(forms);
+  for (auto f : forms) decls.load_form(f);
   EXPECT_FALSE(decls.has_sapp(sym("f"), sym("l")))
       << "declares after the first body form are not scanned";
 }

@@ -328,6 +328,61 @@ TEST(RestructureCache, KeyNormalizesLoadOrderAndTracksDecls) {
   EXPECT_NE(k1, k1_sweep);
 }
 
+TEST(RestructureCache, KeyFoldsTheDefinitionsNotTheFormsSent) {
+  // Defun load order and re-sent definitions leave the definition set
+  // as it was, so neither changes the key or the image.
+  ImageFixture f;
+  const std::string defun_a =
+      "(defun len (l) (if (null l) 0 (+ 1 (len (cdr l)))))";
+  const std::string defun_b =
+      "(defun last1 (l) (if (null (cdr l)) (car l) (last1 (cdr l))))";
+  const std::string defstruct = "(defstruct node (pointers next) (data val))";
+  const std::string declare = "(curare-declare (noalias len))";
+
+  auto s1 = f.session();
+  auto s2 = f.session();
+  f.run(*s1, defstruct + defun_a + defun_b + declare);
+  f.run(*s2, defstruct + defun_b + defun_a + declare);
+  f.run(*s2, defstruct + declare + "(+ 1 2)");  // sent again
+  std::string k1, k2;
+  {
+    curare::gc::MutatorScope ms(f.ctx.heap.gc());
+    k1 = image::RestructureCache::make_key(*s1, "len", true);
+    k2 = image::RestructureCache::make_key(*s2, "len", true);
+  }
+  EXPECT_EQ(k1, k2);
+  EXPECT_EQ(image::SessionImage::capture(*s1).bytes(),
+            image::SessionImage::capture(*s2).bytes());
+}
+
+TEST(Image, CloneAnalyzesLikeItsTemplate) {
+  // The clone's analyzer state arrives as definitions: its defuns, its
+  // declarations and its summaries answer as the template's do.
+  ImageFixture f;
+  auto templ = f.session();
+  f.run(*templ,
+        "(setq seen 0)"
+        "(defun bump () (setq seen (+ seen 1)))"
+        "(defun walk (l) (when l (bump) (walk (cdr l))))"
+        "(defun len (l) (if (null l) 0 (+ 1 (len (cdr l)))))"
+        "(curare-declare (no-restructure len))");
+  image::SessionImage img = image::SessionImage::capture(*templ);
+  auto target = f.session();
+  img.clone_into(*target);
+
+  for (Curare* s : {templ.get(), target.get()}) {
+    EXPECT_EQ(s->summaries().size(), 3u);
+    EXPECT_EQ(s->analyze("walk").to_string(),
+              templ->analyze("walk").to_string());
+    curare::TransformPlan len = s->transform("len");
+    EXPECT_FALSE(len.ok);
+    EXPECT_NE(len.failure.find("no-restructure"), std::string::npos);
+    curare::TransformPlan walk = s->transform("walk");
+    ASSERT_TRUE(walk.ok) << walk.failure;
+  }
+  EXPECT_EQ(f.run(*target, "(walk$parallel 2 (list 1 2 3)) seen"), "3");
+}
+
 // ---- end-to-end through the daemon ---------------------------------------
 
 namespace {

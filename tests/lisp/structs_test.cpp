@@ -84,6 +84,15 @@ TEST_F(StructsTest, DuplicateFieldNameAcrossTypesRejected) {
       << "the paper's unique-accessor-name requirement";
 }
 
+TEST_F(StructsTest, IdenticalRedefinitionChangesNothing) {
+  run("(defstruct node (pointers next) (data val))");
+  run("(setq n (make-node 'val 7))");
+  EXPECT_EQ(run("(defstruct node (pointers next) (data val))"), "node");
+  EXPECT_EQ(run("(list (node-p n) (val n))"), "(t 7)");
+  EXPECT_THROW(run("(defstruct node (pointers next) (data val other))"),
+               sexpr::LispError);
+}
+
 TEST_F(StructsTest, FieldCollidingWithBuiltinRejected) {
   EXPECT_THROW(run("(defstruct weird (data length))"), sexpr::LispError);
 }

@@ -1,7 +1,7 @@
 // E23: single-thread eval throughput, tree-walker vs. bytecode VM
 // (DESIGN.md §13).
 //
-// Four workloads, each a defun called back-to-back. The vm column runs
+// Five workloads, each a defun called back-to-back. The vm column runs
 // Curare::eval_program — exactly what the CLI and the serving daemon
 // execute; the tree column runs a bare lisp::Interp with no Vm over
 // it, as the differential oracle's tree leg does:
@@ -12,6 +12,10 @@
 //              acceptance cell: vm must clear 5x tree here
 //   list_ops   push building a list, dolist folding it (allocation
 //              and cons traffic dilute pure dispatch wins)
+//   struct_walk a defstruct binary tree of depth n, built once per
+//              call and walked 8 times; each node does
+//              (setf (weight tr) (+ (weight tr) 1)), the body of
+//              cri_runs' walk (a struct-field place)
 //
 // Methodology matches bench_obs: engines measured round-robin
 // (tree, vm, tree, vm, …) for `reps` repetitions, best run kept, so
@@ -128,6 +132,15 @@ int main() {
        // list_ops is fast per call; smoke keeps 40 iters so the
        // measured window stays ~10ms (5 would be drift-dominated).
        "(bench-list ", ")", 400, smoke ? 40 : 300, "79800"},
+      {"struct_walk",
+       "(defstruct tnode (pointers left right) (data weight))"
+       "(defun walk (tr) (when tr (walk (left tr)) (walk (right tr)) "
+       "(setf (weight tr) (+ (weight tr) 1)) nil))"
+       "(defun grow (d) (if (= d 0) nil (make-tnode 'weight 0 "
+       "'left (grow (- d 1)) 'right (grow (- d 1)))))"
+       "(defun bench-walk (d) (let ((tr (grow d))) "
+       "(dotimes (i 8) (walk tr)) (weight tr)))",
+       "(bench-walk ", ")", 10, smoke ? 5 : 60, "8"},
   };
   constexpr std::size_t kNW = sizeof workloads / sizeof workloads[0];
   const int reps = smoke ? 1 : 3;
@@ -155,7 +168,7 @@ int main() {
   }
 
   std::printf("== eval throughput: tree vs vm (best of %d) ==\n", reps);
-  std::printf("%-10s %6s %6s %12s %12s %8s\n", "workload", "n", "iters",
+  std::printf("%-11s %6s %6s %12s %12s %8s\n", "workload", "n", "iters",
               "tree/s", "vm/s", "speedup");
   for (std::size_t wi = 0; wi < kNW; ++wi) {
     const Workload& w = workloads[wi];
@@ -169,7 +182,7 @@ int main() {
     }
     const double speedup =
         tr.evals_per_s > 0 ? vm.evals_per_s / tr.evals_per_s : 0;
-    std::printf("%-10s %6d %6d %12.1f %12.1f %7.2fx\n", w.name, w.n,
+    std::printf("%-11s %6d %6d %12.1f %12.1f %7.2fx\n", w.name, w.n,
                 w.iters, tr.evals_per_s, vm.evals_per_s, speedup);
     if (js != nullptr) {
       for (std::size_t ei = 0; ei < 2; ++ei) {

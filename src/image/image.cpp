@@ -76,6 +76,7 @@ struct NodeRec {
   std::vector<std::uint32_t> syms;  ///< closure params / env binding names
   std::uint32_t type_idx = 0;       ///< struct type table index
   std::uint32_t env_idx = kNoNode;  ///< closure captured frame
+  std::uint32_t nrequired = 0;      ///< closure params before &optional
   bool has_rest = false;
   std::uint32_t rest_sym = 0;
   std::uint32_t parent = kNoNode;  ///< env parent frame
@@ -351,6 +352,7 @@ class Capturer {
         NodeRec& r = d_.nodes[id];
         r.str = name;
         r.syms = std::move(params);
+        r.nrequired = static_cast<std::uint32_t>(c->nrequired);
         r.has_rest = has_rest;
         r.rest_sym = rest;
         r.a = body;
@@ -441,6 +443,7 @@ std::vector<std::uint8_t> encode(const SessionImage::Decoded& d) {
         w.u32(nd.str);
         w.u32(static_cast<std::uint32_t>(nd.syms.size()));
         for (std::uint32_t s : nd.syms) w.u32(s);
+        w.u32(nd.nrequired);
         w.u8(nd.has_rest ? 1 : 0);
         if (nd.has_rest) w.u32(nd.rest_sym);
         w.ev(nd.a);
@@ -561,6 +564,10 @@ std::shared_ptr<SessionImage::Decoded> decode(
         nd.syms.reserve(n);
         for (std::uint32_t k = 0; k < n; ++k)
           nd.syms.push_back(check_str(r.u32()));
+        nd.nrequired = r.u32();
+        if (nd.nrequired > n)
+          throw ImageError("image corrupt: closure requires more "
+                           "parameters than it has");
         nd.has_rest = r.u8() != 0;
         if (nd.has_rest) nd.rest_sym = check_str(r.u32());
         nd.a = r.ev();
@@ -820,7 +827,8 @@ CloneStats SessionImage::clone_into(Curare& target) const {
       // Fresh Closure ⇒ code_state starts at kCodeUnknown: compiled
       // code and refusal verdicts never cross the image boundary.
       objs[id] = heap.alloc<Closure>(d.strings[nd.str], std::move(params),
-                                     rest, decode_ev(nd.a), std::move(env));
+                                     nd.nrequired, rest, decode_ev(nd.a),
+                                     std::move(env));
       ++stats.nodes;
     }
     if (next.size() == todo.size())

@@ -58,7 +58,7 @@ inline constexpr char kImageMagic[8] = {'C', 'U', 'R', 'I',
                                         'M', 'G', '0', '1'};
 /// Bump on any change to the node/value encodings below; a blob from a
 /// different format version is rejected, never misread.
-inline constexpr std::uint32_t kImageFormatVersion = 1;
+inline constexpr std::uint32_t kImageFormatVersion = 2;
 
 /// What one clone did, for the session-setup metric and :stats.
 struct CloneStats {

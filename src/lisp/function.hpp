@@ -31,19 +31,22 @@ struct CodeBlob {
   virtual void gc_trace(sexpr::GcVisitor& g) const = 0;
 };
 
-/// User-defined function. `params` are required positional parameters;
-/// `rest` (may be null) collects extras as a list, per &rest.
+/// User-defined function. `params` are the positional parameters: the
+/// first `nrequired` are required, the rest follow &optional and bind
+/// to nil when their argument is missing. `rest` (may be null) collects
+/// extras as a list, per &rest.
 struct Closure final : sexpr::Obj {
   /// Lazy-compile states for `code_state`.
   static constexpr int kCodeUnknown = 0;   ///< not yet attempted
   static constexpr int kCodeReady = 1;     ///< `code` valid, immutable
   static constexpr int kCodeRefused = 2;   ///< compiler refused; tree-walk
 
-  Closure(std::string name_, std::vector<Symbol*> params_, Symbol* rest_,
-          Value body_, EnvPtr env_)
+  Closure(std::string name_, std::vector<Symbol*> params_,
+          std::size_t nrequired_, Symbol* rest_, Value body_, EnvPtr env_)
       : Obj(sexpr::Kind::Closure),
         name(std::move(name_)),
         params(std::move(params_)),
+        nrequired(nrequired_),
         rest(rest_),
         body(body_),
         env(std::move(env_)) {}
@@ -66,6 +69,7 @@ struct Closure final : sexpr::Obj {
 
   const std::string name;  ///< "" for anonymous lambdas
   const std::vector<Symbol*> params;
+  const std::size_t nrequired;
   Symbol* const rest;
   const Value body;  ///< list of body forms
   const EnvPtr env;  ///< captured lexical environment
@@ -78,6 +82,11 @@ struct Closure final : sexpr::Obj {
   mutable std::shared_ptr<const CodeBlob> code;
   mutable std::mutex code_mu;
 };
+
+/// The error both engines raise when `c` is called with `got`
+/// arguments it cannot bind; `want` reads "N", "N-M" with optionals,
+/// and gains a "+" with &rest.
+sexpr::LispError arity_error(const Closure& c, std::size_t got);
 
 using BuiltinFn = std::function<Value(Interp&, std::span<const Value>)>;
 

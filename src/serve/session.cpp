@@ -204,7 +204,8 @@ Response Session::do_restructure(const Request& req) {
 }
 
 Response Session::do_stats() {
-  std::string report = obs::full_report(driver_.runtime().obs());
+  std::string report = obs::full_report(driver_.runtime().obs()) +
+                       driver_.vm().stats_report();
   // Warm-start health: restructure-cache effectiveness and what a
   // session costs to open (the image clone, when there is an image).
   obs::Metrics& m = driver_.runtime().obs().metrics;

@@ -46,6 +46,10 @@ const char* op_name(Op op) {
     case Op::kAtom: return "atom";
     case Op::kSetCar: return "set-car";
     case Op::kSetCdr: return "set-cdr";
+    case Op::kSetNth: return "set-nth";
+    case Op::kSetGethash: return "set-gethash";
+    case Op::kSetAref: return "set-aref";
+    case Op::kSetField: return "set-field";
     case Op::kAsInt: return "as-int";
     case Op::kIntLess: return "int-lt";
     case Op::kIncSlot: return "inc-slot";
@@ -55,7 +59,9 @@ const char* op_name(Op op) {
 
 std::string CodeObject::disassemble() const {
   std::ostringstream os;
-  os << name << " (params " << nparams << (has_rest ? "+rest" : "")
+  os << name << " (params " << nrequired;
+  if (nparams > nrequired) os << "-" << nparams;
+  os << (has_rest ? "+rest" : "")
      << ", slots " << nslots << ", consts " << consts.size() << ")\n";
   for (std::size_t i = 0; i < code.size(); ++i) {
     const Insn& in = code[i];
@@ -69,6 +75,9 @@ std::string CodeObject::disassemble() const {
       case Op::kCallBuiltin:
         os << " " << sexpr::write_str(consts[static_cast<std::size_t>(in.a)])
            << " nargs=" << in.b;
+        break;
+      case Op::kSetField:
+        os << " " << fields[static_cast<std::size_t>(in.a)].field->name;
         break;
       case Op::kNil:
       case Op::kPop:

@@ -15,10 +15,12 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <vector>
 
 #include "lisp/function.hpp"
+#include "lisp/structs.hpp"
 #include "sexpr/value.hpp"
 
 namespace curare::vm {
@@ -74,9 +76,14 @@ enum class Op : std::uint8_t {
   kConsp,  ///< is cons → t/nil
   kAtom,   ///< !is cons → t/nil
 
-  // ---- setf support --------------------------------------------------
-  kSetCar,  ///< [newval obj] → set (car obj); leave newval
-  kSetCdr,  ///< [newval obj] → set (cdr obj); leave newval
+  // ---- setf support: each store leaves newval, mirroring
+  //      Interp::setf_place's checks and error texts ------------------
+  kSetCar,      ///< [newval obj] → set (car obj)
+  kSetCdr,      ///< [newval obj] → set (cdr obj)
+  kSetNth,      ///< [newval n list] → set (nth n list); n is a fixnum
+  kSetGethash,  ///< [newval key table] → set (gethash key table)
+  kSetAref,     ///< [newval vec i] → set (aref vec i)
+  kSetField,    ///< [newval obj] → set struct field fields[a]
 
   // ---- loop support (dotimes) ----------------------------------------
   kAsInt,    ///< top = fixnum(as_int(top)); throws on non-number
@@ -93,6 +100,15 @@ struct Insn {
   std::int32_t b = 0;
 };
 
+/// A struct field place, resolved at compile time: a field name
+/// belongs to one struct type for the life of an Interp, so the type
+/// and slot never change under the code that names them.
+struct FieldRef {
+  std::shared_ptr<const lisp::StructType> type;
+  sexpr::Symbol* field;  ///< accessor name, for the error text
+  int slot;
+};
+
 /// Compiled body of one closure (or one top-level expression). Shared
 /// and immutable after compilation; the owning Closure publishes it
 /// with a release store of code_state (see lisp/function.hpp).
@@ -100,7 +116,9 @@ struct CodeObject final : lisp::CodeBlob {
   std::string name;  ///< function name, for profiler frames/samples
   std::vector<Insn> code;
   std::vector<Value> consts;
-  std::uint32_t nparams = 0;
+  std::vector<FieldRef> fields;  ///< kSetField operands
+  std::uint32_t nrequired = 0;   ///< params before &optional
+  std::uint32_t nparams = 0;     ///< required + optional
   bool has_rest = false;
   std::uint32_t nslots = 0;  ///< params (+rest) + deepest let nesting
 

@@ -90,6 +90,7 @@ class Compiler {
     auto code = std::make_shared<CodeObject>();
     code_ = code.get();
     code_->name = c->name.empty() ? "<lambda>" : c->name;
+    code_->nrequired = static_cast<std::uint32_t>(c->nrequired);
     code_->nparams = static_cast<std::uint32_t>(c->params.size());
     code_->has_rest = c->rest != nullptr;
     for (Symbol* p : c->params) bind_slot(p);
@@ -394,35 +395,37 @@ class Compiler {
       return true;
     }
 
+    // incf/decf/push/pop read the place as an expression, then store
+    // through it, so its subforms evaluate twice (the interpreter's
+    // rewrite to setf does the same).
     if (op == s_incf_ || op == s_decf_) {
-      Symbol* var = sym_or_refuse(cadr(form), "incf/decf place");
+      Value place = cadr(form);
       Value delta =
           cddr(form).is_nil() ? Value::fixnum(1) : caddr(form);
       // The interpreter rewrites to (+ place delta) and evaluates, so
       // the arithmetic head resolves by the ordinary call rule.
-      compile_call_sym(
-          ctx_.symbols.intern(op == s_incf_ ? "+" : "-"),
-          {Value::object(var), delta}, /*tail=*/false);
-      emit_store_var(var);
+      compile_call_sym(ctx_.symbols.intern(op == s_incf_ ? "+" : "-"),
+                       {place, delta}, /*tail=*/false);
+      emit_store_place(place);
       return true;
     }
 
     if (op == s_push_) {
       // (push item place): item evaluates before the place is read.
-      Symbol* var = sym_or_refuse(caddr(form), "push place");
+      Value place = caddr(form);
       compile(cadr(form), false);
-      compile_var(var);
+      compile(place, false);
       emit(Op::kCons);
-      emit_store_var(var);
+      emit_store_place(place);
       return true;
     }
 
     if (op == s_pop_) {
-      Symbol* var = sym_or_refuse(cadr(form), "pop place");
-      compile_var(var);
+      Value place = cadr(form);
+      compile(place, false);
       emit(Op::kDup);
       emit(Op::kCdr);
-      emit_store_var(var);
+      emit_store_place(place);
       emit(Op::kPop);
       emit(Op::kCar);
       return true;
@@ -509,35 +512,62 @@ class Compiler {
       return;
     }
     for (;;) {
-      compile_setf_pair(car(rest), cadr(rest));
+      // The new value evaluates BEFORE the place's subforms, mirroring
+      // eval_setf.
+      compile(cadr(rest), false);
+      emit_store_place(car(rest));
       rest = cddr(rest);
       if (rest.is_nil()) break;
       emit(Op::kPop);
     }
   }
 
-  /// One (setf place val) pair: symbol places and cxr places compile;
-  /// everything else (nth/gethash/aref/struct fields) refuses. The
-  /// new value evaluates BEFORE the place subexpressions, mirroring
-  /// eval_setf.
-  void compile_setf_pair(Value place, Value valform) {
+  /// Store the top of stack through `place`, evaluating the place's
+  /// subforms now, in Interp::setf_place's order and with its checks;
+  /// the value stays on the stack. Covers every place setf_place
+  /// accepts — symbols, c[ad]+r, nth, gethash, aref, struct fields —
+  /// dispatched in its order; anything else refuses.
+  void emit_store_place(Value place) {
     if (place.is(Kind::Symbol)) {
-      compile(valform, false);
       emit_store_var(static_cast<Symbol*>(place.obj()));
       return;
     }
     if (!place.is(Kind::Cons)) refuse("setf place");
     Value acc_form = car(place);
     if (!acc_form.is(Kind::Symbol)) refuse("setf place");
-    const std::string& name = static_cast<Symbol*>(acc_form.obj())->name;
-    if (!is_cxr_name(name)) refuse("setf place (" + name + " …)");
-    compile(valform, false);
-    compile(cadr(place), false);
-    // Navigate the inner letters right-to-left, then store through
-    // the first letter (same traversal as Interp::setf_place).
-    for (std::size_t i = name.size() - 2; i >= 2; --i)
-      emit(name[i] == 'a' ? Op::kCar : Op::kCdr);
-    emit(name[1] == 'a' ? Op::kSetCar : Op::kSetCdr);
+    auto* acc = static_cast<Symbol*>(acc_form.obj());
+    const std::string& name = acc->name;
+    if (is_cxr_name(name)) {
+      compile(cadr(place), false);
+      // Navigate the inner letters right-to-left, then store through
+      // the first letter (same traversal as Interp::setf_place).
+      for (std::size_t i = name.size() - 2; i >= 2; --i)
+        emit(name[i] == 'a' ? Op::kCar : Op::kCdr);
+      emit(name[1] == 'a' ? Op::kSetCar : Op::kSetCdr);
+      return;
+    }
+    if (name == "nth") {
+      // The index converts to an integer before the list evaluates.
+      compile(cadr(place), false);
+      emit(Op::kAsInt);
+      compile(caddr(place), false);
+      emit(Op::kSetNth);
+      return;
+    }
+    if (name == "gethash" || name == "aref") {
+      compile(cadr(place), false);
+      compile(caddr(place), false);
+      emit(name == "gethash" ? Op::kSetGethash : Op::kSetAref);
+      return;
+    }
+    if (auto type = interp_.struct_type_of_field(acc)) {
+      compile(cadr(place), false);
+      code_->fields.push_back(FieldRef{type, acc, type->slot_index(acc)});
+      emit(Op::kSetField,
+           static_cast<std::int32_t>(code_->fields.size() - 1));
+      return;
+    }
+    refuse("setf place (" + name + " …)");
   }
 
   void compile_dotimes(Value form, bool tail) {

@@ -1,15 +1,21 @@
 // One-pass compiler from s-expression bodies to flat bytecode.
 //
 // Coverage is deliberately partial: the compiler handles the
-// expression subset that dominates transformed-program hot loops
-// (calls, arithmetic, let/let*, setq/setf on symbols and cxr places,
-// if/cond/and/or/when/unless, while/dotimes/dolist, incf/decf,
-// push/pop, quote) and *refuses* everything else — lambda, defun,
-// defstruct, defmacro, future, exotic setf places. A refusal is not an
-// error: the caller caches the verdict on the Closure and the
-// tree-walking interpreter remains the single source of truth for
-// those forms. The differential corpus test holds the two engines to
-// identical results, output, and error messages.
+// expression subset that transformed-program bodies run (calls,
+// arithmetic, let/let*, setq, if/cond/and/or/when/unless,
+// while/dotimes/dolist, quote, and setf/incf/decf/push/pop on every
+// place Interp::setf_place accepts — symbols, c[ad]+r, nth, gethash,
+// aref and struct fields) and *refuses* everything else — lambda,
+// defun, defstruct, defmacro, future, places setf_place would reject.
+// A refusal is not an error: the caller caches the verdict on the
+// Closure and the tree-walking interpreter remains the single source
+// of truth for those forms. The differential corpus test holds the
+// two engines to identical results, output, and error messages.
+//
+// A struct-field place resolves to its type and slot at compile time
+// (a field name belongs to one struct type for the life of an
+// Interp); a name that is not a field yet refuses, so a defstruct that
+// comes later is seen by the tree-walker.
 //
 // Resolution happens once, at first call. Lexical variables become
 // frame slots. A head symbol that resolves to a Builtin of the same

@@ -31,6 +31,7 @@
 #include <cstdint>
 #include <memory>
 #include <span>
+#include <string>
 #include <string_view>
 
 #include "gc/gc.hpp"
@@ -83,6 +84,10 @@ class Vm {
   /// at quiescence.
   std::uint64_t compiled_entries() const { return compiled_entries_.get(); }
   std::uint64_t fallback_entries() const { return fallback_entries_.get(); }
+
+  /// The two entry counters as a `:stats` section: a hot closure the
+  /// compiler refused shows as a growing vm.fallback_entries.
+  std::string stats_report() const;
 
  private:
   Value execute(const CodeObject* entry, Value entry_closure,

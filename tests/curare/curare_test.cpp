@@ -615,6 +615,50 @@ TEST_F(CurareTest, AtomicIncrementOfAnUnsetGlobalFailsLikeTheOriginal) {
       << "the failed increments must not bind zz";
 }
 
+TEST_F(CurareTest, StructWalkerRunsEveryInvocationOnBytecode) {
+  // cri_runs' walk: a defstruct tree with two recursive call sites,
+  // each invocation reading, bumping and storing a struct field. Every
+  // server body and every callee must run on the VM, none on the
+  // tree-walker.
+  const std::string program =
+      "(defun work (k)"
+      "  (let ((i 0) (a 0))"
+      "    (while (< i k) (setq a (+ a i)) (setq i (+ i 1))) a))"
+      "(defstruct tnode (pointers left right) (data weight))"
+      "(defun walk (tr k)"
+      "  (when tr"
+      "    (walk (left tr) k)"
+      "    (walk (right tr) k)"
+      "    (work k)"
+      "    (setf (weight tr) (+ (weight tr) 1))"
+      "    nil))"
+      "(defun make-tree (d w)"
+      "  (if (= d 0) nil"
+      "      (make-tnode 'weight (mod w 100)"
+      "                  'left (make-tree (- d 1) (* 3 w))"
+      "                  'right (make-tree (- d 1) (+ w 7)))))"
+      "(defun tree-weights (tr)"
+      "  (if (null tr) nil"
+      "      (cons (weight tr)"
+      "            (append (tree-weights (left tr))"
+      "                    (tree-weights (right tr))))))";
+  const std::string want = oracle::original_value(
+      program, "(let ((tr (make-tree 8 1))) (walk tr 20) (tree-weights tr))");
+  cur.load_program(program);
+  TransformPlan plan = cur.transform("walk");
+  ASSERT_TRUE(plan.ok) << plan.failure;
+  ASSERT_EQ(plan.num_sites, 2u);
+  cur.load_program("(setq tr (make-tree 8 1))");
+  forced::install(cur);
+  const std::uint64_t compiled0 = cur.vm().compiled_entries();
+  const std::uint64_t fallback0 = cur.vm().fallback_entries();
+  const Value args[] = {cur.interp().global("tr"), Value::fixnum(20)};
+  forced::cri(cur, plan, args, 4);
+  EXPECT_EQ(cur.vm().fallback_entries() - fallback0, 0u);
+  EXPECT_GT(cur.vm().compiled_entries() - compiled0, 0u);
+  EXPECT_EQ(write_str(cur.eval_program("(tree-weights tr)")), want);
+}
+
 TEST_F(CurareTest, NotRecursiveRefused) {
   cur.load_program("(defun plain (x) (+ x 1))");
   TransformPlan plan = cur.transform("plain");

@@ -82,6 +82,7 @@ TEST(Image, RoundTripGlobalsClosuresStructs) {
   ImageFixture f;
   auto templ = f.session();
   f.run(*templ, kPrelude);
+  f.run(*templ, "(defun opt (a &optional b &rest r) (list a b r))");
   image::SessionImage img = image::SessionImage::capture(*templ);
   templ.reset();  // the clone must not depend on the template's heap refs
 
@@ -103,6 +104,9 @@ TEST(Image, RoundTripGlobalsClosuresStructs) {
   EXPECT_EQ(f.run(*target, "(car (cdr pair))"), "2");
   // defstruct re-registration: new instances work in the clone.
   EXPECT_EQ(f.run(*target, "(py (make-point 'py 9))"), "9");
+  // The lambda list keeps its optional parameter.
+  EXPECT_EQ(f.run(*target, "(list (opt 1) (opt 1 2 3))"),
+            "((1 nil nil) (1 2 (3)))");
 }
 
 TEST(Image, CloneIsACopyNotAnAlias) {

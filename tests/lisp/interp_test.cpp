@@ -121,6 +121,27 @@ TEST_F(InterpTest, RestParameters) {
   EXPECT_EQ(run("(f 1)"), "(1)");
 }
 
+TEST_F(InterpTest, OptionalParametersDefaultToNil) {
+  run("(defun rr (l &optional k) (list l k))");
+  EXPECT_EQ(run("(rr 1)"), "(1 nil)");
+  EXPECT_EQ(run("(rr 1 2)"), "(1 2)");
+  run("(defun ro (a &optional b c &rest r) (list a b c r))");
+  EXPECT_EQ(run("(list (ro 1) (ro 1 2 3 4 5))"),
+            "((1 nil nil nil) (1 2 3 (4 5)))");
+  try {
+    run("(rr 1 2 3)");
+    ADD_FAILURE() << "three arguments to a 1-2 parameter function";
+  } catch (const sexpr::LispError& e) {
+    EXPECT_STREQ(e.what(), "wrong number of arguments to rr: got 3, want 1-2");
+  }
+  try {
+    run("(ro)");
+    ADD_FAILURE() << "no arguments to a function that requires one";
+  } catch (const sexpr::LispError& e) {
+    EXPECT_STREQ(e.what(), "wrong number of arguments to ro: got 0, want 1-3+");
+  }
+}
+
 TEST_F(InterpTest, WrongArityThrows) {
   run("(defun two (a b) a)");
   EXPECT_THROW(run("(two 1)"), sexpr::LispError);

@@ -231,6 +231,10 @@ TEST(Serve, StatsOpReportsServeMetrics) {
   DaemonFixture f;
   auto conn = f.connect();
   ASSERT_TRUE(conn.request(eval_req("(+ 1 2)")).has_value());
+  // A defun is a top-level form the VM hands to the tree-walker; the
+  // call of the function it defines runs on bytecode.
+  ASSERT_TRUE(
+      conn.request(eval_req("(defun sq (x) (* x x)) (sq 3)")).has_value());
   serve::Request req;
   req.op = "stats";
   auto resp = conn.request(req);
@@ -241,6 +245,15 @@ TEST(Serve, StatsOpReportsServeMetrics) {
   EXPECT_NE(resp->result.find("serve.requests"), std::string::npos)
       << resp->result;
   EXPECT_NE(resp->result.find("serve.admitted"), std::string::npos);
+  // The session's engine counters: a hot fallback would show here.
+  EXPECT_EQ(resp->result.find("vm.compiled_entries = 0\n"),
+            std::string::npos)
+      << resp->result;
+  EXPECT_EQ(resp->result.find("vm.fallback_entries = 0\n"),
+            std::string::npos)
+      << resp->result;
+  EXPECT_NE(resp->result.find("vm.compiled_entries = "), std::string::npos);
+  EXPECT_NE(resp->result.find("vm.fallback_entries = "), std::string::npos);
 }
 
 TEST(Serve, MalformedFramesGetProtocolErrors) {

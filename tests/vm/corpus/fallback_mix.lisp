@@ -1,7 +1,7 @@
-;; Differential corpus: forms the compiler refuses (lambda, defstruct,
-;; struct/nth setf places) interleaved with compiled calls, so the
-;; fallback seams — bytecode calling tree-walked closures and back —
-;; are crossed repeatedly in one program.
+;; Differential corpus: forms the compiler refuses (lambda, defstruct)
+;; interleaved with compiled calls, so the fallback seams — bytecode
+;; calling tree-walked closures and back — are crossed repeatedly in one
+;; program.
 
 ;; A compiled caller applying tree-walked lambdas.
 (defun twice (f x) (funcall f (funcall f x)))
@@ -14,8 +14,8 @@
 (print (funcall (make-adder 5) 10))
 (print (mapcar (make-adder 100) '(1 2 3)))
 
-;; Structs: definition, construction, accessors, and setf on a struct
-;; field (a place the bytecode compiler refuses).
+;; Structs: definition (a top-level form the compiler refuses),
+;; construction, accessors, and setf on a struct field (compiled).
 (defstruct pt (data x) (data y))
 (let ((p (make-pt 'x 1 'y 2)))
   (print (x p))
@@ -32,7 +32,7 @@
 (defun lt (a b) (< a b))
 (print (sort '(3 1 4 1 5 9 2 6) lt))
 
-;; setf on an nth place (refused → tree) beside cxr places (compiled).
+;; setf on an nth place beside a cxr place (both compiled).
 (let ((l (list 1 2 3)))
   (setf (nth 1 l) 'two)
   (setf (car l) 'one)

@@ -104,6 +104,10 @@ TEST(VmParityTest, ExpressionBattery) {
       "(let ((l '())) (push 'a l) (push 'b l) (list (pop l) l))",
       "(defun f (x &rest r) (cons x r)) (f 1 2 3)",
       "(defun g (x &optional y) (list x y)) (g 1)",
+      "(defun g (x &optional y z) (list x y z)) (list (g 1) (g 1 2 3))",
+      "(defun g (x &optional y &rest r) (list x y r)) "
+      "(list (g 1) (g 1 2) (g 1 2 3 4))",
+      "(defun g (x &optional y) (if (< x 1) y (g (- x 1)))) (g 3 'done)",
       "(declare (ignore x))",
       "(defun fib (n) (if (< n 2) n (+ (fib (- n 1)) (fib (- n 2))))) "
       "(fib 15)",
@@ -125,6 +129,9 @@ TEST(VmParityTest, ErrorMessagesMatchTreeWalker) {
       "(3 4)",
       "(defun f (x) x) (f 1 2)",
       "(defun f (x &rest r) x) (f)",
+      "(defun f (x &optional y) x) (f)",
+      "(defun f (x &optional y) x) (f 1 2 3)",
+      "(defun f (x &optional y &rest r) x) (f)",
       "(car 5)",
       "(cons 1)",
       "(+ 'a 1)",

@@ -265,8 +265,9 @@ int repl(Curare& cur, const curare::tools::RuntimeFlags& rt) {
                     static_cast<unsigned long long>(freed),
                     ctx.heap.live_objects());
       } else if (line == ":stats") {
-        std::printf("%s",
-                    curare::obs::full_report(cur.runtime().obs()).c_str());
+        std::printf("%s%s",
+                    curare::obs::full_report(cur.runtime().obs()).c_str(),
+                    cur.vm().stats_report().c_str());
       } else if (line == ":resilience") {
         std::printf("%s", cur.runtime().resilience_report().c_str());
       } else if (line.rfind(":trace ", 0) == 0) {
@@ -375,8 +376,9 @@ int main(int argc, char** argv) {
       code = code == 0 ? 1 : code;
     }
     if (stats) {
-      std::printf("%s",
-                  curare::obs::full_report(cur.runtime().obs()).c_str());
+      std::printf("%s%s",
+                  curare::obs::full_report(cur.runtime().obs()).c_str(),
+                  cur.vm().stats_report().c_str());
     }
     // --stats already embeds the profile via full_report; avoid
     // printing the same table twice.

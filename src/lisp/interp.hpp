@@ -200,4 +200,16 @@ std::int64_t as_int(Value v);
 double as_number(Value v);
 bool is_number(Value v);
 
+// The store step of each setf place, shared by Interp::setf_place and
+// the VM's store opcodes so both engines check and fail alike. Each
+// runs after the place's subforms are evaluated and stores `v`.
+void store_nth(std::int64_t n, Value list, Value v);
+void store_gethash(Value key, Value tbl, Value v);
+/// Converts `index` before checking `vec`, as setf_place always has.
+void store_aref(Value vec, Value index, Value v);
+/// Exact type comparison: `obj` must be an instance of `type` itself.
+/// `acc` names the accessor in the error text.
+void store_field(const StructType& type, int slot, const sexpr::Symbol& acc,
+                 Value obj, Value v);
+
 }  // namespace curare::lisp
